@@ -1,10 +1,11 @@
-"""Perf-smoke: reuse-kernel, batched-replay, and full-suite wall time.
+"""Perf-smoke: reuse-kernel, batched-replay, tuner, lint and fleet suites.
 
-Three suites, selected with ``--suite``:
+Suites, selected with ``--suite``:
 
 ``reuse`` (default)
-    Reuse-distance kernel throughput plus cold/warm ``run all`` wall time.
-    Writes ``BENCH_reuse.json``.
+    Reuse-distance kernel throughput, vector vs Fenwick reference.  Whole
+    ``run all`` timings live in the end-to-end benchmark
+    (``benchmarks/e2e``).  Writes ``BENCH_reuse.json``.
 
 ``replay``
     Batched fault-replay engine vs the per-access event executor, end to
@@ -97,7 +98,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import time
 
@@ -200,23 +200,6 @@ def _timed(kernel, pages: np.ndarray) -> float:
     t0 = time.perf_counter()
     kernel(pages)
     return time.perf_counter() - t0
-
-
-def bench_run_all(scale: float) -> dict:
-    """Cold- and warm-cache wall time of ``run all`` in a child process."""
-    import tempfile
-
-    out = {}
-    with tempfile.TemporaryDirectory() as cache_dir:
-        env = dict(os.environ, REPRO_CACHE_DIR=cache_dir)
-        for temperature in ("cold", "warm"):
-            t0 = time.perf_counter()
-            subprocess.run(
-                [sys.executable, "-m", "repro.cli", "run", "all", "--scale", str(scale)],
-                check=True, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            )
-            out[temperature] = round(time.perf_counter() - t0, 2)
-    return {"scale": scale, "jobs": 1, "seconds": out}
 
 
 # -- replay suite ------------------------------------------------------------
@@ -833,10 +816,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="distinct pages in the reuse-suite random trace")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N timing per kernel/engine")
-    parser.add_argument("--scale", type=float, default=0.5,
-                        help="workload scale for the run-all timing")
-    parser.add_argument("--skip-run-all", action="store_true",
-                        help="kernel numbers only (fast)")
     parser.add_argument("--check", action="store_true",
                         help="replay suite: compare against the checked-in "
                              "baseline instead of overwriting it")
@@ -898,8 +877,6 @@ def main(argv: list[str] | None = None) -> int:
             "kernels": {"vector": vector, "fenwick": fenwick},
             "vector_speedup": round(fenwick["seconds"] / vector["seconds"], 1),
         }
-        if not args.skip_run_all:
-            report["run_all"] = bench_run_all(args.scale)
 
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1)

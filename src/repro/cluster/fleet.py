@@ -462,12 +462,20 @@ def _pool_sim(a: NodeAssignment) -> NodeJobResult:
 
 
 def fleet_jobs_from_env() -> int:
-    """Worker count for the fleet fan-out (``REPRO_FLEET_JOBS``, default 1)."""
+    """Worker count for the fleet fan-out (``REPRO_FLEET_JOBS``, default 1).
+
+    Anything but a positive integer raises :class:`ConfigurationError`.
+    """
     raw = os.environ.get("REPRO_FLEET_JOBS", "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ConfigurationError(
+            f"REPRO_FLEET_JOBS must be a positive integer, got {raw!r}"
+        )
+    return jobs
 
 
 def run_fleet(cfg: FleetConfig, jobs: int = 1) -> FleetResult:

@@ -43,12 +43,16 @@ def cotenant_run(
     traces: list[PageTrace],
     local_pages: list[int],
     shared: bool = True,
+    classify=None,
 ) -> tuple[list[SwapExecutionResult], list]:
     """Run one trace per tenant on a fresh simulator; return (results, devices).
 
     ``shared=True`` puts every tenant on one device (channel pool, media
     pipes, and slot all contended); ``shared=False`` gives each tenant
-    its own device of the same kind — the isolated baseline.
+    its own device of the same kind — the isolated baseline.  A sweep
+    passes one :class:`~repro.swap.replay.ClassificationMemo` as
+    ``classify`` to every call, so each distinct tenant slice is
+    classified once.
     """
     sim = Simulator()
     if shared:
@@ -63,7 +67,7 @@ def cotenant_run(
         SwapExecutor(sim, dev, kind, local_pages=lp)
         for dev, lp in zip(devices, local_pages)
     ]
-    results = run_tenants(executors, traces)
+    results = run_tenants(executors, traces, classify)
     return results, devices
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.switching import ImplicitSwitcher
 from repro.devices import BackendKind
 from repro.devices.registry import make_device
-from repro.errors import SimulationError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.tables import ExperimentResult
 from repro.faults import BandwidthFault, FailoverController, FaultPlan, FaultyDevice, LatencyFault
@@ -177,11 +176,13 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
             yield executor.frontend.switch_to(str(standby))
             done.append(sim.now)
 
-        sim.process(oracle_proc(), name="oracle-switch")
+        switch_proc = sim.process(oracle_proc(), name="oracle-switch")
         oracle = executor.run(trace)
         oracle_end = sim.now
-        if not switch_done:
-            raise SimulationError("oracle switch never completed")
+        # a short trace can finish while the switch is still in flight:
+        # complete it so the row still reports when it would have landed
+        # (the post-switch throughput is then 0)
+        sim.run(until=switch_proc)
         oracle_tput = _post_switch_throughput(executor, switch_done[0], oracle_end)
         rows.append([tag, "oracle", f"{oracle.sim_time:.4f}", oracle.faults, 1,
                      "0.0000", f"{switch_done[0] - onset:.4f}", "-"])

@@ -20,6 +20,7 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.contention import anon_local_pages, cotenant_run, tenant_slice
 from repro.experiments.tables import ExperimentResult
 from repro.swap import ChannelMode, PathType, SwapConfig, SwapPathModel
+from repro.swap.replay import ClassificationMemo
 
 __all__ = ["run"]
 
@@ -34,8 +35,12 @@ def _measured_contention(ctx: ExperimentContext, name: str) -> float:
     trace = tenant_slice(base, 0, _MEAS_ACCESSES)
     local = anon_local_pages(trace, _MEAS_FM_RATIO)
     traces, locals_ = [trace, trace], [local, local]
-    shared, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=True)
-    isolated, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=False)
+    # all four tenant runs replay the same slice: classify it once
+    classify = ClassificationMemo()
+    shared, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=True,
+                             classify=classify)
+    isolated, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=False,
+                               classify=classify)
     t_shared = sum(r.sim_time for r in shared) / len(shared)
     t_isolated = sum(r.sim_time for r in isolated) / len(isolated)
     return t_shared / t_isolated if t_isolated > 0 else 1.0

@@ -29,6 +29,7 @@ from repro.experiments.contention import (
 )
 from repro.experiments.tables import ExperimentResult
 from repro.swap import ChannelMode, SwapConfig
+from repro.swap.replay import ClassificationMemo
 
 __all__ = ["run", "PROBES"]
 
@@ -52,8 +53,13 @@ def _measured_ratio(ctx: ExperimentContext, name: str) -> tuple[float, float]:
         tenant_slice(noise_base, i, _MEAS_ACCESSES) for i in range(_NEIGHBOURS)
     ]
     locals_ = [anon_local_pages(t, FM_RATIO) for t in traces]
-    shared, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=True)
-    isolated, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=False)
+    # scoped to the probe: an experiment-wide memo would hold every
+    # probe's slices at once, and fig17 sets the peak RSS of `run all`
+    classify = ClassificationMemo()
+    shared, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=True,
+                             classify=classify)
+    isolated, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=False,
+                               classify=classify)
     lat_shared = per_op_latency(shared[0])
     lat_isolated = per_op_latency(isolated[0])
     ratio = lat_shared / lat_isolated if lat_isolated > 0 else 1.0

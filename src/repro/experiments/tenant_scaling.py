@@ -31,6 +31,7 @@ from repro.experiments.contention import (
     tenant_slice,
 )
 from repro.experiments.tables import ExperimentResult
+from repro.swap.replay import ClassificationMemo
 
 __all__ = ["run", "TENANTS"]
 
@@ -42,9 +43,11 @@ _PER_TENANT = 12_000       # accesses per tenant slice
 _FM_RATIO = 0.5
 
 
-def _run_group(kind: BackendKind, traces, locals_) -> tuple[list, float, float, float]:
+def _run_group(kind: BackendKind, traces, locals_,
+               classify) -> tuple[list, float, float, float]:
     """Run ``traces`` as co-tenants on one shared device of ``kind``."""
-    results, devices = cotenant_run(kind, traces, locals_, shared=True)
+    results, devices = cotenant_run(kind, traces, locals_, shared=True,
+                                    classify=classify)
     device = devices[0]
     span = max((r.sim_time for r in results), default=0.0)
     if span > 0:
@@ -60,18 +63,20 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     base = ctx.workload(_WORKLOAD).trace(ctx.scale, ctx.seed)
     slices = [tenant_slice(base, i, _PER_TENANT) for i in range(max(TENANTS))]
     locals_ = [anon_local_pages(t, _FM_RATIO) for t in slices]
+    # classification ignores the backend: one memo serves both sweeps
+    classify = ClassificationMemo()
     rows = []
     metrics: dict[str, float] = {}
     max_util = 0.0
     for kind in _BACKENDS:
         solo: list[float] = []
         for trace, local in zip(slices, locals_):
-            results, _, _, _ = _run_group(kind, [trace], [local])
+            results, _, _, _ = _run_group(kind, [trace], [local], classify)
             solo.append(results[0].sim_time)
         mean_curve = []
         for n in TENANTS:
             results, span, util_read, util_write = _run_group(
-                kind, slices[:n], locals_[:n]
+                kind, slices[:n], locals_[:n], classify
             )
             slowdowns = [
                 r.sim_time / s if s > 0 else 1.0

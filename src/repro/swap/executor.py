@@ -216,7 +216,7 @@ class SwapExecutor:
         return False
 
     # -- execution -----------------------------------------------------------
-    def run(self, trace: PageTrace) -> SwapExecutionResult:
+    def run(self, trace: PageTrace, classify=None) -> SwapExecutionResult:
         """Execute the whole trace; returns the accumulated counters.
 
         ``REPRO_REPLAY=batch`` (the default) delegates eligible runs —
@@ -229,7 +229,8 @@ class SwapExecutor:
         the exact per-access loop inside them.  ``REPRO_REPLAY=event``
         forces the exact per-access loop (the reference the equivalence
         tests compare against); warm or multi-tenant executors always
-        take it.
+        take it.  ``classify`` is the batch engine's phase-1 hook (see
+        :func:`~repro.swap.replay.replay_run`); no other path calls it.
         """
         mode = os.environ.get(REPLAY_ENV, "batch")
         if mode not in ("batch", "event"):
@@ -238,7 +239,7 @@ class SwapExecutor:
             )
         if mode == "batch":
             if self._batch_eligible():
-                return replay_run(self, trace)
+                return replay_run(self, trace, classify)
             if self._hybrid_eligible():
                 from repro.swap.plan import hybrid_run
 
@@ -573,7 +574,7 @@ def make_contended_executors(
     ]
 
 
-def run_tenants(executors, traces) -> list[SwapExecutionResult]:
+def run_tenants(executors, traces, classify=None) -> list[SwapExecutionResult]:
     """Execute one trace per tenant concurrently on a shared simulator.
 
     The multi-tenant counterpart of :meth:`SwapExecutor.run`:
@@ -586,6 +587,7 @@ def run_tenants(executors, traces) -> list[SwapExecutionResult]:
     A single tenant delegates to :meth:`SwapExecutor.run`, so injected
     or failover-managed runs take the segmented hybrid planner
     (:mod:`repro.swap.plan`) rather than the bare event loop.
+    ``classify`` is handed to whichever batch engine runs.
     Returns the per-tenant results in input order; each tenant's
     ``sim_time`` covers its own start-to-finish interval.
     """
@@ -604,14 +606,14 @@ def run_tenants(executors, traces) -> list[SwapExecutionResult]:
         # the single-tenant ladder (batch -> segmented hybrid -> event)
         # lives on SwapExecutor.run; delegating keeps injected/failover
         # runs on the hybrid planner instead of the bare event loop
-        return [executors[0].run(traces[0])]
+        return [executors[0].run(traces[0], classify)]
     mode = os.environ.get(REPLAY_ENV, "batch")
     if mode not in ("batch", "event"):
         raise ConfigurationError(
             f"unknown {REPLAY_ENV}={mode!r}; expected 'batch' or 'event'"
         )
     if mode == "batch" and all(ex._batch_eligible() for ex in executors):
-        return replay_run_multi(executors, traces)
+        return replay_run_multi(executors, traces, classify)
     procs = [
         sim.process(ex._run_proc(trace), name=f"exec:run:{i}")
         for i, (ex, trace) in enumerate(zip(executors, traces))

@@ -38,6 +38,10 @@ links and channel pool, where fair-share rates only change at flow
 arrival/completion breakpoints, so the piecewise-linear schedule equals
 the windowed DES admission reference (``solver="des"``) to round-off.
 
+Both phase-2 entry points take phase 1 through a ``classify`` hook; a
+co-tenant sweep that replays the same tenant slices over and over passes
+one :class:`ClassificationMemo` so each slice is classified once.
+
 Selection is by the ``REPRO_REPLAY`` environment variable, read by
 :meth:`SwapExecutor.run` and :func:`~repro.swap.executor.run_tenants`:
 ``batch`` (default) delegates here whenever the run is eligible (cold
@@ -61,9 +65,9 @@ from repro.simcore.bandwidth import _EPS_BYTES
 from repro.swap.pathmodel import FAULT_COST
 from repro.trace.schema import PageTrace
 
-__all__ = ["ReplayClassification", "SpanClassification", "classify_trace",
-           "classify_span", "trace_mrc", "replay_run", "replay_run_multi",
-           "REPLAY_VERSION", "REPLAY_ENV"]
+__all__ = ["ReplayClassification", "SpanClassification", "ClassificationMemo",
+           "classify_trace", "classify_span", "trace_mrc", "replay_run",
+           "replay_run_multi", "REPLAY_VERSION", "REPLAY_ENV"]
 
 #: Bumped whenever classification output could change; part of the
 #: on-disk classification cache key.
@@ -406,6 +410,40 @@ def _classify_uncached(
     )
 
 
+class ClassificationMemo:
+    """In-memory :func:`classify_trace` memo owned by one co-tenant sweep.
+
+    A drop-in ``classify`` hook for :func:`replay_run`,
+    :func:`replay_run_multi` and the executors that route to them: called
+    as ``memo(trace, capacity, active_ratio)``, it classifies each
+    distinct ``(trace.content_digest(), capacity, active_ratio)`` — the
+    identity :func:`repro.cache.replay_key` persists under — once, and
+    hands every later caller the same result.  Sweeps replay the same
+    short tenant slices over and over (solo baselines, growing groups,
+    shared vs isolated pairs), below the size the disk cache bothers with.
+
+    Classification is a pure function of that key, so reuse changes no
+    outcome.  The result is shared between tenants, so its arrays are
+    returned read-only.  Scope a memo to one sweep: it holds every entry
+    until dropped (DESIGN.md §3.3).
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple[str, int, float], ReplayClassification] = {}
+
+    def __call__(self, trace: PageTrace, capacity: int,
+                 active_ratio: float = 0.5) -> ReplayClassification:
+        key = (trace.content_digest(), capacity, active_ratio)
+        cls = self._entries.get(key)
+        if cls is None:
+            cls = classify_trace(trace, capacity, active_ratio)
+            for value in vars(cls).values():
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+            self._entries[key] = cls
+        return cls
+
+
 def trace_mrc(trace: PageTrace) -> MissRatioCurve:
     """Exact-LRU miss counts for **every** capacity from one reuse pass.
 
@@ -453,8 +491,7 @@ def _window_counts(cls: ReplayClassification) -> tuple[list[int], list[int]]:
     return fault_counts.tolist(), wb_counts.tolist()
 
 
-def replay_run(executor, trace: PageTrace,
-               classification: ReplayClassification | None = None):
+def replay_run(executor, trace: PageTrace, classify=None):
     """Phase 2: apply a classification to ``executor`` through the DES.
 
     Equivalent to ``executor.run(trace)`` on the event path for an
@@ -464,10 +501,15 @@ def replay_run(executor, trace: PageTrace,
     Faults and writebacks are admitted per ``_WINDOW``-access window as
     aggregate flows; each window charges the kernel fault cost per fault
     and credits the mean per-fault latency to the latency collector.
+
+    ``classify`` produces phase 1 with :func:`classify_trace`'s
+    signature; a :class:`ClassificationMemo` shares it across a sweep.
+    ``None`` means :func:`classify_trace`, looked up at call time so a
+    wrapped or patched module function sees every call.
     """
-    cls = classification
-    if cls is None:
-        cls = classify_trace(trace, executor.lru.capacity, executor.lru.active_ratio)
+    if classify is None:
+        classify = classify_trace
+    cls = classify(trace, executor.lru.capacity, executor.lru.active_ratio)
     sim = executor.sim
     res = executor.result
     frontend = executor.frontend
@@ -899,7 +941,7 @@ def _des_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
     return [e - t_start for e in ends]
 
 
-def replay_run_multi(executors, traces, classifications=None, solver=None):
+def replay_run_multi(executors, traces, classify=None, solver=None):
     """Phase 2 for N tenants contending on shared backends.
 
     Equivalent to running every executor's per-access event loop
@@ -910,6 +952,7 @@ def replay_run_multi(executors, traces, classifications=None, solver=None):
     itself matches the per-access loop to round-off; under contention the
     window is the engine's admission quantum, see DESIGN.md §3.3).
 
+    ``classify`` produces each tenant's phase 1, as in :func:`replay_run`.
     ``solver`` picks the phase-2 backend: ``"fluid"`` (analytic
     progressive-filling, the default when every device uses the stock
     batched I/O path), ``"des"`` (windowed admission through the event
@@ -936,11 +979,12 @@ def replay_run_multi(executors, traces, classifications=None, solver=None):
             raise ConfigurationError(
                 "replay_run_multi needs cold executors on an idle simulator"
             )
-    if classifications is None:
-        classifications = [
-            classify_trace(tr, ex.lru.capacity, ex.lru.active_ratio)
-            for ex, tr in zip(executors, traces)
-        ]
+    if classify is None:
+        classify = classify_trace
+    classifications = [
+        classify(tr, ex.lru.capacity, ex.lru.active_ratio)
+        for ex, tr in zip(executors, traces)
+    ]
     plans = []
     for ex, cls in zip(executors, classifications):
         _apply_classification(ex, cls)

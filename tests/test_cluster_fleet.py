@@ -21,6 +21,7 @@ import pytest
 from repro import cache
 from repro.cluster.fleet import (
     FleetConfig,
+    fleet_jobs_from_env,
     plan_fleet,
     run_fleet,
     simulate_node,
@@ -60,6 +61,17 @@ def test_fleet_study_deterministic_cold_vs_warm_cache(tmp_path, monkeypatch):
     assert m1 - m0 == 0, "warm run missed despite a populated cache"
     # and the cached output equals the uncached one bit for bit
     assert cold == _render(0.02, 23, 1, monkeypatch)
+
+
+def test_fleet_jobs_from_env(monkeypatch):
+    monkeypatch.delenv("REPRO_FLEET_JOBS", raising=False)
+    assert fleet_jobs_from_env() == 1
+    monkeypatch.setenv("REPRO_FLEET_JOBS", "3")
+    assert fleet_jobs_from_env() == 3
+    for bad in ("two", "", "1.5", "0", "-2"):
+        monkeypatch.setenv("REPRO_FLEET_JOBS", bad)
+        with pytest.raises(ConfigurationError, match="REPRO_FLEET_JOBS"):
+            fleet_jobs_from_env()
 
 
 def test_sweep_counters_bit_identical_to_standalone(monkeypatch):

@@ -263,3 +263,18 @@ def test_attached_failover_forces_event_engine():
     windows = [LatencyFault(start=1.0, duration=0.1, factor=2.0)]
     sim, executor, controller, trace = _failover_stack(windows)
     assert not executor._batch_eligible()
+
+
+# ------------------------------------------------- failover_study edge scale
+def test_failover_study_runs_at_tiny_scale():
+    """At scale 0.05 the oracle run ends while its scheduled switch is
+    still in flight; the study completes the switch instead of failing."""
+    from repro.experiments import EXPERIMENTS, ExperimentContext
+
+    res = EXPERIMENTS["failover_study"](ExperimentContext(scale=0.05))
+    oracle = [row for row in res.rows if row[1] == "oracle"]
+    assert len(oracle) == len(res.rows) // 4 == 2
+    for row in oracle:
+        assert float(row[6]) > 0.0  # the switch landed, after the run ended
+    for key in ("ssd_rdma", "rdma_ssd"):
+        assert res.metrics[f"deterministic_{key}"] == 1.0

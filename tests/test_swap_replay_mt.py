@@ -26,10 +26,12 @@ from hypothesis import strategies as st
 from repro.devices import BackendKind
 from repro.devices.registry import make_device
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, FaultyDevice, LatencyFault
 from repro.mem.page import PageOp
 from repro.simcore import Simulator
-from repro.swap.executor import make_contended_executors, run_tenants
-from repro.swap.replay import REPLAY_ENV, replay_run_multi
+from repro.swap import replay as replay_mod
+from repro.swap.executor import SwapExecutor, make_contended_executors, run_tenants
+from repro.swap.replay import REPLAY_ENV, ClassificationMemo, replay_run_multi
 from repro.topology.pcie import PCIeSwitch
 from repro.trace.schema import make_trace
 
@@ -62,7 +64,7 @@ def _tenant_traces(n_tenants, seed0=0, n=4000, distinct=300):
 
 
 def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, solver=None,
-            sanitize=False, switch=False):
+            sanitize=False, switch=False, classify=None):
     saved = os.environ.get(REPLAY_ENV)
     os.environ[REPLAY_ENV] = mode
     try:
@@ -75,7 +77,7 @@ def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, solver=None,
         if solver is not None:
             results = replay_run_multi(executors, traces, solver=solver)
         else:
-            results = run_tenants(executors, traces)
+            results = run_tenants(executors, traces, classify)
         return results, executors
     finally:
         if saved is None:
@@ -290,6 +292,92 @@ def test_mt_fluid_passes_sanitizer():
     assert any(r.faults for r in fluid)
     for ex in executors:
         ex.assert_page_conservation()
+
+
+# -- per-sweep classification memo -------------------------------------------
+
+@pytest.mark.parametrize("n_tenants", [1, 4])
+def test_memo_hook_matches_default_hook(n_tenants):
+    """A memo changes no outcome: counters, LRU end state and sim_time are
+    bit-identical to the default hook, on a fresh memo and on a warm one."""
+    traces = _tenant_traces(n_tenants, seed0=60)
+    ref, rex = _run_mt(traces, "batch")
+    memo = ClassificationMemo()
+    for _ in range(2):  # miss, then hit
+        got, gex = _run_mt(traces, "batch", classify=memo)
+        for i in range(n_tenants):
+            for counter in COUNTERS:
+                assert getattr(got[i], counter) == getattr(ref[i], counter), \
+                    (i, counter)
+            assert got[i].sim_time == ref[i].sim_time  # simlint: ignore[UNIT002] -- bit-identity is the property under test
+            r_act, r_inact = rex[i].lru.state_arrays()
+            g_act, g_inact = gex[i].lru.state_arrays()
+            assert g_act.tolist() == r_act.tolist()
+            assert g_inact.tolist() == r_inact.tolist()
+            assert gex[i]._touched == rex[i]._touched
+            assert gex[i].frontend._owner == rex[i].frontend._owner
+
+
+def test_memo_classifies_each_distinct_key_once(monkeypatch):
+    """A tenant_scaling-shaped sweep — two backends, a solo run per slice,
+    then growing groups — classifies each distinct slice exactly once."""
+    calls = []
+    real = replay_mod.classify_trace
+
+    def counted(trace, capacity, active_ratio=0.5, **kw):
+        calls.append((trace.content_digest(), capacity, active_ratio))
+        return real(trace, capacity, active_ratio, **kw)
+
+    monkeypatch.setattr(replay_mod, "classify_trace", counted)
+    base = _build_trace(3, 6000, 400, "zipf")
+    # cyclic windows: slices 0 and 3 repeat, as short base traces do
+    slices = [base.slice(s, s + 1500) for s in (0, 1500, 3000, 0, 4500, 1500)]
+    memo = ClassificationMemo()
+    for kind in (BackendKind.SSD, BackendKind.RDMA):
+        for trace in slices:
+            _run_mt([trace], "batch", kind=kind, local_pages=64, classify=memo)
+        for n in (2, 4, 6):
+            _run_mt(slices[:n], "batch", kind=kind, local_pages=64, classify=memo)
+    distinct = {(t.content_digest(), 64, 0.5) for t in slices}
+    assert sorted(calls) == sorted(distinct)
+    assert len(calls) == 4
+
+
+def test_memoized_arrays_are_read_only():
+    memo = ClassificationMemo()
+    trace = _build_trace(8, 2000, 200, "uniform")
+    cls = memo(trace, 50)
+    assert memo(trace, 50) is cls
+    assert memo(trace, 60) is not cls
+    with pytest.raises(ValueError):
+        cls.fault_pos[0] = 1
+    with pytest.raises(ValueError):
+        cls.final_active[:] = 0
+
+
+def _refusing_hook(trace, capacity, active_ratio=0.5):
+    raise AssertionError("classify hook called off the batch path")
+
+
+@pytest.mark.parametrize("n_tenants", [1, 3])
+def test_event_engine_never_calls_hook(n_tenants):
+    results, _ = _run_mt(_tenant_traces(n_tenants, seed0=70), "event",
+                         classify=_refusing_hook)
+    assert all(r.accesses for r in results)
+
+
+def test_hybrid_engine_never_calls_hook(monkeypatch):
+    monkeypatch.setenv(REPLAY_ENV, "batch")
+    sim = Simulator()
+    device = FaultyDevice(make_device(sim, BackendKind.SSD), FaultPlan())
+    executor = SwapExecutor(sim, device, BackendKind.SSD, local_pages=90)
+    # module start-up advanced the clock: open the window after it
+    device.fault_plan = FaultPlan(
+        [LatencyFault(start=sim.now + 1e-3, duration=5e-3, factor=4.0)], seed=5)
+    result = run_tenants([executor], _tenant_traces(1, seed0=80),
+                         classify=_refusing_hook)[0]
+    assert executor.execution_plan is not None  # routed to the hybrid planner
+    assert result.accesses
 
 
 # -- property test -----------------------------------------------------------
