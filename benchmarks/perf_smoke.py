@@ -27,9 +27,10 @@ Suites, selected with ``--suite``:
     through :func:`repro.swap.plan.hybrid_run`; counters (fault trio
     included) and ``stall_time`` must match the event reference exactly.
     Rows land in ``BENCH_replay.json`` next to the clean rows so the
-    same ``perf-replay`` CI gate guards them; ``--suite replay`` also
-    regenerates them.  ``--suite injected`` alone refreshes just the
-    injected rows, merging into the existing report.
+    ``replay`` suite of the ``perf-gates`` CI job guards them too;
+    ``--suite replay`` also regenerates them.  ``--suite injected``
+    alone refreshes just the injected rows, merging into the existing
+    report.
 
 ``replay-mt``
     Contended multi-tenant replay: ``--tenants`` cold tenants (default 4)
@@ -50,9 +51,10 @@ Suites, selected with ``--suite``:
 ``cluster``
     The fleet-scale sweep: a 1000-node fleet (two utilization epochs)
     whose MBE lease match drives per-node replay jobs through a process
-    pool, cold then warm against the content-addressed fleet cache.
-    Writes ``BENCH_cluster.json`` with node-job throughput, the warm-run
-    cache hit rate, and the sweep's deterministic counter totals.
+    pool, cold then warm against the artifact cache, which holds the
+    whole sweep as one entry.  Writes ``BENCH_cluster.json`` with
+    node-job throughput, the warm sweep's cache lookups (one per sweep)
+    and hit rate, and the sweep's deterministic counter totals.
     ``--check`` fails (exit 1) if cold throughput regressed more than
     25 % against the checked-in baseline, the warm hit rate falls below
     :data:`CLUSTER_WARM_HIT_FLOOR`, warm results drift from cold ones,
@@ -115,8 +117,10 @@ LINT_BUDGET_SECONDS = 10.0
 #: reference drops below this on the decision suite (the PR's ≥10× claim).
 TUNE_REDUCTION_FLOOR = 10.0
 
-#: --check fails when the cluster suite's warm-cache sweep serves fewer
-#: than this fraction of its node-job lookups from the fleet cache.
+#: --check fails when the cluster suite's warm sweep serves fewer than
+#: this fraction of its cache lookups from the cache.  A sweep is one
+#: entry, so this is one lookup per sweep, not one per node job: any
+#: miss fails.
 CLUSTER_WARM_HIT_FLOOR = 0.9
 
 #: Report-layout version shared by every BENCH_*.json file.  Bump whenever
@@ -656,11 +660,11 @@ def bench_cluster(jobs: int) -> dict:
         t0 = time.perf_counter()
         cold = run_fleet(cfg, jobs=jobs)
         cold_seconds = time.perf_counter() - t0
-        # warm pass runs serially in-process so this process's cache
-        # counters see every lookup (the cold pass hit/missed in workers)
+        # the sweep entry is looked up in this process at any ``jobs``,
+        # so this process's cache counters see the warm pass's lookup
         h0, m0 = cache.cache_stats()
         t0 = time.perf_counter()
-        warm = run_fleet(cfg, jobs=1)
+        warm = run_fleet(cfg, jobs=jobs)
         warm_seconds = time.perf_counter() - t0
         h1, m1 = cache.cache_stats()
     lookups = (h1 - h0) + (m1 - m0)

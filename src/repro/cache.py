@@ -1,10 +1,18 @@
 """Persistent content-addressed artifact cache.
 
-Trace synthesis and feature fusion are pure functions of ``(workload spec,
-scale, seed)`` plus the code version that produced them — so their outputs
-are cached on disk and shared by every process that asks for the same
-artifact: repeated CLI runs, parallel ``run all`` workers, tests and
-benchmarks all stop re-synthesizing identical traces.
+Every artifact kind here is a pure function of its key plus the code
+version that produced it, so it is cached on disk and shared by every
+process that asks for the same artifact: repeated CLI runs, parallel
+``run all`` workers, tests and benchmarks.  The kinds:
+
+* ``trace`` / ``features`` — synthesized traces and fused feature
+  profiles, keyed by ``(workload spec, scale, seed)``;
+* ``replay`` — batched-replay classifications of traces with at least
+  100 k anonymous accesses, keyed by the trace bytes;
+* ``tune`` — replay-validated tuner candidates;
+* ``fleet`` — one entry per fleet sweep: every node job's counters as
+  columns in plan order, keyed by the sweep and its resolved lease plan,
+  written once after every job returned and read back whole.
 
 Layout: ``<cache-dir>/v1/<artifact>-<sha256-prefix>.npz`` holds the arrays
 (and scalars) of one artifact; a ``.json`` sidecar records the full key for
@@ -57,8 +65,8 @@ __all__ = [
     "store_replay",
     "load_tune_point",
     "store_tune_point",
-    "load_fleet_node",
-    "store_fleet_node",
+    "load_fleet_sweep",
+    "store_fleet_sweep",
 ]
 
 _LAYOUT = "v1"
@@ -147,16 +155,20 @@ def _store(artifact: str, key: dict, arrays: dict) -> None:
     )
 
 
-def _load(artifact: str, key: dict, names: tuple[str, ...]) -> dict | None:
+def _load(artifact: str, key: dict, names: tuple[str, ...],
+          rows: int | None = None) -> dict | None:
+    """Read ``names`` from an entry; ``rows`` requires 1-D arrays of that length."""
     path = _entry_path(artifact, key)
     try:
         with np.load(path, allow_pickle=False) as npz:
             out = {name: npz[name] for name in names}
+        if rows is not None and any(a.shape != (rows,) for a in out.values()):
+            raise ValueError(f"{path.name}: expected {rows} rows per column")
     except FileNotFoundError:
         _stats["misses"] += 1
         return None
     except Exception:
-        # truncated/garbled entry: drop it and regenerate
+        # truncated/garbled/mis-shaped entry: drop it and regenerate
         path.unlink(missing_ok=True)
         path.with_suffix(".json").unlink(missing_ok=True)
         _stats["misses"] += 1
@@ -329,44 +341,49 @@ def load_tune_point(trace_digest: str, backend: str, local_pages: int,
     return out
 
 
-# -- fleet node jobs -----------------------------------------------------------
+# -- fleet sweeps ---------------------------------------------------------------
 
-def fleet_key(spec: dict) -> dict:
-    """Cache key of one fleet node-job simulation.
+def fleet_key(fingerprint: dict, plan_digest: str) -> dict:
+    """Cache key of one fleet sweep's node-job results.
 
-    ``spec`` is :func:`repro.cluster.fleet`'s node spec: the sweep
-    fingerprint (thresholds, topology, job shape, seed) plus the resolved
-    per-node assignment (lease amount, fair-share bandwidth, donor-down
-    flag) — everything the pure node simulation depends on.  The fleet
-    version guards against algorithm drift.
+    ``fingerprint`` is :meth:`repro.cluster.fleet.FleetConfig.fingerprint`
+    (thresholds, topology, job shape, seed) and ``plan_digest`` a sha256
+    over the resolved :class:`~repro.cluster.fleet.NodeAssignment` list,
+    so a planner change nobody versioned misses instead of serving stale
+    results.  The fleet version guards against node-simulation drift.
     """
     from repro.cluster.fleet import FLEET_VERSION
 
-    key = dict(spec)
-    key["fleet_version"] = FLEET_VERSION
+    key = dict(fingerprint)
+    key.update(plan_digest=plan_digest, fleet_version=FLEET_VERSION)
     return key
 
 
-_FLEET_SCALARS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
-                  "swap_outs", "clean_drops", "failovers")
+_FLEET_COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
+                   "swap_outs", "clean_drops", "failovers")
 
 
-def store_fleet_node(spec: dict, counters: dict) -> None:
-    """Persist one node job's measured counters and simulated time."""
-    arrays = {name: np.int64(counters[name]) for name in _FLEET_SCALARS}
-    arrays["sim_time"] = np.float64(counters["sim_time"])
-    _store("fleet", fleet_key(spec), arrays)
+def store_fleet_sweep(fingerprint: dict, plan_digest: str, results) -> None:
+    """Persist a sweep's node-job counters and simulated times, in plan order."""
+    arrays = {name: np.array([getattr(r, name) for r in results], dtype=np.int64)
+              for name in _FLEET_COUNTERS}
+    arrays["sim_time"] = np.array([r.sim_time for r in results], dtype=np.float64)
+    _store("fleet", fleet_key(fingerprint, plan_digest), arrays)
 
 
-def load_fleet_node(spec: dict) -> dict | None:
-    """Load one node job's measurement, or None on a miss."""
-    names = _FLEET_SCALARS + ("sim_time",)
-    arrays = _load("fleet", fleet_key(spec), names)
+def load_fleet_sweep(fingerprint: dict, plan_digest: str,
+                     n_jobs: int) -> list[dict] | None:
+    """Load a sweep's per-job counters in plan order, or None on a miss.
+
+    An entry whose columns do not hold exactly ``n_jobs`` rows is treated
+    like a corrupt one: dropped, and the sweep regenerated.
+    """
+    names = _FLEET_COUNTERS + ("sim_time",)
+    arrays = _load("fleet", fleet_key(fingerprint, plan_digest), names, rows=n_jobs)
     if arrays is None:
         return None
-    out = {name: int(arrays[name]) for name in _FLEET_SCALARS}
-    out["sim_time"] = float(arrays["sim_time"])
-    return out
+    columns = [arrays[name].tolist() for name in names]
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 # -- management --------------------------------------------------------------

@@ -19,8 +19,7 @@ Per utilization snapshot (one *epoch* of the
    clocked by the lease — :func:`simulate_node`, a *pure* function of
    ``(config, assignment)``, which is what makes per-node counters
    bit-identical between the fleet sweep and a standalone run with the
-   same lease schedule, and lets results be content-addressed in the
-   artifact cache (:func:`repro.cache.fleet_key`);
+   same lease schedule;
 4. donors fail at ``failure_rate`` per epoch (seeded): a borrower whose
    donor dies sees its remote-DRAM lease *fail slow* — the dominant
    data-center failure mode — and the :mod:`repro.faults` stack detects,
@@ -29,14 +28,19 @@ Per utilization snapshot (one *epoch* of the
 
 The sweep fans node-jobs out over a process pool (``REPRO_FLEET_JOBS``
 or the ``jobs`` argument); results are reduced in input order, so the
-fleet study's output is byte-identical at any worker count.
+fleet study's output is byte-identical at any worker count.  A sweep's
+results are one artifact-cache entry (:func:`repro.cache.fleet_key`:
+the config fingerprint plus a digest of the resolved plan), stored once
+every node job has returned and loaded whole by a warm sweep.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,8 +77,9 @@ __all__ = [
     "fleet_jobs_from_env",
 ]
 
-#: bump when the node-job simulation changes meaning (invalidates cache)
-FLEET_VERSION = 1
+#: bump when the node-job simulation or the sweep cache entry's layout
+#: changes meaning (invalidates cache)
+FLEET_VERSION = 2
 
 #: synthetic CPU work per trace access, seconds — sets the slowdown scale
 _COMPUTE_PER_ACCESS = 2e-7
@@ -362,22 +367,14 @@ def _result(cfg: FleetConfig, a: NodeAssignment, counters: dict) -> NodeJobResul
     )
 
 
-def _node_spec(cfg: FleetConfig, a: NodeAssignment) -> dict:
-    """Content-addressed identity of one node job (cache key payload)."""
-    spec = cfg.fingerprint()
-    spec.update(
-        node=a.node,
-        epoch=a.epoch,
-        utilization=a.utilization,
-        amount=a.amount,
-        ratio=a.ratio,
-        eff_bandwidth=a.eff_bandwidth,
-        donor_down=a.donor_down,
-    )
-    return spec
+def simulate_node(cfg: FleetConfig, a: NodeAssignment) -> NodeJobResult:
+    """Replay one borrower's epoch job on its leased remote-DRAM backend.
 
-
-def _simulate(cfg: FleetConfig, a: NodeAssignment) -> dict:
+    A *pure*, uncached function of ``(cfg, a)`` — this is the fleet's
+    bit-identity anchor: a standalone call with the same lease schedule
+    produces counters bit-identical to the sweep's, whether the sweep ran
+    inline, across a process pool, or from a warm artifact cache.
+    """
     trace = _job_trace(cfg, a.node, a.epoch)
     local = _local_pages(cfg, a)
 
@@ -386,7 +383,7 @@ def _simulate(cfg: FleetConfig, a: NodeAssignment) -> dict:
         executor = SwapExecutor(
             sim, _remote_dram(sim, a), BackendKind.RDMA, local_pages=local
         )
-        return _counters(executor.run(trace))
+        return _result(cfg, a, _counters(executor.run(trace)))
 
     # donor failure: a clean pass prices the onset, then the lease fails
     # slow mid-run and the failover controller cascades to the SSD standby
@@ -425,26 +422,7 @@ def _simulate(cfg: FleetConfig, a: NodeAssignment) -> dict:
         min_samples=_MIN_SAMPLES,
     )
     executor.attach_failover(controller, health_check_interval=_HEALTH_INTERVAL)
-    return _counters(executor.run(trace))
-
-
-def simulate_node(cfg: FleetConfig, a: NodeAssignment) -> NodeJobResult:
-    """Replay one borrower's epoch job on its leased remote-DRAM backend.
-
-    A *pure* function of ``(cfg, a)`` — this is the fleet's bit-identity
-    anchor: a standalone call with the same lease schedule produces
-    counters bit-identical to the sweep's, whether the sweep ran inline,
-    across a process pool, or from a warm artifact cache.
-    """
-    spec = _node_spec(cfg, a)
-    if cache.cache_enabled():
-        hit = cache.load_fleet_node(spec)
-        if hit is not None:
-            return _result(cfg, a, hit)
-    counters = _simulate(cfg, a)
-    if cache.cache_enabled():
-        cache.store_fleet_node(spec, counters)
-    return _result(cfg, a, counters)
+    return _result(cfg, a, _counters(executor.run(trace)))
 
 
 # -- the sweep -------------------------------------------------------------------
@@ -478,15 +456,36 @@ def fleet_jobs_from_env() -> int:
     return jobs
 
 
+_ASSIGNMENT_FIELDS = attrgetter(*(f.name for f in fields(NodeAssignment)))
+
+
+def _plan_digest(assignments: list[NodeAssignment]) -> str:
+    """sha256 over every field of every resolved assignment, in plan order.
+
+    Fields are packed as float64: bit-exact for the floats, exact for the
+    node/epoch integers and the donor-down flag.
+    """
+    rows = np.array([_ASSIGNMENT_FIELDS(a) for a in assignments], dtype=np.float64)
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
 def run_fleet(cfg: FleetConfig, jobs: int = 1) -> FleetResult:
     """Plan the lease schedule, then sweep every borrower's node job.
 
     ``jobs > 1`` fans :func:`simulate_node` calls out over a process
     pool; results are reduced in input (epoch, node) order, so the
-    output is byte-identical at any worker count.
+    output is byte-identical at any worker count.  The sweep's results
+    are one artifact-cache entry, keyed by ``cfg`` and the resolved plan:
+    a warm sweep loads it whole and runs no node job; a cold one stores it
+    only after every job has returned, so a failing job leaves nothing.
     """
     fabric, epochs, assignments, grants = plan_fleet(cfg)
-    if jobs <= 1 or len(assignments) <= 1:
+    use_cache = cache.cache_enabled()
+    fingerprint, digest = cfg.fingerprint(), _plan_digest(assignments)
+    hit = cache.load_fleet_sweep(fingerprint, digest, len(assignments)) if use_cache else None
+    if hit is not None:
+        results = [_result(cfg, a, counters) for a, counters in zip(assignments, hit)]
+    elif jobs <= 1 or len(assignments) <= 1:
         results = [simulate_node(cfg, a) for a in assignments]
     else:
         with ProcessPoolExecutor(
@@ -494,6 +493,8 @@ def run_fleet(cfg: FleetConfig, jobs: int = 1) -> FleetResult:
         ) as pool:
             chunk = max(1, len(assignments) // (4 * jobs))
             results = list(pool.map(_pool_sim, assignments, chunksize=chunk))
+    if use_cache and hit is None:
+        cache.store_fleet_sweep(fingerprint, digest, results)
 
     # credit each borrower's swap traffic back onto its donors' NIC ports,
     # proportional to the lease amounts it striped across

@@ -24,8 +24,10 @@ the ``repro replay <wl> --inject plan.json`` CLI.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 from repro.errors import ConfigurationError
@@ -59,6 +61,20 @@ def merge_spans(spans) -> list[tuple[float, float]]:
     return [(s, e) for s, e in merged]
 
 
+def _check_finite(name: str, value) -> None:
+    """Reject non-numbers, bools, NaN and infinities.
+
+    NaN would otherwise slip through every ``<``/``<=`` range check below.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` parses as one)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FaultWindow:
     """Base class: one timed fault window ``[start, start + duration)``."""
@@ -72,6 +88,8 @@ class FaultWindow:
     KIND = ""
 
     def __post_init__(self) -> None:
+        _check_finite("window start", self.start)
+        _check_finite("window duration", self.duration)
         if self.start < 0:
             raise ConfigurationError(f"window start must be >= 0, got {self.start}")
         if self.duration <= 0:
@@ -105,6 +123,7 @@ class LatencyFault(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        _check_finite("latency factor", self.factor)
         if self.factor < 1.0:
             raise ConfigurationError(
                 f"latency factor must be >= 1 (a fault cannot speed a device up), "
@@ -124,6 +143,7 @@ class BandwidthFault(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        _check_finite("bandwidth fraction", self.fraction)
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigurationError(
                 f"bandwidth fraction must be in (0, 1], got {self.fraction}"
@@ -148,13 +168,14 @@ class TransientFault(FaultWindow):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        _check_finite("error_rate", self.error_rate)
         if not 0.0 < self.error_rate <= 1.0:
             raise ConfigurationError(
                 f"error_rate must be in (0, 1], got {self.error_rate}"
             )
-        if self.retry_budget < 1:
+        if not _is_int(self.retry_budget) or self.retry_budget < 1:
             raise ConfigurationError(
-                f"retry_budget must be >= 1, got {self.retry_budget}"
+                f"retry_budget must be an integer >= 1, got {self.retry_budget!r}"
             )
 
     def _extra(self) -> dict:
@@ -314,10 +335,12 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Inverse of :meth:`to_dict`; validates every window."""
-        if not isinstance(data, dict) or "windows" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("windows"), list):
             raise ConfigurationError("fault plan JSON needs a 'windows' list")
         windows = []
         for entry in data["windows"]:
+            if not isinstance(entry, dict):
+                raise ConfigurationError(f"fault window must be a JSON object, got {entry!r}")
             kind = entry.get("kind")
             wcls = _WINDOW_KINDS.get(kind)
             if wcls is None:
@@ -331,7 +354,7 @@ class FaultPlan:
             except TypeError as exc:
                 raise ConfigurationError(f"bad {kind} window: {exc}") from None
         seed = data.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and not _is_int(seed):
             raise ConfigurationError(f"plan seed must be an int, got {seed!r}")
         return cls(windows, seed=seed, name=str(data.get("name", "plan")))
 

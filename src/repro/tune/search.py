@@ -12,7 +12,7 @@ or one replay validation; a vectorized batch — however many points it
 prices — amortizes to roughly one scalar evaluation of numpy work, so it
 counts as one run.  ``grid_runs`` tracks what the exhaustive reference
 would have burned on the same decisions, so ``reduction()`` is the
-≥10× headline the `perf-tune` CI job gates.
+≥10× headline the `perf-gates` CI job's ``tune`` suite gates.
 
 ``REPRO_TUNE=grid`` restores the exhaustive reference everywhere (the
 scalar double loops and full-grid argmax); the default ``model`` mode

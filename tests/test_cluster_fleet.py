@@ -7,6 +7,9 @@ Locks in the fleet layer's contract:
 * per-node counters from the sweep are bit-identical to a standalone
   :func:`~repro.cluster.fleet.simulate_node` call with the same lease
   schedule;
+* a sweep is one artifact-cache entry: a warm sweep runs no node job, a
+  failing sweep stores nothing, and corrupt, mis-shaped or stale-plan
+  entries are misses;
 * realized MBE of every epoch's match stays within the documented bound
   of the analytic metric;
 * donor failures cascade into actual failover switches on the borrowers
@@ -14,12 +17,17 @@ Locks in the fleet layer's contract:
 * the rack fabric's fair-share arithmetic (spine discount, weights).
 """
 
+import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
 from repro import cache
+from repro.cluster import fleet
 from repro.cluster.fleet import (
+    FLEET_VERSION,
     FleetConfig,
     fleet_jobs_from_env,
     plan_fleet,
@@ -78,9 +86,9 @@ def test_sweep_counters_bit_identical_to_standalone(monkeypatch):
     """The acceptance anchor: fleet-run counters == standalone replay."""
     monkeypatch.setenv("REPRO_CACHE", "0")
     cfg = FleetConfig(n_nodes=40, n_snapshots=2, seed=5)
-    fleet = run_fleet(cfg, jobs=2)
-    assert len(fleet.jobs) == len(fleet.assignments) > 0
-    for a, j in zip(fleet.assignments[:12], fleet.jobs[:12]):
+    result = run_fleet(cfg, jobs=2)
+    assert len(result.jobs) == len(result.assignments) > 0
+    for a, j in zip(result.assignments[:12], result.jobs[:12]):
         assert simulate_node(cfg, a) == j
 
 
@@ -109,23 +117,136 @@ def test_donor_failure_cascades_to_failover(monkeypatch):
     assert simulate_node(cfg, healthy).failovers == 0
 
 
-def test_fleet_cache_round_trip(tmp_path, monkeypatch):
+def _use_cache(monkeypatch, cache_dir):
     monkeypatch.setenv("REPRO_CACHE", "1")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+
+
+def _count_node_jobs(monkeypatch) -> list:
+    """Record every node job ``run_fleet`` starts in this process."""
+    calls = []
+    real = fleet.simulate_node
+
+    def counted(cfg, a):
+        calls.append(a)
+        return real(cfg, a)
+
+    monkeypatch.setattr(fleet, "simulate_node", counted)
+    return calls
+
+
+def _sweep_key(cfg):
+    _, _, assignments, _ = plan_fleet(cfg)
+    return cfg.fingerprint(), fleet._plan_digest(assignments), len(assignments)
+
+
+def test_fleet_cache_round_trip(tmp_path, monkeypatch):
+    """A warm sweep is one whole-entry load and no node job."""
+    _use_cache(monkeypatch, tmp_path)
+    cfg = FleetConfig(n_nodes=40, n_snapshots=2, seed=5)
+    cold = run_fleet(cfg)
+    assert len(list(tmp_path.rglob("fleet-*.npz"))) == 1
+    calls = _count_node_jobs(monkeypatch)
+    h0, m0 = cache.cache_stats()
+    warm = run_fleet(cfg)
+    h1, m1 = cache.cache_stats()
+    assert (h1 - h0, m1 - m0) == (1, 0)
+    assert calls == []
+    assert warm == cold
+
+
+def test_standalone_simulate_node_writes_no_cache(tmp_path, monkeypatch):
+    _use_cache(monkeypatch, tmp_path)
     cfg = FleetConfig(n_nodes=40, n_snapshots=1, seed=5)
     _, _, assignments, _ = plan_fleet(cfg)
-    a = assignments[0]
-    first = simulate_node(cfg, a)
-    h0, _ = cache.cache_stats()
-    again = simulate_node(cfg, a)
-    h1, _ = cache.cache_stats()
-    assert again == first
-    assert h1 == h0 + 1
+    simulate_node(cfg, assignments[0])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs, death", [(1, "raise"), (2, "raise"), (2, "exit")])
+def test_failing_node_job_leaves_no_sweep_entry(tmp_path, monkeypatch, jobs, death):
+    """A job that raises, or a worker that dies, fails the sweep loudly and
+    stores nothing — not even the jobs that finished."""
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched job only when forked")
+    _use_cache(monkeypatch, tmp_path)
+    cfg = FleetConfig(n_nodes=40, n_snapshots=2, seed=5)
+    _, _, assignments, _ = plan_fleet(cfg)
+    victim = assignments[len(assignments) // 2]
+    real = fleet.simulate_node
+
+    def dying(cfg, a):
+        if a == victim:
+            if death == "exit":
+                os._exit(1)
+            raise RuntimeError(f"node job {a.epoch}/{a.node} died")
+        return real(cfg, a)
+
+    monkeypatch.setattr(fleet, "simulate_node", dying)
+    error = BrokenProcessPool if death == "exit" else RuntimeError
+    with pytest.raises(error):
+        run_fleet(cfg, jobs=jobs)
+    assert list(tmp_path.rglob("fleet-*")) == []
+
+
+def test_truncated_sweep_entry_is_dropped_and_regenerated(tmp_path, monkeypatch):
+    _use_cache(monkeypatch, tmp_path)
+    cfg = FleetConfig(n_nodes=40, n_snapshots=2, seed=5)
+    cold = run_fleet(cfg)
+    (entry,) = tmp_path.rglob("fleet-*.npz")
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    _, m0 = cache.cache_stats()
+    assert cache.load_fleet_sweep(*_sweep_key(cfg)) is None
+    assert cache.cache_stats()[1] == m0 + 1
+    assert not entry.exists() and not entry.with_suffix(".json").exists()
+    calls = _count_node_jobs(monkeypatch)
+    assert run_fleet(cfg) == cold
+    assert len(calls) == len(cold.jobs)
+    assert entry.exists()
+
+
+def test_sweep_entry_with_wrong_row_count_is_a_miss(tmp_path, monkeypatch):
+    _use_cache(monkeypatch, tmp_path)
+    cfg = FleetConfig(n_nodes=40, n_snapshots=2, seed=5)
+    cold = run_fleet(cfg)
+    fingerprint, digest, n_jobs = _sweep_key(cfg)
+    cache.store_fleet_sweep(fingerprint, digest, cold.jobs[:-1])
+    assert cache.load_fleet_sweep(fingerprint, digest, n_jobs) is None
+    calls = _count_node_jobs(monkeypatch)
+    assert run_fleet(cfg) == cold
+    assert len(calls) == n_jobs
+
+
+def test_changed_plan_misses_the_sweep_cache(tmp_path, monkeypatch):
+    """An unversioned planner change re-runs the sweep instead of serving
+    results simulated against the old lease schedule."""
+    _use_cache(monkeypatch, tmp_path)
+    cfg = FleetConfig(n_nodes=40, n_snapshots=2, seed=5)
+    run_fleet(cfg)
+    real_plan = fleet.plan_fleet
+
+    def drifted(cfg):
+        fabric, epochs, assignments, grants = real_plan(cfg)
+        a = assignments[0]
+        assignments[0] = replace(a, eff_bandwidth=a.eff_bandwidth / 2)
+        return fabric, epochs, assignments, grants
+
+    monkeypatch.setattr(fleet, "plan_fleet", drifted)
+    calls = _count_node_jobs(monkeypatch)
+    h0, m0 = cache.cache_stats()
+    result = run_fleet(cfg)
+    h1, m1 = cache.cache_stats()
+    assert (h1 - h0, m1 - m0) == (0, 1)
+    assert len(calls) == len(result.jobs)
 
 
 def test_fleet_key_versioned():
-    key = cache.fleet_key({"node": 1, "epoch": 0})
-    assert "fleet_version" in key and key["node"] == 1
+    cfg = FleetConfig(n_nodes=40, seed=5)
+    key = cache.fleet_key(cfg.fingerprint(), "ab" * 32)
+    assert key["fleet_version"] == FLEET_VERSION
+    assert key["plan_digest"] == "ab" * 32
+    assert {k: key[k] for k in cfg.fingerprint()} == cfg.fingerprint()
+    assert cache.fleet_key(cfg.fingerprint(), "cd" * 32) != key
 
 
 def test_rack_fabric_fair_share_and_spine():

@@ -157,6 +157,25 @@ def test_bad_json_rejected():
         )
     with pytest.raises(ConfigurationError):
         FaultPlan.from_json('{"windows": [], "seed": "zero"}')
+    # NaN passes every < / <= range check, so it needs its own rejection
+    for fields in ('"start": NaN, "duration": 1', '"start": 0, "duration": NaN',
+                   '"start": 0, "duration": 1, "factor": NaN'):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultPlan.from_json(f'{{"windows": [{{"kind": "latency", {fields}}}]}}')
+    for windows in ("[1]", '{"a": 1}'):
+        with pytest.raises(ConfigurationError):
+            FaultPlan.from_json(f'{{"windows": {windows}}}')
+    with pytest.raises(ConfigurationError):
+        FaultPlan.from_json('{"windows": [], "seed": true}')
+    with pytest.raises(ConfigurationError, match="retry_budget"):
+        FaultPlan.from_json(
+            '{"windows": [{"kind": "transient", "start": 0, "duration": 1, "retry_budget": 2.5}]}'
+        )
+    # the fleet's "rest of the run" sentinel duration stays legal
+    plan = FaultPlan.from_json(
+        '{"windows": [{"kind": "latency", "start": 0.5, "duration": 1e6, "factor": 500}]}'
+    )
+    assert plan.windows[0].end == 0.5 + 1e6
 
 
 def test_windows_sorted_by_start():
