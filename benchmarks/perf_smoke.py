@@ -3,9 +3,11 @@
 Suites, selected with ``--suite``:
 
 ``reuse`` (default)
-    Reuse-distance kernel throughput, vector vs Fenwick reference.  Whole
-    ``run all`` timings live in the end-to-end benchmark
-    (``benchmarks/e2e``).  Writes ``BENCH_reuse.json``.
+    Reuse-distance kernel throughput: the vector kernel vs the Fenwick
+    reference loop the equivalence tests hold it to
+    (``tests/oracles.py``).  Whole ``run all`` timings live in the
+    end-to-end benchmark (``benchmarks/e2e``).  Writes
+    ``BENCH_reuse.json``.
 
 ``replay``
     Batched fault-replay engine vs the per-access event executor, end to
@@ -38,7 +40,9 @@ Suites, selected with ``--suite``:
     batch engine vs the concurrent per-access event loops.  Per-tenant
     counters must match bit for bit; the report records the max per-tenant
     ``sim_time`` relative error alongside the throughput numbers.  Writes
-    ``BENCH_replay_mt.json``; ``--check`` guards it like ``replay``.
+    ``BENCH_replay_mt.json``; ``--check`` guards throughput like
+    ``replay`` and also fails when any workload's ``sim_time`` error
+    exceeds :data:`SIM_TIME_REL_ERR_BOUND`.
 
 ``lint``
     Wall time of a full-tree simlint run (``src`` + ``tests`` +
@@ -63,15 +67,17 @@ Suites, selected with ``--suite``:
 ``tune``
     The cost-model-driven tuner vs the exhaustive grid reference on the
     decision layer: every (workload, backend) console configuration and
-    (workload, backend, SLO) offload search runs under both
-    ``REPRO_TUNE`` modes, plus the Fig 19 MBE threshold search on an
-    Alibaba-like trace.  The two modes must choose identical
-    configurations (verified while timing — a divergence aborts the
-    bench); the report records both ledgers and wall times.  Writes
-    ``BENCH_tune.json``.  ``--check`` fails (exit 1) unless the tuner's
-    simulated-run reduction clears :data:`TUNE_REDUCTION_FLOOR`, its wall
-    time beats the grid's (same-machine relative numbers), and the
-    deterministic run counts match the checked-in baseline exactly.
+    (workload, backend, SLO) offload search runs through the console's
+    tuner and through the grid oracles of ``tests/oracles.py``, plus the
+    Fig 19 MBE threshold search on an Alibaba-like trace (hill climb vs
+    ``mbe_improvement_grid`` + ``best_thresholds``).  Both sides must
+    choose identical configurations (verified while timing — a
+    divergence aborts the bench); the report records both ledgers and
+    wall times.  Writes ``BENCH_tune.json``.  ``--check`` fails (exit 1)
+    unless the tuner's simulated-run reduction clears
+    :data:`TUNE_REDUCTION_FLOOR`, its wall time beats the grid's
+    (same-machine relative numbers), and the deterministic run counts
+    match the checked-in baseline exactly.
 
 Every ``BENCH_*.json`` report shares one header convention: ``schema``
 (:data:`BENCH_SCHEMA`, bumped when a report layout changes), ``suite``,
@@ -102,16 +108,22 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.mem.reuse import _reuse_distances_fenwick, _warm_distances_vector
+from repro.mem.reuse import _warm_distances_vector
 
 #: --check fails when batch accesses/s drops below (1 - this) x baseline.
 REGRESSION_TOLERANCE = 0.25
 
 #: Hard wall-clock ceiling for one full-tree lint run (``--suite lint``).
 LINT_BUDGET_SECONDS = 10.0
+
+#: --check fails when any replay-mt workload's fluid ``sim_time`` differs
+#: from the concurrent per-access event loops by more than this relative
+#: error (measured 0.12 % uniform, 0.41 % zipf; deterministic).
+SIM_TIME_REL_ERR_BOUND = 0.005
 
 #: --check fails when the tuner's simulated-run reduction over the grid
 #: reference drops below this on the decision suite (the PR's ≥10× claim).
@@ -189,6 +201,16 @@ def load_baseline(path: str, suite: str) -> dict | None:
         )
         return None
     return baseline
+
+
+def _oracles():
+    """The reference implementations in ``tests/oracles.py``."""
+    root = str(Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    import tests.oracles
+
+    return tests.oracles
 
 
 def bench_kernel(kernel, pages: np.ndarray, repeats: int) -> dict:
@@ -468,16 +490,16 @@ _TUNE_SCALE = 0.25
 
 
 def _tune_decisions(mode: str, scale: float):
-    """Every console decision of the suite under one REPRO_TUNE mode.
+    """Every console decision of the suite, by the tuner or on the grid.
 
-    Returns (decisions, ledger snapshot, wall seconds).  Features and
-    compute times are resolved before the timer starts so the comparison
-    times only the decision layer.
+    ``mode`` is ``model`` (the console's tuner) or ``grid`` (the
+    exhaustive oracles).  Returns (decisions, ledger snapshot, wall
+    seconds).  Features and compute times are resolved before the timer
+    starts so the comparison times only the decision layer.
     """
     from repro.core.console import SmartConsole
     from repro.devices.registry import BackendKind, make_device
     from repro.simcore import Simulator
-    from repro.tune.search import TUNE_ENV
     from repro.workloads import TABLE_V
 
     inputs = []
@@ -490,24 +512,29 @@ def _tune_decisions(mode: str, scale: float):
             device = make_device(Simulator(), BackendKind(bname))
             inputs.append((wname, bname, f, compute, par, device))
 
-    os.environ[TUNE_ENV] = mode
+    if mode == "grid":
+        oracles = _oracles()
+        configure = oracles.grid_configure
+        offload = oracles.grid_max_offload_under_slo
+    else:
+        configure = SmartConsole.configure
+        offload = SmartConsole.max_offload_under_slo
     console = SmartConsole()
     decisions = []
     t0 = time.perf_counter()
     for wname, bname, f, compute, par, device in inputs:
         decisions.append((wname, bname, "configure",
-                          console.configure(f, device, fault_parallelism=par)))
+                          configure(console, f, device, fault_parallelism=par)))
         for slo in _TUNE_SLOS:
             decisions.append((wname, bname, slo,
-                              console.max_offload_under_slo(
-                                  f, device, compute, slo,
-                                  fault_parallelism=par)))
+                              offload(console, f, device, compute, slo,
+                                      fault_parallelism=par)))
     seconds = time.perf_counter() - t0
     return decisions, console.stats.snapshot(), seconds
 
 
 def _tune_mbe(mode: str):
-    """The Fig 19 MBE threshold search under one REPRO_TUNE mode."""
+    """The Fig 19 MBE threshold search: hill climb (``model``) or full grid."""
     from repro.cluster import alibaba_like_trace, mbe_improvement_grid
     from repro.cluster.mbe import best_thresholds, mbe_cell, tuned_thresholds
 
@@ -800,6 +827,24 @@ def check_replay_regression(report: dict, baseline_path: str, suite: str) -> int
     return 0
 
 
+def check_sim_time_bound(report: dict) -> int:
+    """Fail when a replay-mt workload's fluid ``sim_time`` error exceeds
+    :data:`SIM_TIME_REL_ERR_BOUND` (DESIGN.md §3.3)."""
+    over = []
+    for name, row in report["workloads"].items():
+        err = row["max_sim_time_rel_err"]
+        status = "ok" if err <= SIM_TIME_REL_ERR_BOUND else "OVER BOUND"
+        print(f"{name}: max sim_time rel err {err} vs event loops "
+              f"(bound {SIM_TIME_REL_ERR_BOUND}) {status}")
+        if err > SIM_TIME_REL_ERR_BOUND:
+            over.append(name)
+    if over:
+        print(f"fluid sim_time error above {SIM_TIME_REL_ERR_BOUND} on: "
+              f"{', '.join(over)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite",
@@ -855,7 +900,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.suite == "replay-mt":
         report = bench_replay_mt(args.accesses, args.tenants, args.repeats)
         if args.check:
-            return check_replay_regression(report, out, args.suite)
+            return max(check_replay_regression(report, out, args.suite),
+                       check_sim_time_bound(report))
     elif args.suite == "lint":
         report = bench_lint(args.repeats)
         if args.check:
@@ -874,7 +920,7 @@ def main(argv: list[str] | None = None) -> int:
         pages = np.random.default_rng(1).integers(0, args.distinct, size=args.accesses)
         vector = bench_kernel(_warm_distances_vector, pages, args.repeats)
         # best-of-1 for the slow reference loop; it has no warm-up effects
-        fenwick = bench_kernel(_reuse_distances_fenwick, pages, 1)
+        fenwick = bench_kernel(_oracles().reuse_distances_fenwick, pages, 1)
         report = {
             **_report_meta("reuse"),
             "trace": {"distribution": "uniform", "distinct_pages": args.distinct, "seed": 1},

@@ -14,10 +14,12 @@ device, the console decides the multi-dimensional parameter vector:
   meets the SLO (binary search on the miss-ratio curve), plus the NUMA
   placement decision for the local share.
 
-The search evaluates the closed-form :class:`SwapPathModel` — the same
-"offline preparation" role the paper's profiling shells play — so a full
-decision costs microseconds, suitable for per-dispatch use (Algorithm 1
-line 4).
+The search prices the closed-form :class:`SwapPathModel` through the
+batched tuner (:mod:`repro.tune.search`) — the same "offline preparation"
+role the paper's profiling shells play — so a full decision costs
+microseconds, suitable for per-dispatch use (Algorithm 1 line 4).  The
+exhaustive scalar sweeps the tuner replaced are test oracles
+(``tests/oracles.py``) that every decision is held identical to.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.mem.numa_policy import NUMAPlacement
 from repro.mem.thp import THPPolicy
 from repro.swap.pathmodel import SwapConfig, SwapCost, SwapPathModel
 from repro.trace.fusion import PageFeatures
-from repro.tune.search import TuneStats, select_config, slo_bisection, tune_mode
+from repro.tune.search import TuneStats, select_config, slo_bisection
 from repro.units import PAGE_SIZE
 
 __all__ = ["ConfigDecision", "SmartConsole"]
@@ -73,15 +75,15 @@ class SmartConsole:
         self.thp = thp or THPPolicy()
         self.slo_hit_ratio = slo_hit_ratio
         #: simulated-run ledger across every decision this console makes
-        #: (scalar grid evaluations vs vectorized batches vs replays)
+        #: (vectorized batches and replays, against the grid reference)
         self.stats = TuneStats()
 
     def fingerprint(self) -> tuple:
         """Everything a decision depends on besides its call arguments.
 
         Memoizing callers (fig16's SLO-search memo) key on this so a
-        console with different limits/THP/SLO tunables — or a different
-        ``REPRO_TUNE`` mode — never aliases another console's decisions.
+        console with different limits/THP/SLO tunables never aliases
+        another console's decisions.
         """
         return (
             self.limits.max_fm_ratio,
@@ -92,7 +94,6 @@ class SmartConsole:
             self.thp.tlb_benefit,
             self.thp.reclaim_penalty,
             self.slo_hit_ratio,
-            tune_mode(),
         )
 
     # -- individual knobs -------------------------------------------------
@@ -164,28 +165,13 @@ class SmartConsole:
 
         g_cands = self.granularity_candidates(features)
         w_cands = self.io_width_candidates(features, device, fault_parallelism)
-        if tune_mode() == "grid":
-            # exhaustive reference: one scalar model run per lattice point
-            best: tuple[SwapConfig, SwapCost] | None = None
-            for g in g_cands:
-                for w in w_cands:
-                    config = xdm_config(granularity=g, io_width=w, co_tenants=co_tenants)
-                    cost = model.cost(local_pages, config)
-                    self.stats.scalar_runs += 1
-                    self.stats.grid_runs += 1
-                    key = getattr(cost, objective)
-                    if best is None or key < getattr(best[1], objective):
-                        best = (config, cost)
-            assert best is not None  # candidate lists are never empty
-            chosen, predicted = best
-        else:
-            # tuner: the whole lattice priced in one vectorized batch —
-            # same scan order and tie-break, bit-identical choice
-            chosen, predicted = select_config(
-                model, local_pages, g_cands, w_cands,
-                template=xdm_config(co_tenants=co_tenants),
-                objective=objective, stats=self.stats,
-            )
+        # the whole lattice priced in one vectorized batch — same scan
+        # order and tie-break as an exhaustive scalar sweep
+        chosen, predicted = select_config(
+            model, local_pages, g_cands, w_cands,
+            template=xdm_config(co_tenants=co_tenants),
+            objective=objective, stats=self.stats,
+        )
         return ConfigDecision(
             config=chosen,
             fm_ratio=fm_ratio,
@@ -214,45 +200,27 @@ class SmartConsole:
         if compute_time <= 0:
             raise ConfigurationError("compute_time must be positive")
         budget = compute_time * slo
-        if tune_mode() != "grid":
-            # tuner: the whole bisection tree priced in two batches — same
-            # midpoint sequence, argmins, and feasibility booleans as the
-            # scalar reference below (see tune.search.slo_bisection)
-            model = SwapPathModel(device, features, fault_parallelism=fault_parallelism)
-            found = slo_bisection(
-                model,
-                template=xdm_config(),
-                g_cands=self.granularity_candidates(features),
-                w_cands=self.io_width_candidates(features, device, fault_parallelism),
-                compute_time=compute_time,
-                budget=budget,
-                max_ratio=self.limits.max_fm_ratio,
-                stats=self.stats,
-            )
-            if found is None:
-                return 0.0, None
-            ratio, local_pages, config, predicted = found
-            return ratio, ConfigDecision(
-                config=config,
-                fm_ratio=ratio,
-                local_pages=local_pages,
-                numa_placement=self.numa_placement(0.5),
-                predicted=predicted,
-            )
-        lo_ok: tuple[float, ConfigDecision] | None = None
-        # binary search on the ratio grid (runtime is monotone in ratio)
-        lo, hi = 0.0, self.limits.max_fm_ratio
-        for _ in range(12):
-            mid = (lo + hi) / 2.0
-            decision = self.configure(
-                features, device, fault_parallelism=fault_parallelism, fm_ratio=mid
-            )
-            runtime = compute_time + decision.predicted.stall_time
-            if runtime <= budget:
-                lo_ok = (mid, decision)
-                lo = mid
-            else:
-                hi = mid
-        if lo_ok is None:
+        # the whole bisection tree priced in two batches — the same midpoint
+        # sequence, argmins and feasibility booleans as a 12-step scalar
+        # bisection (see tune.search.slo_bisection)
+        model = SwapPathModel(device, features, fault_parallelism=fault_parallelism)
+        found = slo_bisection(
+            model,
+            template=xdm_config(),
+            g_cands=self.granularity_candidates(features),
+            w_cands=self.io_width_candidates(features, device, fault_parallelism),
+            compute_time=compute_time,
+            budget=budget,
+            max_ratio=self.limits.max_fm_ratio,
+            stats=self.stats,
+        )
+        if found is None:
             return 0.0, None
-        return lo_ok
+        ratio, local_pages, config, predicted = found
+        return ratio, ConfigDecision(
+            config=config,
+            fm_ratio=ratio,
+            local_pages=local_pages,
+            numa_placement=self.numa_placement(0.5),
+            predicted=predicted,
+        )

@@ -46,9 +46,9 @@ def _offload_for(
     name, the SLO (``None`` — the no-FM baseline with no offload at all —
     is a distinct value, not a missing one), the context's scale and seed
     (they select the trace), and the console fingerprint (tunable limits,
-    THP policy, SLO hit ratio, and ``REPRO_TUNE`` mode all steer the
-    search).  A memo hit is byte-for-byte the cold result — regression
-    test in ``tests/test_tune_experiments.py``.
+    THP policy and SLO hit ratio all steer the search).  A memo hit is
+    byte-for-byte the cold result — regression test in
+    ``tests/test_tune_experiments.py``.
     """
     key = (name, slo, ctx.scale, ctx.seed, ctx.console.fingerprint())
     if key in _memo:

@@ -5,22 +5,22 @@ pressure, 87.05% mean) utilization traces and evaluates the MBE metric
 over an (alpha, beta) threshold grid; reports the contour peaks the paper
 quotes (up to 13.8% and 19.7%).
 
-The peak search routes through the tuner by default: the experiment's
-output rows need only the alpha==beta diagonal, so the tuner computes the
-diagonal, seeds a hill climb at its best cell, and finds the same peak as
-the exhaustive grid at a fraction of the cell evaluations
-(``tune_*`` metrics; ``REPRO_TUNE=grid`` keeps the full-grid reference).
+The peak search routes through the tuner: the experiment's output rows
+need only the alpha==beta diagonal, so the tuner computes the diagonal,
+seeds a hill climb at its best cell, and finds the same peak as the
+exhaustive grid (``mbe_improvement_grid`` + ``best_thresholds``, which
+``tests/test_tune_experiments.py`` compares against) at a fraction of
+the cell evaluations (``tune_*`` metrics).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster import alibaba_like_trace, mbe_improvement_grid
-from repro.cluster.mbe import best_thresholds, mbe_cell, tuned_thresholds
+from repro.cluster import alibaba_like_trace
+from repro.cluster.mbe import mbe_cell, tuned_thresholds
 from repro.experiments.context import ExperimentContext
 from repro.experiments.tables import ExperimentResult
-from repro.tune.search import tune_mode
 
 __all__ = ["run", "THRESHOLDS"]
 
@@ -43,18 +43,12 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         # the exhaustive reference prices the upper triangle twice: once
         # for the contour surface, once inside best_thresholds
         runs_grid += 2 * n_cells
-        if tune_mode() == "grid":
-            grid = mbe_improvement_grid(u, THRESHOLDS, THRESHOLDS)
-            a, b, peak = best_thresholds(u, THRESHOLDS, THRESHOLDS)
-            diagonal = [float(grid[i, i]) for i in range(THRESHOLDS.size)]
-            runs_tuner += 2 * n_cells
-        else:
-            # rows need only the diagonal; the peak climb reuses it as seed
-            diagonal = [mbe_cell(u, float(t), float(t)) for t in THRESHOLDS]
-            a, b, peak, climb_evals = tuned_thresholds(
-                u, THRESHOLDS, THRESHOLDS, diagonal=diagonal
-            )
-            runs_tuner += len(diagonal) + climb_evals
+        # rows need only the diagonal; the peak climb reuses it as seed
+        diagonal = [mbe_cell(u, float(t), float(t)) for t in THRESHOLDS]
+        a, b, peak, climb_evals = tuned_thresholds(
+            u, THRESHOLDS, THRESHOLDS, diagonal=diagonal
+        )
+        runs_tuner += len(diagonal) + climb_evals
         metrics[f"mean_util_{year}"] = trace.mean_utilization
         metrics[f"peak_mbe_{year}"] = peak
         metrics[f"paper_peak_{year}"] = paper_peak

@@ -8,40 +8,32 @@ local-memory budget, which turns the paper's far-memory-ratio sweeps
 (Fig 15's SLO curves, the console's minimum-hot-size estimate) into O(1)
 lookups instead of re-simulation.
 
-Two kernels compute the same exact distances, selected by the
-``REPRO_REUSE_KERNEL`` environment variable:
+The kernel is an offline divide-and-conquer over numpy arrays.  With
+``prev[t]`` the previous access to ``pages[t]``, the distance of a warm
+access is::
 
-``vector`` (default)
-    Offline divide-and-conquer over numpy arrays.  With ``prev[t]`` the
-    previous access to ``pages[t]``, the distance of a warm access is::
+    distance(t) = (t - prev[t] - 1) - #{warm j < t : prev[j] > prev[t]}
 
-        distance(t) = (t - prev[t] - 1) - #{warm j < t : prev[j] > prev[t]}
-
-    because an access ``j`` inside the window ``(prev[t], t)`` repeats a
-    page already counted iff its own previous access also lies inside the
-    window — and ``prev[j] > prev[t]`` alone implies that (``j <= prev[t]``
-    would force ``prev[j] < prev[t]``).  The correction term is a
-    left-inversion count over the (distinct) ``prev`` values of warm
-    accesses, computed level-by-level like a mergesort: tiny levels by
-    direct broadcast comparison, larger levels by sorting packed
-    ``value * 2^K + time`` keys in row blocks and counting with cumulative
-    sums — O(n log² n) element work, but every level is a handful of full
-    array passes.  Measured ~2.6 M accesses/s at 1 M uniform-random
-    accesses on the reference container (~0.39 s).
-
-``fenwick``
-    The classic per-access Fenwick-tree loop, O(n log n) in pure Python.
-    Kept as the independent reference implementation the equivalence tests
-    compare against.  Measured ~210 k accesses/s at 1 M accesses (~4.7 s)
-    — the vectorized kernel is ~12× faster there.
+because an access ``j`` inside the window ``(prev[t], t)`` repeats a page
+already counted iff its own previous access also lies inside the window —
+and ``prev[j] > prev[t]`` alone implies that (``j <= prev[t]`` would force
+``prev[j] < prev[t]``).  The correction term is a left-inversion count
+over the (distinct) ``prev`` values of warm accesses, computed
+level-by-level like a mergesort: tiny levels by direct broadcast
+comparison, larger levels by sorting packed ``value * 2^K + time`` keys in
+row blocks and counting with cumulative sums — O(n log² n) element work,
+but every level is a handful of full array passes.  Measured ~2.6 M
+accesses/s at 1 M uniform-random accesses on the reference container
+(~0.39 s), ~12× the classic per-access Fenwick-tree loop that
+``tests/oracles.py`` keeps as the independent reference the equivalence
+tests compare against.  The packed keys hold at most ``2**31 - 1``
+accesses; a longer trace raises :class:`~repro.errors.TraceError`.
 
 :func:`reuse_histogram` feeds :class:`MissRatioCurve` without ever
 materializing the full per-access distance array.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -55,8 +47,9 @@ COLD = np.iinfo(np.int64).max
 #: Bumped whenever kernel output could change; part of MRC cache keys.
 KERNEL_VERSION = 2
 
-#: Environment variable selecting the distance kernel.
-KERNEL_ENV = "REPRO_REUSE_KERNEL"
+#: Longest trace the kernel accepts: its packed ``value << K | time`` sort
+#: keys overflow int64 at 2**31 accesses (16 GiB of int64 page ids).
+_MAX_ACCESSES = 2**31 - 1
 
 #: Merge levels 0..3 use direct broadcast compares; sorting machinery only
 #: pays off once rows are at least 2 * 2**_DIRECT_LEVELS wide.
@@ -72,15 +65,6 @@ def _validated(pages: np.ndarray) -> np.ndarray:
     return pages
 
 
-def _kernel() -> str:
-    kernel = os.environ.get(KERNEL_ENV, "vector")
-    if kernel not in ("vector", "fenwick"):
-        raise TraceError(
-            f"unknown {KERNEL_ENV}={kernel!r}; expected 'vector' or 'fenwick'"
-        )
-    return kernel
-
-
 def reuse_distances(pages: np.ndarray) -> np.ndarray:
     """Exact LRU stack distance of every access in ``pages``.
 
@@ -94,10 +78,7 @@ def reuse_distances(pages: np.ndarray) -> np.ndarray:
     numpy.ndarray
         int64 array of the same length; ``COLD`` marks first touches.
     """
-    pages = _validated(pages)
-    if _kernel() == "fenwick":
-        return _reuse_distances_fenwick(pages)
-    return _reuse_distances_vector(pages)
+    return _reuse_distances_vector(_validated(pages))
 
 
 def reuse_histogram(pages: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -105,21 +86,26 @@ def reuse_histogram(pages: np.ndarray) -> tuple[np.ndarray, int, int]:
 
     Returns ``(hist, cold_misses, n_accesses)`` where ``hist[d]`` counts
     warm accesses with stack distance exactly ``d`` (``hist`` has at least
-    one bin).  Bit-identical to binning :func:`reuse_distances` output,
-    for either kernel.
+    one bin).  Bit-identical to binning :func:`reuse_distances` output.
     """
     pages = _validated(pages)
     n = pages.shape[0]
-    if _kernel() == "fenwick":
-        distances = _reuse_distances_fenwick(pages)
-        warm = distances[distances != COLD]
-    else:
-        warm = _warm_distances_vector(pages)
+    warm = _warm_distances_vector(pages)
     hist = np.bincount(warm) if warm.size else np.zeros(1, dtype=np.int64)
     return hist, n - int(warm.size), n
 
 
 # -- vectorized kernel -------------------------------------------------------
+
+def _checked_length(pages: np.ndarray) -> int:
+    n = pages.shape[0]
+    if n > _MAX_ACCESSES:
+        raise TraceError(
+            f"trace of {n} accesses exceeds the reuse kernel's "
+            f"{_MAX_ACCESSES}-access limit"
+        )
+    return n
+
 
 def _prev_occurrence(pages: np.ndarray, n: int) -> np.ndarray:
     """prev[t] = index of the previous access to pages[t], or -1."""
@@ -216,12 +202,9 @@ def _left_inversions(s: np.ndarray, n: int) -> np.ndarray:
 
 def _warm_distances_vector(pages: np.ndarray) -> np.ndarray:
     """Distances of warm accesses only, in access order (no COLD entries)."""
-    n = pages.shape[0]
+    n = _checked_length(pages)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if 2 * n.bit_length() > 62:  # packed keys would overflow int64
-        distances = _reuse_distances_fenwick(pages)
-        return distances[distances != COLD]
     prev = _prev_occurrence(pages, n)
     warm = np.flatnonzero(prev >= 0)
     if warm.size == 0:
@@ -231,68 +214,15 @@ def _warm_distances_vector(pages: np.ndarray) -> np.ndarray:
 
 
 def _reuse_distances_vector(pages: np.ndarray) -> np.ndarray:
-    n = pages.shape[0]
+    n = _checked_length(pages)
     out = np.full(n, COLD, dtype=np.int64)
     if n == 0:
         return out
-    if 2 * n.bit_length() > 62:
-        return _reuse_distances_fenwick(pages)
     prev = _prev_occurrence(pages, n)
     warm = np.flatnonzero(prev >= 0)
     if warm.size:
         s = prev[warm]
         out[warm] = (warm - s - 1) - _left_inversions(s, n)
-    return out
-
-
-# -- reference kernel --------------------------------------------------------
-
-def _reuse_distances_fenwick(pages: np.ndarray) -> np.ndarray:
-    n = pages.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-
-    # Fenwick tree over access timestamps: tree[i] == 1 iff timestamp i is
-    # the *latest* access of some page. The stack distance of an access at
-    # time t to a page last seen at time s is the number of set timestamps
-    # in (s, t), i.e. prefix(t-1) - prefix(s).
-    tree = [0] * (n + 1)
-    last_seen: dict[int, int] = {}
-    page_list = pages.tolist()  # avoid numpy scalar overhead in the hot loop
-    out_list = [0] * n
-
-    def update(i: int, delta: int) -> None:
-        i += 1
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix(i: int) -> int:
-        # sum of tree[0..i] inclusive
-        i += 1
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & (-i)
-        return s
-
-    get = last_seen.get
-    for t in range(n):
-        p = page_list[t]
-        s = get(p)
-        if s is None:
-            out_list[t] = -1  # cold, patched below
-        else:
-            # distinct pages touched strictly between s and t, plus the page
-            # itself is NOT counted (distance 0 == immediate re-reference).
-            out_list[t] = prefix(t - 1) - prefix(s)
-            update(s, -1)
-        update(t, 1)
-        last_seen[p] = t
-
-    out[:] = out_list
-    out[out == -1] = COLD
     return out
 
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from repro.devices.base import FarMemoryDevice
 from repro.errors import ConfigurationError
@@ -39,7 +41,10 @@ from repro.swap.channel import ChannelMode, SHARED_LRU_INTERFERENCE, VM_ISOLATIO
 from repro.trace.fusion import PageFeatures
 from repro.units import PAGE_SIZE, usec
 
-__all__ = ["PathType", "SwapConfig", "SwapCost", "SwapPathModel", "MultiPathModel"]
+__all__ = [
+    "PathType", "SwapConfig", "SwapCost", "SwapPathModel", "MultiPathModel",
+    "TemplateTerms", "GranularityTerms", "WidthTerms", "combine_cost",
+]
 
 #: Kernel work per *major* fault (handler entry, swap-cache, PTE rewire).
 FAULT_COST = usec(1.8)
@@ -148,6 +153,117 @@ def _cluster(pages: float, seq_ratio: float) -> float:
     return 1.0 + seq_ratio * (pages - 1.0)
 
 
+class TemplateTerms(NamedTuple):
+    """Terms fixed by the structural knobs (path, channel, co-tenants,
+    readahead, merging, completion mode): one value for every candidate
+    granularity and I/O width priced under the same template."""
+
+    interference: float  #: shared-channel LRU inflation of the miss count
+    seq_pf: float        #: sequential ratio left after stream switches
+    merged_floor: int    #: bio-merge floor on the effective granularity (bytes)
+    window: float        #: readahead window before the granule floor (pages)
+    tax: float           #: channel-mode and queueing tax on per-op costs
+    hop: float           #: swap hops the data makes (2 on hierarchical paths)
+    extra: float         #: host-side copy per op (hierarchical paths)
+    dirty_ratio: float   #: share of evictions written back
+    link_bw: float | None  #: bandwidth of the device's PCIe slot, if any
+    synchronous: bool    #: the handler waits on the device inside the fault
+
+
+class GranularityTerms(NamedTuple):
+    """Terms that depend on the effective granularity alone."""
+
+    cluster: float    #: misses served per far-memory op
+    major_div: float  #: misses per major fault
+    map_mult: float   #: pages one major fault maps
+    lat_in: float     #: response time a blocked fault waits for
+    occ_in: float     #: channel hold time of one pipelined read op
+    occ_out: float    #: channel hold time of one pipelined write op
+
+
+class WidthTerms(NamedTuple):
+    """Terms that depend on the configured I/O width alone."""
+
+    width: float  #: parallel service streams the workload can really use
+    bw_in: float  #: deliverable read bandwidth at this width
+    bw_out: float  #: deliverable write bandwidth at this width
+
+
+def _select(cond, a, b):
+    return a if cond else b
+
+
+#: ``maximum``/``minimum``/``where`` on Python floats, the namespace
+#: :meth:`SwapPathModel.cost` runs :func:`combine_cost` under (numpy's
+#: ufuncs cost about 50 µs a call on Python floats).
+_SCALAR_OPS = SimpleNamespace(maximum=max, minimum=min, where=_select)
+
+
+def combine_cost(xp, misses, g, t: TemplateTerms, gt: GranularityTerms, wt: WidthTerms) -> tuple:
+    """The swap-cost formula over the three term groups.
+
+    ``xp`` supplies ``maximum``, ``minimum`` and ``where``: ``numpy`` for
+    candidate batches (every argument but ``t`` a column) or the scalar
+    namespace for one configuration.  ``misses`` is the capacity-miss
+    count after interference and ``g`` the effective granularity in
+    bytes.  Returns the :class:`SwapCost` fields after ``misses``, in
+    field order; the caller handles the miss-free case.
+    """
+    ops_in = misses / gt.cluster
+    bytes_in = ops_in * g
+    # steady state: each fault evicts one page; dirty ones are written
+    # back, batched at the same granularity cluster
+    ops_out = misses * t.dirty_ratio / gt.cluster
+    bytes_out = ops_out * g
+    major = misses / gt.major_div
+    # pages arriving inside a major fault's granule are *mapped* by that
+    # fault (THP: one 2 MiB fault covers 512 PTEs) and never fault at
+    # all; only readahead-prefetched pages outside the granule pay the
+    # minor-fault fixup
+    mapped = major * gt.map_mult
+    minor = xp.maximum(0.0, misses - mapped)
+    width = wt.width
+    hop = t.hop
+
+    # binding constraint: parallel op streams vs media vs PCIe slot
+    def stream_time(ops, occ, nbytes, bw):  # simlint: dim[return=seconds, occ=seconds]
+        busy = ops > 0
+        # the denominator is safe on idle rows, which are zeroed below
+        span = ops * occ / xp.where(busy, xp.minimum(width, ops), 1.0)
+        span = xp.maximum(span, nbytes * hop / bw)
+        if t.link_bw is not None:
+            span = xp.maximum(span, nbytes * hop / t.link_bw)
+        return xp.where(busy, span, 0.0)
+
+    t_in = stream_time(ops_in, gt.occ_in, bytes_in, wt.bw_in)
+    t_out = stream_time(ops_out, gt.occ_out, bytes_out, wt.bw_out)
+
+    # kernel time per fault: baselines wait synchronously inside the
+    # handler (the wait is attributed to sys time); async designs only
+    # pay the handler proper
+    wait_charge = xp.where(gt.lat_in <= POLL_THRESHOLD, gt.lat_in, CONTEXT_SWITCH_COST)
+    if not t.synchronous:
+        # event-driven completion: one handler drains a whole batch of
+        # completions, so the per-fault wait charge amortizes across
+        # the outstanding window
+        wait_charge = wait_charge / width
+    fault_time = major * (FAULT_COST + wait_charge) + minor * MINOR_FAULT_COST
+
+    # sys time (Table VI): fault handling plus the I/O service streams
+    # (writeback overlaps reads -> half weight)
+    sys_time = fault_time + t_in + 0.5 * t_out
+    # stall: latency-bound regime (each major fault blocks its thread;
+    # the app's faulting threads overlap their waits, so wall-clock
+    # stall divides by the effective width) vs bandwidth-bound regime
+    # (data cannot arrive faster than the pipes)
+    stall_time = xp.maximum(
+        (major * (FAULT_COST + gt.lat_in) + minor * MINOR_FAULT_COST) / width,
+        t_in + 0.5 * t_out,
+    )
+    return (major, ops_in, ops_out, bytes_in, bytes_out, sys_time,
+            stall_time, gt.lat_in, t_in, t_out, fault_time)
+
+
 class SwapPathModel:
     """Analytic swap cost for one workload on one device."""
 
@@ -163,41 +279,15 @@ class SwapPathModel:
         self.features = features
         self.fault_parallelism = fault_parallelism
 
-    # -- helpers -----------------------------------------------------------
-    def _granularity_cluster(self, g_pages: float) -> float:
-        """Misses served per far-memory op at ``g_pages`` pages/op.
-
-        Sequential neighbours batch perfectly; beyond that, the *fragment*
-        structure allows partial batching (contiguous-but-not-in-order data
-        still arrives usefully when the reuse window is short).
-        """
+    # -- the three term groups ---------------------------------------------
+    def template_terms(self, config: SwapConfig) -> TemplateTerms:
+        """Terms shared by every granularity and width under ``config``."""
         f = self.features
-        # order-driven batching (true sequential runs) ...
-        seq_part = _cluster(g_pages, f.seq_access_ratio)
-        # ... plus weak spatial batching on contiguous-but-reordered data
-        spatial = 1.0 + 0.15 * f.fragment_ratio * (1.0 - f.seq_access_ratio) * (g_pages - 1.0) ** 0.5
-        return min(g_pages, max(seq_part, spatial))
-
-    def effective_width(self, config: SwapConfig) -> float:
-        """Parallel service streams this workload/config can really use."""
-        return float(min(config.io_width, self.fault_parallelism, self.device.profile.channels))
-
-    # -- main entry ----------------------------------------------------------
-    def cost(self, local_pages: int, config: SwapConfig) -> SwapCost:
-        """Evaluate the configuration at ``local_pages`` of residency."""
-        f = self.features
-        # capacity misses only: a never-touched anonymous page is allocated
-        # (zero-filled) on first touch, not fetched from far memory
-        base_misses = f.mrc.capacity_misses(local_pages)
+        shared = config.channel is ChannelMode.SHARED
         # shared-channel LRU interference inflates faults
         interference = 1.0
-        if config.channel is ChannelMode.SHARED:
+        if shared:
             interference += SHARED_LRU_INTERFERENCE * config.co_tenants
-        misses = int(round(base_misses * interference))
-        if misses == 0:
-            idle = self.device.page_latency(granularity=config.granularity)
-            return SwapCost(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, idle)
-
         # Window prefetchers and bio merging track ONE stream at a time:
         # when several sequential streams interleave (inference walking
         # weights + activations + KV cache at once), every stream switch
@@ -208,103 +298,75 @@ class SwapPathModel:
         # block-layer merging lifts the *effective* granularity of adjacent
         # sequential requests (baselines); explicit tuning dominates it
         merged_pages = 1.0 + seq_pf * (config.merge_pages - 1)
-        g = max(config.granularity, int(merged_pages * PAGE_SIZE))
-        g_pages = g / PAGE_SIZE
-        cluster = self._granularity_cluster(g_pages)
-        ops_in = misses / cluster
-        bytes_in = ops_in * g
-        # steady state: each fault evicts one page; dirty ones are written
-        # back, batched at the same granularity cluster
-        dirty_ratio = 1.0 - f.load_ratio
-        ops_out = misses * dirty_ratio / cluster
-        bytes_out = ops_out * g
-
-        # major faults: the prefetch window (readahead — deepened on
-        # *single-stream* sequential access — or, with THP-sized granules,
-        # the whole granule mapped by one fault) absorbs the rest into
-        # minor faults
+        # the readahead window deepens on *single-stream* sequential access
         window = config.readahead_pages + seq_pf * (
             config.max_readahead_pages - config.readahead_pages
         )
-        window = max(window, g_pages)
-        major = misses / max(_cluster(window, seq_pf), _cluster(g_pages, f.seq_access_ratio))
-        # pages arriving inside a major fault's granule are *mapped* by that
-        # fault (THP: one 2 MiB fault covers 512 PTEs) and never fault at
-        # all; only readahead-prefetched pages outside the granule pay the
-        # minor-fault fixup
-        mapped = major * _cluster(g_pages, f.seq_access_ratio)
-        minor = max(0.0, misses - mapped)
-
         # channel-mode and path taxes on per-op costs
         tax = 1.0
         if config.channel is ChannelMode.VM_ISOLATED:
             tax += VM_ISOLATION_TAX
-        if config.channel is ChannelMode.SHARED and config.co_tenants > 0:
+        if shared and config.co_tenants > 0:
             tax += SHARED_QUEUE_FACTOR * config.co_tenants  # queueing behind tenants
-        hop = 1.0
-        extra_per_op = 0.0
-        if config.path is PathType.HIERARCHICAL:
-            hop = 2.0  # two swap hops move the data twice
-            extra_per_op = HIERARCHY_COPY_COST
+        # two swap hops move the data twice and copy it through the host
+        hierarchical = config.path is PathType.HIERARCHICAL
+        hop = 2.0 if hierarchical else 1.0
+        extra = HIERARCHY_COPY_COST if hierarchical else 0.0
+        link = self.device.link
+        link_bw = None if link is None else link.bandwidth
+        # positional: keywords would add ~0.6 µs to every scalar cost()
+        return TemplateTerms(interference, seq_pf, int(merged_pages * PAGE_SIZE), window,
+                             tax, hop, extra, 1.0 - f.load_ratio, link_bw,
+                             config.synchronous_faults)
+
+    def granularity_terms(self, t: TemplateTerms, g: int) -> GranularityTerms:
+        """Terms at an effective granularity of ``g`` bytes per op."""
+        f = self.features
+        g_pages = g / PAGE_SIZE
+        # Misses served per far-memory op: sequential neighbours batch
+        # perfectly (order-driven batching of true sequential runs); beyond
+        # that, the *fragment* structure allows weak spatial batching
+        # (contiguous-but-not-in-order data still arrives usefully when
+        # the reuse window is short).
+        seq_cluster = _cluster(g_pages, f.seq_access_ratio)
+        spatial = 1.0 + 0.15 * f.fragment_ratio * (1.0 - f.seq_access_ratio) * (g_pages - 1.0) ** 0.5
+        cluster = min(g_pages, max(seq_cluster, spatial))
+        # major faults: the prefetch window (readahead or, with THP-sized
+        # granules, the whole granule mapped by one fault) absorbs the rest
+        # into minor faults
+        window = max(t.window, g_pages)
+        major_div = max(_cluster(window, t.seq_pf), seq_cluster)
+        dev = self.device
         # response time a blocked fault waits for (full latency) ...
-        lat_in = self.device.transfer_latency(g, write=False, granularity=g, io_width=1)
-        lat_in = lat_in * tax * hop + extra_per_op
+        lat_in = dev.transfer_latency(g, write=False, granularity=g, io_width=1)
+        lat_in = lat_in * t.tax * t.hop + t.extra
         # ... vs channel hold time of pipelined ops (occupancy)
-        occ_in = self.device.op_occupancy(write=False, granularity=g) * tax * hop + extra_per_op
-        occ_out = self.device.op_occupancy(write=True, granularity=g) * tax * hop + extra_per_op
+        occ_in = dev.op_occupancy(write=False, granularity=g) * t.tax * t.hop + t.extra
+        occ_out = dev.op_occupancy(write=True, granularity=g) * t.tax * t.hop + t.extra
+        return GranularityTerms(cluster, major_div, seq_cluster, lat_in, occ_in, occ_out)
 
-        width = self.effective_width(config)
+    def width_terms(self, io_width: int) -> WidthTerms:
+        """Terms at a configured I/O width of ``io_width`` channels."""
+        dev = self.device
+        return WidthTerms(float(min(io_width, self.fault_parallelism, dev.profile.channels)),
+                          dev.effective_bandwidth(False, io_width),
+                          dev.effective_bandwidth(True, io_width))
 
-        # binding constraint: parallel op streams vs media vs PCIe slot
-        def stream_time(ops: float, occ: float, nbytes: float, write: bool) -> float:  # simlint: dim[return=seconds, occ=seconds]
-            if ops <= 0:
-                return 0.0
-            t = ops * occ / min(width, ops)
-            t = max(t, nbytes * hop / self.device.effective_bandwidth(write, config.io_width))
-            if self.device.link is not None:
-                t = max(t, nbytes * hop / self.device.link.bandwidth)
-            return t
-
-        t_in = stream_time(ops_in, occ_in, bytes_in, write=False)
-        t_out = stream_time(ops_out, occ_out, bytes_out, write=True)
-
-        # kernel time per fault: baselines wait synchronously inside the
-        # handler (the wait is attributed to sys time); async designs only
-        # pay the handler proper
-        wait_charge = lat_in if lat_in <= POLL_THRESHOLD else CONTEXT_SWITCH_COST
-        if not config.synchronous_faults:
-            # event-driven completion: one handler drains a whole batch of
-            # completions, so the per-fault wait charge amortizes across
-            # the outstanding window
-            wait_charge /= self.effective_width(config)
-        fault_time = major * (FAULT_COST + wait_charge) + minor * MINOR_FAULT_COST
-
-        # sys time (Table VI): fault handling plus the I/O service streams
-        # (writeback overlaps reads -> half weight)
-        sys_time = fault_time + t_in + 0.5 * t_out
-        # stall: latency-bound regime (each major fault blocks its thread;
-        # the app's faulting threads overlap their waits, so wall-clock
-        # stall divides by the effective width) vs bandwidth-bound regime
-        # (data cannot arrive faster than the pipes)
-        stall_time = max(
-            (major * (FAULT_COST + lat_in) + minor * MINOR_FAULT_COST) / width,
-            t_in + 0.5 * t_out,
-        )
-
-        return SwapCost(
-            misses=misses,
-            blocking_faults=major,
-            ops_in=ops_in,
-            ops_out=ops_out,
-            bytes_in=bytes_in,
-            bytes_out=bytes_out,
-            sys_time=sys_time,
-            stall_time=stall_time,
-            per_op_latency=lat_in,
-            t_in=t_in,
-            t_out=t_out,
-            fault_time=fault_time,
-        )
+    # -- main entry ----------------------------------------------------------
+    def cost(self, local_pages: int, config: SwapConfig) -> SwapCost:
+        """Evaluate the configuration at ``local_pages`` of residency."""
+        t = self.template_terms(config)
+        # capacity misses only: a never-touched anonymous page is allocated
+        # (zero-filled) on first touch, not fetched from far memory
+        misses = int(round(self.features.mrc.capacity_misses(local_pages) * t.interference))
+        if misses == 0:
+            idle = self.device.page_latency(granularity=config.granularity)
+            return SwapCost(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, idle)
+        g = max(config.granularity, t.merged_floor)
+        return SwapCost(misses, *combine_cost(
+            _SCALAR_OPS, misses, g, t,
+            self.granularity_terms(t, g), self.width_terms(config.io_width),
+        ))
 
     def local_pages_for(self, fm_ratio: float) -> int:
         """Resident pages when ``fm_ratio`` of the anon footprint is offloaded."""

@@ -36,7 +36,10 @@ replace phase 2's uncontended admission with an exact
 per-window demand merges into one breakpoint timeline over the shared
 links and channel pool, where fair-share rates only change at flow
 arrival/completion breakpoints, so the piecewise-linear schedule equals
-the windowed DES admission reference (``solver="des"``) to round-off.
+the windowed DES admission (:func:`_des_phase2`) to round-off.  The DES
+admission stays as the fallback for devices whose batched I/O path the
+solver does not model (:func:`_fluid_supported`); the equivalence suite
+reaches it by patching that predicate.
 
 Both phase-2 entry points take phase 1 through a ``classify`` hook; a
 co-tenant sweep that replays the same tenant slices over and over passes
@@ -547,12 +550,14 @@ def replay_run(executor, trace: PageTrace, classify=None):
 # Phase 1 is per-tenant and timing-independent, so N contended tenants
 # classify exactly as N solo tenants do.  Phase 2 is where contention
 # lives: tenants' aggregate flows share device channel pools, media pipes,
-# PCIe slots and switches.  Two interchangeable solvers admit the same
-# per-window step schedule:
+# PCIe slots and switches.  Two solvers admit the same per-window step
+# schedule, chosen by `_fluid_supported`:
 #
-# * ``solver="des"`` — one admission coroutine per tenant through the real
-#   event engine (O(windows) events per tenant); the timing reference.
-# * ``solver="fluid"`` — a flow-level progressive-filling solver: fair-share
+# * DES admission (`_des_phase2`) — one admission coroutine per tenant
+#   through the real event engine (O(windows) events per tenant); the
+#   timing reference, and the path for devices that override the batched
+#   I/O path.
+# * fluid (`_fluid_phase2`) — a flow-level progressive-filling solver: fair-share
 #   rates only change at flow arrival/completion breakpoints, so the
 #   piecewise-linear schedule is solved analytically on a merged breakpoint
 #   timeline, replicating `FairShareLink`'s float arithmetic expression by
@@ -941,7 +946,7 @@ def _des_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
     return [e - t_start for e in ends]
 
 
-def replay_run_multi(executors, traces, classify=None, solver=None):
+def replay_run_multi(executors, traces, classify=None):
     """Phase 2 for N tenants contending on shared backends.
 
     Equivalent to running every executor's per-access event loop
@@ -953,15 +958,10 @@ def replay_run_multi(executors, traces, classify=None, solver=None):
     window is the engine's admission quantum, see DESIGN.md §3.3).
 
     ``classify`` produces each tenant's phase 1, as in :func:`replay_run`.
-    ``solver`` picks the phase-2 backend: ``"fluid"`` (analytic
-    progressive-filling, the default when every device uses the stock
-    batched I/O path), ``"des"`` (windowed admission through the event
-    engine), or ``None`` to choose automatically.
+    Phase 2 is the analytic progressive-filling solve when every device
+    uses the stock batched I/O path, and windowed admission through the
+    event engine otherwise.
     """
-    if solver not in (None, "fluid", "des"):
-        raise ConfigurationError(
-            f"unknown solver {solver!r}; expected 'fluid', 'des', or None"
-        )
     executors = list(executors)
     traces = list(traces)
     if not executors or len(executors) != len(traces):
@@ -989,9 +989,7 @@ def replay_run_multi(executors, traces, classify=None, solver=None):
     for ex, cls in zip(executors, classifications):
         _apply_classification(ex, cls)
         plans.append(_TenantPlan(ex, cls))
-    if solver is None:
-        solver = "fluid" if all(_fluid_supported(p.device) for p in plans) else "des"
-    if solver == "fluid":
+    if all(_fluid_supported(p.device) for p in plans):
         durations = _fluid_phase2(sim, plans)
     else:
         durations = _des_phase2(sim, plans)

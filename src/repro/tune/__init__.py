@@ -6,12 +6,12 @@ the exhaustive grid sweeps the smart-console experiments used to run:
 
 * :mod:`repro.tune.costmodel` — :class:`VectorCostModel` prices whole
   ``(local_pages, granularity, io_width)`` candidate batches as numpy
-  arrays, bit-identical to the scalar model, with finite-difference
-  sensitivity queries per knob;
+  arrays through the path model's one cost formula, bit-identical to
+  the scalar model, with finite-difference sensitivity queries per knob;
 * :mod:`repro.tune.search` — batch argmin over console lattices, hill
   climbing for 2-D threshold surfaces, and the ``TuneStats`` simulated-run
-  ledger behind the ≥10×-fewer-runs gate (``REPRO_TUNE=grid`` keeps the
-  exhaustive reference);
+  ledger behind the ≥10×-fewer-runs gate (the exhaustive grid reference
+  is a test oracle, ``tests/oracles.py``);
 * :mod:`repro.tune.validate` — successive-halving replay validation of
   shortlisted candidates, content-addressed in the artifact cache.
 """
@@ -19,12 +19,10 @@ the exhaustive grid sweeps the smart-console experiments used to run:
 from repro.tune.costmodel import CostBatch, OBJECTIVES, VectorCostModel
 from repro.tune.search import (
     Candidate,
-    TUNE_ENV,
     TuneStats,
     climb_lattice,
     select_config,
     slo_bisection,
-    tune_mode,
 )
 from repro.tune.validate import VALIDATE_VERSION, ValidatedPoint, validate_shortlist
 
@@ -33,12 +31,10 @@ __all__ = [
     "OBJECTIVES",
     "VectorCostModel",
     "Candidate",
-    "TUNE_ENV",
     "TuneStats",
     "climb_lattice",
     "select_config",
     "slo_bisection",
-    "tune_mode",
     "VALIDATE_VERSION",
     "ValidatedPoint",
     "validate_shortlist",

@@ -10,38 +10,32 @@ analytic model prices the whole design space for the cost of roughly one
 scalar evaluation, and expensive replay simulation only validates a
 shortlist (see :mod:`repro.tune.search`).
 
-Fidelity contract: batch evaluation is **bit-identical** to calling
-``SwapPathModel.cost`` per candidate.  Anything that depends only on a
-*distinct* granularity or I/O width — device latencies, occupancies,
-bandwidths, cluster factors — is computed through the exact scalar device
-and model methods (one call per distinct value, preserving device-subclass
-overrides), then gathered into per-candidate columns; the remaining
-arithmetic mirrors the scalar expression order operation for operation, so
-IEEE-754 results match to the last bit.  ``tests/test_tune_costmodel.py``
-asserts the equality field by field, including under Hypothesis-random
-features and templates.
+Fidelity contract: there is one cost formula,
+:func:`~repro.swap.pathmodel.combine_cost`, and a batch runs it on numpy
+columns where ``SwapPathModel.cost`` runs it on Python floats.  The
+template, per-granularity and per-width terms come from the model's own
+term methods (one call per distinct value, preserving device-subclass
+overrides) and are gathered into per-candidate columns, so every row is
+**bit-identical** to ``SwapPathModel.cost`` on that candidate.
+``tests/test_tune_costmodel.py`` asserts the equality field by field,
+including under Hypothesis-random features and templates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.swap.channel import ChannelMode, SHARED_LRU_INTERFERENCE, VM_ISOLATION_TAX
 from repro.swap.pathmodel import (
-    CONTEXT_SWITCH_COST,
-    FAULT_COST,
-    HIERARCHY_COPY_COST,
-    MINOR_FAULT_COST,
-    PathType,
-    POLL_THRESHOLD,
-    SHARED_QUEUE_FACTOR,
+    GranularityTerms,
     SwapConfig,
     SwapCost,
     SwapPathModel,
-    _cluster,
+    WidthTerms,
+    combine_cost,
 )
 from repro.units import PAGE_SIZE
 
@@ -116,7 +110,7 @@ class CostBatch:
 
 
 class VectorCostModel:
-    """Batched twin of :class:`SwapPathModel` for one (workload, device).
+    """Batched evaluation of :class:`SwapPathModel` for one (workload, device).
 
     ``template`` fixes the structural knobs the search does not vary
     (path, channel mode, co-tenants, readahead, merge, completion mode);
@@ -126,185 +120,59 @@ class VectorCostModel:
     def __init__(self, model: SwapPathModel, template: SwapConfig) -> None:
         self.model = model
         self.template = template
-        f = model.features
-        # shared-channel LRU interference inflates faults (scalar path)
-        self._interference = 1.0
-        if template.channel is ChannelMode.SHARED:
-            self._interference += SHARED_LRU_INTERFERENCE * template.co_tenants
-        # stream-switch-degraded sequential ratio and bio merging are
-        # template properties: identical for every candidate in a batch
-        self._seq_pf = f.seq_access_ratio * (1.0 - 0.8 * f.interleave_ratio)
-        merged_pages = 1.0 + self._seq_pf * (template.merge_pages - 1)
-        self._merged_floor = int(merged_pages * PAGE_SIZE)
-        # channel-mode and path taxes on per-op costs
-        tax = 1.0
-        if template.channel is ChannelMode.VM_ISOLATED:
-            tax += VM_ISOLATION_TAX
-        if template.channel is ChannelMode.SHARED and template.co_tenants > 0:
-            tax += SHARED_QUEUE_FACTOR * template.co_tenants
-        self._tax = tax
-        self._hop = 2.0 if template.path is PathType.HIERARCHICAL else 1.0
-        self._extra = (
-            HIERARCHY_COPY_COST if template.path is PathType.HIERARCHICAL else 0.0
-        )
-        self._g_tables: dict[int, tuple] = {}
-        self._w_tables: dict[int, tuple] = {}
-        self._idle: dict[int, float] = {}
+        self._terms = model.template_terms(template)
+        self._g_terms = partial(model.granularity_terms, self._terms)
+        # per-distinct-value results, reused across batches
+        self._by_g: dict[int, GranularityTerms] = {}
+        self._by_w: dict[int, WidthTerms] = {}
 
-    # -- per-distinct-value tables (exact scalar calls) --------------------
-    def _g_table(self, g: int) -> tuple:
-        """(cluster, major_div, map_mult, lat_in, occ_in, occ_out, g_pages)."""
-        hit = self._g_tables.get(g)
-        if hit is not None:
-            return hit
-        model, f, t = self.model, self.model.features, self.template
-        g_pages = g / PAGE_SIZE
-        cluster = model._granularity_cluster(g_pages)
-        window = t.readahead_pages + self._seq_pf * (
-            t.max_readahead_pages - t.readahead_pages
-        )
-        window = max(window, g_pages)
-        major_div = max(_cluster(window, self._seq_pf), _cluster(g_pages, f.seq_access_ratio))
-        map_mult = _cluster(g_pages, f.seq_access_ratio)
-        dev = model.device
-        lat_in = dev.transfer_latency(g, write=False, granularity=g, io_width=1)
-        lat_in = lat_in * self._tax * self._hop + self._extra
-        occ_in = dev.op_occupancy(write=False, granularity=g) * self._tax * self._hop + self._extra
-        occ_out = dev.op_occupancy(write=True, granularity=g) * self._tax * self._hop + self._extra
-        entry = (cluster, major_div, map_mult, lat_in, occ_in, occ_out, g_pages)
-        self._g_tables[g] = entry
-        return entry
-
-    def _w_table(self, w: int) -> tuple:
-        """(effective width, read bandwidth, write bandwidth) at width ``w``."""
-        hit = self._w_tables.get(w)
-        if hit is not None:
-            return hit
-        model = self.model
-        width = float(min(w, model.fault_parallelism, model.device.profile.channels))
-        bw_in = model.device.effective_bandwidth(False, w)
-        bw_out = model.device.effective_bandwidth(True, w)
-        entry = (width, bw_in, bw_out)
-        self._w_tables[w] = entry
-        return entry
-
-    def _idle_latency(self, granularity: int) -> float:
-        hit = self._idle.get(granularity)
-        if hit is None:
-            hit = self.model.device.page_latency(granularity=granularity)
-            self._idle[granularity] = hit
-        return hit
+    @staticmethod
+    def _columns(terms, values: np.ndarray, memo: dict, make):
+        """``terms`` with one float64 column per field: ``make(v)`` once per
+        distinct ``v`` (memoized across batches), gathered into candidate
+        order."""
+        uniq, idx = np.unique(values, return_inverse=True)
+        rows = []
+        for v in uniq.tolist():
+            if v not in memo:
+                memo[v] = make(v)
+            rows.append(memo[v])
+        table = np.array(rows, dtype=np.float64).reshape(len(rows), len(terms._fields))
+        return terms._make(table[idx].T)
 
     # -- the batch evaluation ---------------------------------------------
     def evaluate(self, local_pages, granularity, io_width) -> CostBatch:
         """Price every candidate row; inputs broadcast against each other."""
-        local, g_cfg, w_cfg = np.broadcast_arrays(
+        local, g_cfg, w_cfg = (np.ascontiguousarray(a) for a in np.broadcast_arrays(
             np.asarray(local_pages, dtype=np.int64).ravel(),
             np.asarray(granularity, dtype=np.int64).ravel(),
             np.asarray(io_width, dtype=np.int64).ravel(),
-        )
-        local = np.ascontiguousarray(local)
-        g_cfg = np.ascontiguousarray(g_cfg)
-        w_cfg = np.ascontiguousarray(w_cfg)
-        n = local.shape[0]
-        model, f = self.model, self.model.features
-
-        # misses: capacity misses at each residency, inflated by shared-LRU
-        # interference and integer-rounded exactly like the scalar model
-        base = f.mrc.misses_at(local) - f.mrc.cold_misses
-        misses = np.rint(base * self._interference).astype(np.int64)
-        m = misses.astype(np.float64)
-
-        # effective granularity after bio merging, then per-distinct tables
-        g_eff = np.maximum(g_cfg, self._merged_floor)
-        uniq_g, g_idx = np.unique(g_eff, return_inverse=True)
-        tables = [self._g_table(int(g)) for g in uniq_g]
-        cluster = np.array([t[0] for t in tables])[g_idx]
-        major_div = np.array([t[1] for t in tables])[g_idx]
-        map_mult = np.array([t[2] for t in tables])[g_idx]
-        lat_in = np.array([t[3] for t in tables])[g_idx]
-        occ_in = np.array([t[4] for t in tables])[g_idx]
-        occ_out = np.array([t[5] for t in tables])[g_idx]
-        g_bytes = g_eff.astype(np.float64)
-
-        uniq_w, w_idx = np.unique(w_cfg, return_inverse=True)
-        wtabs = [self._w_table(int(w)) for w in uniq_w]
-        width = np.array([t[0] for t in wtabs])[w_idx]
-        bw_in = np.array([t[1] for t in wtabs])[w_idx]
-        bw_out = np.array([t[2] for t in wtabs])[w_idx]
-
-        # traffic terms — expression order mirrors SwapPathModel.cost
-        ops_in = m / cluster
-        bytes_in = ops_in * g_bytes
-        dirty_ratio = 1.0 - f.load_ratio
-        ops_out = m * dirty_ratio / cluster
-        bytes_out = ops_out * g_bytes
-        major = m / major_div
-        mapped = major * map_mult
-        minor = np.maximum(0.0, m - mapped)
-
-        hop = self._hop
-        link_bw = None
-        if model.device.link is not None:
-            link_bw = model.device.link.bandwidth
-
-        def stream_time(ops, occ, nbytes, bw):  # simlint: dim[return=seconds, occ=seconds]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = ops * occ / np.minimum(width, ops)
-            t = np.maximum(t, nbytes * hop / bw)
-            if link_bw is not None:
-                t = np.maximum(t, nbytes * hop / link_bw)
-            return np.where(ops > 0, t, 0.0)
-
-        t_in = stream_time(ops_in, occ_in, bytes_in, bw_in)
-        t_out = stream_time(ops_out, occ_out, bytes_out, bw_out)
-
-        wait_charge = np.where(lat_in <= POLL_THRESHOLD, lat_in, CONTEXT_SWITCH_COST)
-        if not self.template.synchronous_faults:
-            wait_charge = wait_charge / width
-        fault_time = major * (FAULT_COST + wait_charge) + minor * MINOR_FAULT_COST
-        sys_time = fault_time + t_in + 0.5 * t_out
-        stall_time = np.maximum(
-            (major * (FAULT_COST + lat_in) + minor * MINOR_FAULT_COST) / width,
-            t_in + 0.5 * t_out,
-        )
-
-        # miss-free candidates short-circuit to the all-zero cost whose
-        # per_op_latency is the idle page latency at the *configured*
-        # granularity (pre-merge), exactly like the scalar early return
+        ))
+        mrc, t = self.model.features.mrc, self._terms
+        # capacity misses inflated by interference, integer-rounded exactly
+        # like the scalar model
+        misses = np.rint((mrc.misses_at(local) - mrc.cold_misses) * t.interference)
+        misses = misses.astype(np.int64)
+        g_eff = np.maximum(g_cfg, t.merged_floor)
+        columns = dict(zip(_COLUMNS[1:], combine_cost(
+            np, misses.astype(np.float64), g_eff.astype(np.float64), t,
+            self._columns(GranularityTerms, g_eff, self._by_g, self._g_terms),
+            self._columns(WidthTerms, w_cfg, self._by_w, self.model.width_terms),
+        )))
+        # miss-free candidates get the all-zero cost whose per_op_latency
+        # is the idle page latency at the *configured* granularity
+        # (pre-merge), exactly like the scalar early return
         zero = misses == 0
         if zero.any():
-            idle = np.array([self._idle_latency(int(g)) for g in np.unique(g_cfg)])
-            idle = idle[np.unique(g_cfg, return_inverse=True)[1]]
-            per_op = np.where(zero, idle, lat_in)
-            out = {}
-            for name, arr in (
-                ("blocking_faults", major), ("ops_in", ops_in),
-                ("ops_out", ops_out), ("bytes_in", bytes_in),
-                ("bytes_out", bytes_out), ("sys_time", sys_time),
-                ("stall_time", stall_time), ("t_in", t_in),
-                ("t_out", t_out), ("fault_time", fault_time),
-            ):
-                out[name] = np.where(zero, 0.0, arr)
-        else:
-            per_op = lat_in
-            out = {
-                "blocking_faults": major, "ops_in": ops_in,
-                "ops_out": ops_out, "bytes_in": bytes_in,
-                "bytes_out": bytes_out, "sys_time": sys_time,
-                "stall_time": stall_time, "t_in": t_in,
-                "t_out": t_out, "fault_time": fault_time,
+            uniq, idx = np.unique(g_cfg, return_inverse=True)
+            page_latency = self.model.device.page_latency
+            idle = np.array([page_latency(granularity=g) for g in uniq.tolist()])[idx]
+            columns = {
+                name: np.where(zero, idle if name == "per_op_latency" else 0.0, col)
+                for name, col in columns.items()
             }
-
-        assert len(out["sys_time"]) == n
-        return CostBatch(
-            local_pages=local,
-            granularity=g_cfg,
-            io_width=w_cfg,
-            misses=misses,
-            per_op_latency=per_op,
-            **out,
-        )
+        return CostBatch(local_pages=local, granularity=g_cfg, io_width=w_cfg,
+                         misses=misses, **columns)
 
     # -- sensitivity probes -------------------------------------------------
     def sensitivities(

@@ -14,16 +14,16 @@ counts as one run.  ``grid_runs`` tracks what the exhaustive reference
 would have burned on the same decisions, so ``reduction()`` is the
 ≥10× headline the `perf-gates` CI job's ``tune`` suite gates.
 
-``REPRO_TUNE=grid`` restores the exhaustive reference everywhere (the
-scalar double loops and full-grid argmax); the default ``model`` mode
-must choose *identical* configurations — asserted per experiment in
+The exhaustive reference (the scalar double loops and the 12-step
+scalar bisection) lives in ``tests/oracles.py``; the tuner must choose
+*identical* configurations — asserted per decision in
+``tests/test_tune_search.py`` and per experiment in
 ``tests/test_tune_experiments.py``.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,27 +32,12 @@ from repro.swap.pathmodel import SwapConfig, SwapCost, SwapPathModel
 from repro.tune.costmodel import CostBatch, OBJECTIVES, VectorCostModel
 
 __all__ = [
-    "TUNE_ENV",
-    "tune_mode",
     "TuneStats",
     "Candidate",
     "select_config",
     "slo_bisection",
     "climb_lattice",
 ]
-
-TUNE_ENV = "REPRO_TUNE"
-_MODES = ("model", "grid")
-
-
-def tune_mode() -> str:
-    """Active search mode: ``model`` (tuner, default) or ``grid``."""
-    mode = os.environ.get(TUNE_ENV, "model") or "model"
-    if mode not in _MODES:
-        raise ConfigurationError(
-            f"unknown {TUNE_ENV}={mode!r}; expected one of {_MODES}"
-        )
-    return mode
 
 
 @dataclass
@@ -150,18 +135,7 @@ def select_config(
             trace.append(Candidate(g, w, local_pages, float(obj[i]),
                                    "batch", chosen=i == idx))
     g, w = lattice[idx]
-    config = SwapConfig(
-        granularity=g,
-        io_width=w,
-        readahead_pages=template.readahead_pages,
-        max_readahead_pages=template.max_readahead_pages,
-        merge_pages=template.merge_pages,
-        path=template.path,
-        channel=template.channel,
-        co_tenants=template.co_tenants,
-        synchronous_faults=template.synchronous_faults,
-    )
-    return config, batch.cost(idx)
+    return replace(template, granularity=g, io_width=w), batch.cost(idx)
 
 
 def slo_bisection(
@@ -198,20 +172,6 @@ def slo_bisection(
     g_arr = np.array([g for g, _ in lattice], dtype=np.int64)
     w_arr = np.array([w for _, w in lattice], dtype=np.int64)
     vcm = VectorCostModel(model, template)
-
-    def make_config(i: int) -> SwapConfig:
-        g, w = lattice[i]
-        return SwapConfig(
-            granularity=g,
-            io_width=w,
-            readahead_pages=template.readahead_pages,
-            max_readahead_pages=template.max_readahead_pages,
-            merge_pages=template.merge_pages,
-            path=template.path,
-            channel=template.channel,
-            co_tenants=template.co_tenants,
-            synchronous_faults=template.synchronous_faults,
-        )
 
     lo, hi = 0.0, max_ratio
     best: tuple[float, int, int, int, CostBatch] | None = None
@@ -259,7 +219,8 @@ def slo_bisection(
     if best is None:
         return None
     mid, local_pages, lattice_idx, row, batch = best
-    return mid, local_pages, make_config(lattice_idx), batch.cost(row)
+    g, w = lattice[lattice_idx]
+    return mid, local_pages, replace(template, granularity=g, io_width=w), batch.cost(row)
 
 
 def climb_lattice(

@@ -1,0 +1,163 @@
+"""Reference implementations the equivalence tests compare against.
+
+Each is the slow, obviously-correct way to compute what a production
+path computes fast, kept here so that production holds one path:
+
+* :func:`reuse_distances_fenwick` — the classic per-access Fenwick-tree
+  loop; :mod:`repro.mem.reuse`'s vectorized kernel must match it bit for
+  bit.
+* :func:`grid_configure` / :func:`grid_max_offload_under_slo` — the
+  exhaustive scalar sweeps the tuner replaced: one
+  ``SwapPathModel.cost`` call per lattice point, and a 12-step scalar
+  bisection over the far-memory ratio.  They take the console as their
+  first argument, so a test can patch them over
+  :class:`~repro.core.console.SmartConsole`'s methods and run whole
+  experiments on the grid, and they tally the console's ``TuneStats``
+  (``scalar_runs`` and ``grid_runs``) once per scalar evaluation.
+
+``benchmarks/perf_smoke.py`` times the same functions (``reuse`` and
+``tune`` suites).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.config import xdm_config
+from repro.core.console import ConfigDecision
+from repro.errors import ConfigurationError
+from repro.mem.reuse import COLD
+from repro.swap.pathmodel import SwapPathModel
+
+__all__ = ["reuse_distances_fenwick", "grid_configure", "grid_max_offload_under_slo"]
+
+
+def reuse_distances_fenwick(pages: np.ndarray) -> np.ndarray:
+    """Exact LRU stack distance of every access, one access at a time."""
+    n = pages.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return out
+
+    # Fenwick tree over access timestamps: tree[i] == 1 iff timestamp i is
+    # the *latest* access of some page. The stack distance of an access at
+    # time t to a page last seen at time s is the number of set timestamps
+    # in (s, t), i.e. prefix(t-1) - prefix(s).
+    tree = [0] * (n + 1)
+    last_seen: dict[int, int] = {}
+    page_list = pages.tolist()  # avoid numpy scalar overhead in the hot loop
+    out_list = [0] * n
+
+    def update(i: int, delta: int) -> None:
+        i += 1
+        while i <= n:
+            tree[i] += delta
+            i += i & (-i)
+
+    def prefix(i: int) -> int:
+        # sum of tree[0..i] inclusive
+        i += 1
+        s = 0
+        while i > 0:
+            s += tree[i]
+            i -= i & (-i)
+        return s
+
+    get = last_seen.get
+    for t in range(n):
+        p = page_list[t]
+        s = get(p)
+        if s is None:
+            out_list[t] = -1  # cold, patched below
+        else:
+            # distinct pages touched strictly between s and t, plus the page
+            # itself is NOT counted (distance 0 == immediate re-reference).
+            out_list[t] = prefix(t - 1) - prefix(s)
+            update(s, -1)
+        update(t, 1)
+        last_seen[p] = t
+
+    out[:] = out_list
+    out[out == -1] = COLD
+    return out
+
+
+def grid_configure(
+    console,
+    features,
+    device,
+    fault_parallelism: float = 1.0,
+    fm_ratio: float | None = None,
+    numa_sensitivity: float = 0.5,
+    objective: str = "sys_time",
+    co_tenants: int = 0,
+):
+    """``SmartConsole.configure`` as an exhaustive scalar lattice sweep.
+
+    Granularity outer, width inner, both ascending; a candidate replaces
+    the incumbent only on strict improvement, so ties keep the first.
+    """
+    if objective not in ("sys_time", "stall_time"):
+        raise ConfigurationError(f"unknown objective {objective!r}")
+    model = SwapPathModel(device, features, fault_parallelism=fault_parallelism)
+    if fm_ratio is None:
+        n_pages = max(1, features.mrc.n_pages)
+        hot = console.min_fm_ratio_local_pages(features)
+        fm_ratio = min(console.limits.max_fm_ratio, max(0.0, 1.0 - hot / n_pages))
+    else:
+        console.limits.validate_fm_ratio(fm_ratio)
+    local_pages = model.local_pages_for(fm_ratio)
+
+    best = None
+    for g in console.granularity_candidates(features):
+        for w in console.io_width_candidates(features, device, fault_parallelism):
+            config = xdm_config(granularity=g, io_width=w, co_tenants=co_tenants)
+            cost = model.cost(local_pages, config)
+            console.stats.scalar_runs += 1
+            console.stats.grid_runs += 1
+            if best is None or getattr(cost, objective) < getattr(best[1], objective):
+                best = (config, cost)
+    chosen, predicted = best
+    return ConfigDecision(
+        config=chosen,
+        fm_ratio=fm_ratio,
+        local_pages=local_pages,
+        numa_placement=console.numa_placement(numa_sensitivity),
+        predicted=predicted,
+    )
+
+
+def grid_max_offload_under_slo(
+    console,
+    features,
+    device,
+    compute_time: float,  # simlint: dim[compute_time=seconds]
+    slo: float,
+    fault_parallelism: float = 1.0,
+):
+    """``SmartConsole.max_offload_under_slo`` as a 12-step scalar bisection.
+
+    Each midpoint ratio runs a full :func:`grid_configure` sweep; runtime
+    is monotone in the ratio, so a feasible midpoint raises ``lo``.
+    """
+    if slo < 1.0:
+        raise ConfigurationError(f"slo must be >= 1.0, got {slo}")
+    if compute_time <= 0:
+        raise ConfigurationError("compute_time must be positive")
+    budget = compute_time * slo
+    lo_ok = None
+    lo, hi = 0.0, console.limits.max_fm_ratio
+    for _ in range(12):
+        mid = (lo + hi) / 2.0
+        decision = grid_configure(
+            console, features, device, fault_parallelism=fault_parallelism, fm_ratio=mid
+        )
+        runtime = compute_time + decision.predicted.stall_time
+        if runtime <= budget:
+            lo_ok = (mid, decision)
+            lo = mid
+        else:
+            hi = mid
+    if lo_ok is None:
+        return 0.0, None
+    return lo_ok

@@ -1,10 +1,10 @@
-"""Equivalence tests between the two reuse-distance kernels.
+"""Equivalence tests between the reuse-distance kernel and its oracle.
 
-The vectorized divide-and-conquer kernel (the default) and the Fenwick
-reference loop must produce bit-identical distances and histograms on
-every input — the Fenwick loop is the independent oracle that lets the
-vector kernel's level machinery (direct-compare tiers, packed-key sorts,
-pad rows) be trusted.
+The vectorized divide-and-conquer kernel and the Fenwick reference loop
+(``tests/oracles.py``) must produce bit-identical distances and
+histograms on every input — the Fenwick loop is the independent oracle
+that lets the vector kernel's level machinery (direct-compare tiers,
+packed-key sorts, pad rows) be trusted.
 """
 
 import numpy as np
@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
+from repro.mem import reuse as reuse_mod
 from repro.mem.reuse import (
     COLD,
-    KERNEL_ENV,
-    _reuse_distances_fenwick,
     _reuse_distances_vector,
     reuse_distances,
     reuse_histogram,
 )
+from tests.oracles import reuse_distances_fenwick
 
 # fixed adversarial traces: each stresses a different kernel code path
 ADVERSARIAL = {
@@ -48,7 +48,7 @@ ADVERSARIAL = {
 def test_kernels_agree_on_adversarial_traces(name):
     pages = ADVERSARIAL[name]
     np.testing.assert_array_equal(
-        _reuse_distances_vector(pages), _reuse_distances_fenwick(pages)
+        _reuse_distances_vector(pages), reuse_distances_fenwick(pages)
     )
 
 
@@ -64,22 +64,15 @@ def test_histogram_matches_distances(name):
     np.testing.assert_array_equal(hist, expect)
 
 
-def test_env_selects_fenwick_kernel(monkeypatch):
-    pages = np.tile(np.arange(11), 9)
-    expect = _reuse_distances_fenwick(pages)
-    monkeypatch.setenv(KERNEL_ENV, "fenwick")
-    np.testing.assert_array_equal(reuse_distances(pages), expect)
-    hist, cold, n = reuse_histogram(pages)
-    monkeypatch.setenv(KERNEL_ENV, "vector")
-    hist2, cold2, n2 = reuse_histogram(pages)
-    np.testing.assert_array_equal(hist, hist2)
-    assert (cold, n) == (cold2, n2)
-
-
-def test_unknown_kernel_rejected(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "gpu")
-    with pytest.raises(TraceError):
-        reuse_distances(np.array([1, 2, 1]))
+def test_overlong_trace_rejected(monkeypatch):
+    # past the limit the packed int64 sort keys would overflow; the limit
+    # (2**31 accesses) is lowered here so the check runs on a small trace
+    monkeypatch.setattr(reuse_mod, "_MAX_ACCESSES", 8)
+    pages = np.tile(np.arange(3), 3)
+    for kernel in (reuse_distances, reuse_histogram):
+        with pytest.raises(TraceError):
+            kernel(pages)
+    assert reuse_histogram(pages[:8])[2] == 8
 
 
 @given(st.lists(st.integers(min_value=-30, max_value=30), max_size=400))
@@ -87,7 +80,7 @@ def test_unknown_kernel_rejected(monkeypatch):
 def test_kernels_agree_on_random_traces(trace):
     pages = np.asarray(trace, dtype=np.int64)
     np.testing.assert_array_equal(
-        _reuse_distances_vector(pages), _reuse_distances_fenwick(pages)
+        _reuse_distances_vector(pages), reuse_distances_fenwick(pages)
     )
 
 
@@ -102,5 +95,5 @@ def test_kernels_agree_on_seeded_bulk_traces(seed, size, pages_distinct):
     rng = np.random.default_rng(seed)
     pages = rng.integers(0, pages_distinct, size=size)
     np.testing.assert_array_equal(
-        _reuse_distances_vector(pages), _reuse_distances_fenwick(pages)
+        _reuse_distances_vector(pages), reuse_distances_fenwick(pages)
     )

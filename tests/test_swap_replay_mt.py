@@ -7,9 +7,11 @@ The contract has two independently checked sides (DESIGN.md §3.3):
   so contention can reorder I/O but never change which accesses hit,
   fault, or evict;
 * **timing** — the fluid fair-share solver's per-tenant ``sim_time``
-  equals the windowed DES admission reference (``solver="des"``) to float
-  round-off at every tenant count, and at one tenant that reference
-  itself matches the per-access loop to round-off.
+  equals the windowed DES admission reference to float round-off at
+  every tenant count, and at one tenant that reference itself matches
+  the per-access loop to round-off.  Production takes the DES admission
+  only for devices the solver does not model; :func:`_des_reference`
+  forces it by patching ``repro.swap.replay._fluid_supported``.
 
 The sweep covers backends × tenant counts × access distributions, shared
 PCIe-switch topologies, eligibility fallbacks, and a hypothesis property
@@ -63,7 +65,14 @@ def _tenant_traces(n_tenants, seed0=0, n=4000, distinct=300):
     ]
 
 
-def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, solver=None,
+def _des_reference(executors, traces):
+    """Phase 2 through windowed DES admission instead of the fluid solve."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay_mod, "_fluid_supported", lambda device: False)
+        return replay_run_multi(executors, traces)
+
+
+def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, des=False,
             sanitize=False, switch=False, classify=None):
     saved = os.environ.get(REPLAY_ENV)
     os.environ[REPLAY_ENV] = mode
@@ -74,8 +83,8 @@ def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, solver=None,
         executors = make_contended_executors(
             sim, device, kind, len(traces), local_pages=local_pages
         )
-        if solver is not None:
-            results = replay_run_multi(executors, traces, solver=solver)
+        if des:
+            results = _des_reference(executors, traces)
         else:
             results = run_tenants(executors, traces, classify)
         return results, executors
@@ -90,7 +99,7 @@ def _assert_mt_equivalent(traces, **kwargs):
     """The three-way check: fluid vs event counters, fluid vs DES timing."""
     fluid, fex = _run_mt(traces, "batch", **kwargs)
     event, eex = _run_mt(traces, "event", **kwargs)
-    des, _ = _run_mt(traces, "batch", solver="des", **kwargs)
+    des, _ = _run_mt(traces, "batch", des=True, **kwargs)
     for i in range(len(traces)):
         for counter in COUNTERS:
             assert getattr(fluid[i], counter) == getattr(event[i], counter), \
@@ -148,7 +157,7 @@ def test_mt_cross_device_contention_on_switch():
     saved = os.environ.get(REPLAY_ENV)
     results = {}
     try:
-        for mode, solver in (("batch", None), ("batch", "des"), ("event", None)):
+        for mode, des in (("batch", False), ("batch", True), ("event", False)):
             os.environ[REPLAY_ENV] = mode
             sim = Simulator()
             sw = PCIeSwitch(sim)
@@ -159,18 +168,18 @@ def test_mt_cross_device_contention_on_switch():
                 + make_contended_executors(sim, d_rdma, BackendKind.RDMA, 2, local_pages=80)
             )
             traces = _tenant_traces(4, seed0=55)
-            if solver is not None:
-                results[(mode, solver)] = replay_run_multi(executors, traces, solver=solver)
+            if des:
+                results[(mode, des)] = _des_reference(executors, traces)
             else:
-                results[(mode, solver)] = run_tenants(executors, traces)
+                results[(mode, des)] = run_tenants(executors, traces)
     finally:
         if saved is None:
             os.environ.pop(REPLAY_ENV, None)
         else:
             os.environ[REPLAY_ENV] = saved
-    fluid = results[("batch", None)]
-    des = results[("batch", "des")]
-    event = results[("event", None)]
+    fluid = results[("batch", False)]
+    des = results[("batch", True)]
+    event = results[("event", False)]
     for i in range(4):
         for counter in COUNTERS:
             assert getattr(fluid[i], counter) == getattr(event[i], counter), (i, counter)
@@ -227,8 +236,6 @@ def test_mt_validation_errors():
     with pytest.raises(ConfigurationError):
         run_tenants([], [])
     with pytest.raises(ConfigurationError):
-        replay_run_multi(executors, traces, solver="turbo")
-    with pytest.raises(ConfigurationError):
         replay_run_multi([executors[0], executors[0]], traces)  # duplicate
     other = Simulator()
     foreign = make_contended_executors(other, make_device(other, BackendKind.SSD),
@@ -257,13 +264,13 @@ def test_mt_pool_and_link_metrics_match_des():
     os.environ[REPLAY_ENV] = "batch"
     try:
         stats = {}
-        for solver in ("fluid", "des"):
+        for solver, run in (("fluid", replay_run_multi), ("des", _des_reference)):
             sim = Simulator()
             device = make_device(sim, BackendKind.HDD)
             executors = make_contended_executors(
                 sim, device, BackendKind.HDD, 4, local_pages=90
             )
-            replay_run_multi(executors, traces, solver=solver)
+            run(executors, traces)
             stats[solver] = (
                 device.ops, device.bytes_read, device.bytes_written,
                 device.channel_pool.total_grants,
@@ -396,7 +403,7 @@ def test_property_mt_fluid_equals_event_and_des(seeds, n, distinct, local_pages)
     ]
     fluid, fex = _run_mt(traces, "batch", local_pages=local_pages)
     event, eex = _run_mt(traces, "event", local_pages=local_pages)
-    des, _ = _run_mt(traces, "batch", solver="des", local_pages=local_pages)
+    des, _ = _run_mt(traces, "batch", des=True, local_pages=local_pages)
     for i in range(len(traces)):
         for counter in COUNTERS:
             assert getattr(fluid[i], counter) == getattr(event[i], counter), \

@@ -9,6 +9,8 @@ both on deterministic sweeps and under Hypothesis-random features and
 templates.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,16 +65,7 @@ def assert_batch_matches_scalar(model, template, locals_, gs, ws):
     batch = vcm.evaluate(la, ga, wa)
     assert len(batch) == len(points)
     for i, (lp, g, w) in enumerate(points):
-        config = SwapConfig(
-            granularity=g, io_width=w,
-            readahead_pages=template.readahead_pages,
-            max_readahead_pages=template.max_readahead_pages,
-            merge_pages=template.merge_pages,
-            path=template.path, channel=template.channel,
-            co_tenants=template.co_tenants,
-            synchronous_faults=template.synchronous_faults,
-        )
-        want = model.cost(lp, config)
+        want = model.cost(lp, replace(template, granularity=g, io_width=w))
         got = batch.cost(i)
         for name in _COST_FIELDS:
             assert getattr(got, name) == getattr(want, name), (

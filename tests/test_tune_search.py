@@ -1,10 +1,10 @@
 """Tuner search engine: identical choices to the grid at far fewer runs.
 
-``REPRO_TUNE=model`` (default) must pick *identical* configurations —
-config, predicted cost, SLO ratio, bit for bit — to the exhaustive
-``REPRO_TUNE=grid`` reference, while the ``TuneStats`` ledger shows the
-≥10× run reduction the PR claims.  The hill climb and threshold tuner are
-pinned against the full-grid argmax on real cluster traces.
+The console's tuner must pick *identical* configurations — config,
+predicted cost, SLO ratio, bit for bit — to the exhaustive grid
+reference (``tests/oracles.py``), while the ``TuneStats`` ledger shows
+the ≥10× run reduction.  The hill climb and threshold tuner are pinned
+against the full-grid argmax on real cluster traces.
 """
 
 import numpy as np
@@ -19,8 +19,9 @@ from repro.rng import derive
 from repro.simcore import Simulator
 from repro.swap import SwapPathModel
 from repro.trace import fuse
-from repro.tune import TUNE_ENV, climb_lattice, tune_mode
+from repro.tune import climb_lattice
 from repro.workloads.generators import assemble, sequential_scan, zipf_accesses
+from tests.oracles import grid_configure, grid_max_offload_under_slo
 
 __all__: list[str] = []
 
@@ -31,52 +32,43 @@ def _features(n_pages=1024, alpha=1.05, seed=11, store=0.2):
     return fuse(assemble(rng, pages, anon_ratio=1.0, store_ratio=store))
 
 
-def _decide(monkeypatch, mode, device_cls, features, par, fm_ratio=None):
-    monkeypatch.setenv(TUNE_ENV, mode)
+def _decide(mode, device_cls, features, par, fm_ratio=None):
     console = SmartConsole()
-    decision = console.configure(
-        features, device_cls(Simulator()), fault_parallelism=par, fm_ratio=fm_ratio
+    configure = grid_configure if mode == "grid" else SmartConsole.configure
+    decision = configure(
+        console, features, device_cls(Simulator()), fault_parallelism=par, fm_ratio=fm_ratio
     )
     return decision, console.stats
 
 
-def _slo_search(monkeypatch, mode, device_cls, features, par, slo, compute=0.05):
-    monkeypatch.setenv(TUNE_ENV, mode)
+def _slo_search(mode, device_cls, features, par, slo, compute=0.05):
     console = SmartConsole()
-    found = console.max_offload_under_slo(
-        features, device_cls(Simulator()), compute, slo, fault_parallelism=par
+    search = (grid_max_offload_under_slo if mode == "grid"
+              else SmartConsole.max_offload_under_slo)
+    found = search(
+        console, features, device_cls(Simulator()), compute, slo, fault_parallelism=par
     )
     return found, console.stats
 
 
-def test_tune_mode_default_and_validation(monkeypatch):
-    monkeypatch.delenv(TUNE_ENV, raising=False)
-    assert tune_mode() == "model"
-    monkeypatch.setenv(TUNE_ENV, "grid")
-    assert tune_mode() == "grid"
-    monkeypatch.setenv(TUNE_ENV, "fast")
-    with pytest.raises(ConfigurationError):
-        tune_mode()
-
-
 @pytest.mark.parametrize("device_cls", [RDMANic, NVMeSSD])
 @pytest.mark.parametrize("par", [1.0, 8.0])
-def test_configure_identical_to_grid(monkeypatch, device_cls, par):
+def test_configure_identical_to_grid(device_cls, par):
     f = _features()
     for fm_ratio in (None, 0.3, 0.8):
-        grid, _ = _decide(monkeypatch, "grid", device_cls, f, par, fm_ratio)
-        model, stats = _decide(monkeypatch, "model", device_cls, f, par, fm_ratio)
+        grid, _ = _decide("grid", device_cls, f, par, fm_ratio)
+        model, stats = _decide("model", device_cls, f, par, fm_ratio)
         assert model == grid  # config, ratio, local_pages, predicted cost
         assert stats.batches >= 1 and stats.scalar_runs == 0
 
 
 @pytest.mark.parametrize("device_cls", [RDMANic, NVMeSSD])
 @pytest.mark.parametrize("slo", [1.1, 1.5])
-def test_slo_search_identical_to_grid(monkeypatch, device_cls, slo):
+def test_slo_search_identical_to_grid(device_cls, slo):
     f = _features(store=0.4)
     for par in (1.0, 8.0):
-        grid, _ = _slo_search(monkeypatch, "grid", device_cls, f, par, slo)
-        model, stats = _slo_search(monkeypatch, "model", device_cls, f, par, slo)
+        grid, _ = _slo_search("grid", device_cls, f, par, slo)
+        model, stats = _slo_search("model", device_cls, f, par, slo)
         assert model == grid  # (ratio, full ConfigDecision) pair
         # the 12-step search always collapses to 2 batches; the ≥10×
         # reduction then follows whenever the lattice has ≥2 points
@@ -86,30 +78,28 @@ def test_slo_search_identical_to_grid(monkeypatch, device_cls, slo):
             assert stats.reduction() >= 10.0, stats.snapshot()
 
 
-def test_slo_search_infeasible_matches_grid(monkeypatch):
+def test_slo_search_infeasible_matches_grid():
     # a hopeless budget on a scan whose reuse distance spans the whole
     # footprint: any offload at all misses, so both modes return (0.0, None)
     rng = derive(5, "tests/tune-search-infeasible")
     f = fuse(assemble(rng, sequential_scan(512, passes=4),
                       anon_ratio=1.0, store_ratio=0.8))
-    grid, _ = _slo_search(monkeypatch, "grid", RDMANic, f, 1.0, 1.0 + 1e-12,
-                          compute=1e-9)
-    model, _ = _slo_search(monkeypatch, "model", RDMANic, f, 1.0, 1.0 + 1e-12,
-                           compute=1e-9)
+    grid, _ = _slo_search("grid", RDMANic, f, 1.0, 1.0 + 1e-12, compute=1e-9)
+    model, _ = _slo_search("model", RDMANic, f, 1.0, 1.0 + 1e-12, compute=1e-9)
     assert grid == (0.0, None)
     assert model == (0.0, None)
 
 
-def test_slo_search_run_accounting(monkeypatch):
+def test_slo_search_run_accounting():
     f = _features()
-    _, stats = _slo_search(monkeypatch, "model", RDMANic, f, 8.0, 1.3)
+    _, stats = _slo_search("model", RDMANic, f, 8.0, 1.3)
     s = stats.snapshot()
     # 12 bisection steps in chunks of 6 -> exactly 2 batches, and the grid
     # reference burns 12 x |lattice| scalar runs
     assert s["batches"] == 2
     assert s["grid_runs"] % 12 == 0
     assert s["runs"] == 2
-    _, gstats = _slo_search(monkeypatch, "grid", RDMANic, f, 8.0, 1.3)
+    _, gstats = _slo_search("grid", RDMANic, f, 8.0, 1.3)
     assert gstats.scalar_runs == s["grid_runs"]
 
 
