@@ -14,10 +14,20 @@ Both structures also offer *batched replay* over a whole page-id array:
   distance pass (hit iff stack distance < capacity; the k-th eviction
   pairs with the k-th access whose next reuse distance reaches capacity);
 * :meth:`ActiveInactiveLRU.replay` walks the two-generation lists in
-  epochs of ``min(capacity - max_active, max_active) - 1`` accesses: no
-  page touched inside such an epoch can come back up for reclaim within
-  it, so re-touches are hits resolved in bulk and only the first and
-  second touches per distinct page per epoch need sequential treatment.
+  epochs of ``E = min(capacity - max_active, max_active) - 1`` accesses.
+  Reclaim and demotion each pop a list head, which within an epoch is a
+  pointer into the list as it stood at the epoch start, stepping over
+  entries a touch moved away.  Every pointer step costs one access and
+  each start list is longer than ``E`` steps, so no pointer runs off its
+  start list into pages moved there within the epoch: a page touched in
+  an epoch is neither evicted nor demoted in it.  Re-touches are hits
+  resolved in bulk, and only the first touch per distinct page per epoch
+  (plus a missed page's promoting second touch) needs sequential
+  treatment.  This holds while the active list starts within its
+  ``max_active`` share; a shrinking ``resize()`` can break that, and
+  such calls take the per-access loop.  Large epochs (``E >=
+  _KERNEL_EPOCH``) run two integer pointer scans per epoch; smaller ones
+  a dict-based sweep, or the loop on tiny caches.
 
 Replays are bit-identical to the per-access loops (the equivalence tests
 lock this in) but an order of magnitude cheaper on skewed traces — they
@@ -44,6 +54,24 @@ _MIN_EPOCH = 32
 #: past it the replay hands the rest of the trace to the inline loop.
 _LOOP_DENSITY = 0.15
 
+#: From this epoch length on, replay resolves epochs with the two-pointer
+#: scan kernel instead of the sweep/loop pair.  Its fixed numpy cost per
+#: epoch is O(capacity), so it only wins on large caches.  Measured
+#: crossover on 200 k-access uniform / zipf / hot-set traces (kernel speed
+#: relative to the sweep/loop pair, shared 2-core Xeon host): 0.14-0.29x
+#: at E = 63, 0.36-0.90x at 255, 0.96-1.62x at 1023, 1.03-1.37x at 2047,
+#: 1.29-1.95x at 4095, 2.2-2.6x at 8191.  4096 is the first power of two
+#: where the kernel wins on every trace shape by a margin.
+_KERNEL_EPOCH = 4096  # simlint: ignore[UNIT001] -- epoch length in accesses, not bytes
+
+#: Page ids below this multiple of the id count index the kernel's state
+#: array directly; larger or negative ids are first densified with
+#: ``np.unique``.
+_DIRECT_ID_SPAN = 4
+
+#: First-touch position of an epoch-start entry not touched in the epoch.
+_UNTOUCHED = np.iinfo(np.int64).max
+
 
 class LRUReplayLog:
     """Outcome of a batched replay: per-access hits plus the victim stream.
@@ -54,12 +82,16 @@ class LRUReplayLog:
     replay engine classifies into writebacks and clean drops).
     """
 
-    __slots__ = ("hits", "evict_pos", "evict_page")
+    __slots__ = ("hits", "evict_pos", "evict_page", "prev")
 
-    def __init__(self, hits: np.ndarray, evict_pos: np.ndarray, evict_page: np.ndarray) -> None:
+    def __init__(self, hits: np.ndarray, evict_pos: np.ndarray, evict_page: np.ndarray,
+                 prev: np.ndarray | None = None) -> None:
         self.hits = hits
         self.evict_pos = evict_pos
         self.evict_page = evict_page
+        #: previous-occurrence array of the replayed pages, when the
+        #: replay computed one (the scan kernel does); else None
+        self.prev = prev
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -270,27 +302,45 @@ class ActiveInactiveLRU:
         than delivered through ``on_evict`` (which must be unset: a
         callback observes interleaved state the batch path skips over).
 
-        Epoch invariant: with ``E = min(capacity - max_active, max_active)
-        - 1`` accesses per epoch and the lists at capacity, the reclaim
-        scan can consume at most one inactive entry per miss and skips at
-        most one per promotion, so it never reaches entries appended
-        within the epoch — a page touched in an epoch cannot be evicted in
-        it, and every re-touch is a guaranteed hit.  The demotion scan is
-        bounded the same way by ``E <= max_active``.  Only the first touch
-        of each distinct page per epoch is walked sequentially; list order
-        at the epoch boundary is rebuilt from last-touch positions.
+        Epoch invariant: cut the trace into epochs of ``E =
+        min(capacity - max_active, max_active) - 1`` accesses and freeze
+        both lists at each epoch start.  Reclaim is a pointer into the
+        frozen inactive list: it steps over entries a touch promoted and
+        evicts the next.  Demotion is a pointer into the frozen active
+        list: it steps over touched entries and demotes the next.  Every
+        pointer step is paid for by one access of the epoch — the miss or
+        promotion that pops, or the touch that moved the skipped entry —
+        and each frozen list is longer than the steps its pointer can take
+        in ``E`` accesses.  So neither pointer runs off its frozen list or
+        reaches a page appended within the epoch: a page touched in an
+        epoch is neither evicted nor demoted in it, and only each page's
+        first touch per epoch (plus the promoting second touch of a missed
+        page) needs resolving.
+
+        Precondition for both epoch paths: the call starts with at most
+        ``max_active`` pages on the active list, which bounds the active
+        pointer's steps and leaves the inactive list long enough.  Only a
+        shrinking :meth:`resize` (or a :meth:`restore_state` of such a
+        state) breaks it; those calls take the per-access loop, which is
+        exact for any state.  Epochs of at least ``_KERNEL_EPOCH``
+        accesses go to the two-scan kernel (:meth:`_replay_kernel`);
+        shorter ones to the epoch sweep (:meth:`_replay_epochs`), or to
+        the inline loop on tiny caches and low-locality traces.
         """
         if self.on_evict is not None:
             raise ValueError("replay() with an on_evict callback; victims are returned in the log")
         pages = np.ascontiguousarray(np.asarray(pages, dtype=np.int64))
         n = int(pages.shape[0])
-        hits_mask = np.zeros(n, dtype=bool)
-        ev_pos_parts: list[np.ndarray] = []
-        ev_page_parts: list[np.ndarray] = []
         cap = self.capacity
         max_active = max(1, int(cap * self.active_ratio))
         epoch = min(cap - max_active, max_active) - 1
-        use_epochs = epoch >= _MIN_EPOCH
+        precondition = len(self._active) <= max_active
+        if n and precondition and epoch >= _KERNEL_EPOCH:
+            return self._replay_kernel(pages, epoch, max_active)
+        hits_mask = np.zeros(n, dtype=bool)
+        ev_pos_parts: list[np.ndarray] = []
+        ev_page_parts: list[np.ndarray] = []
+        use_epochs = precondition and epoch >= _MIN_EPOCH
         if use_epochs and len(self) == cap:
             # Warm low-locality pre-check: with full lists the epoch path
             # bails to the inline loop once a single epoch's first/second-
@@ -553,6 +603,201 @@ class ActiveInactiveLRU:
         self.demotions += d_demotions
         self.evictions += d_evictions
         return i
+
+    def _replay_kernel(self, pages: np.ndarray, epoch: int, max_active: int) -> LRUReplayLog:
+        """Epoch replay resolved by two pointer scans per epoch.
+
+        By the epoch invariant (see :meth:`replay`) second touches always
+        hit — promoting when the first touch missed — and later touches
+        are active hits, so only first touches need resolving.  A first
+        touch of a page on the epoch-start active list hits, of a page on
+        neither list misses, and of an inactive page hits unless reclaim
+        evicted it first.  The reclaim scan settles that from the misses
+        and inactive first touches alone: demoted pages append to the
+        inactive tail, out of the reclaim pointer's reach, so it runs
+        first.  The demotion scan then places demotions from the
+        promotions and active first touches.  List order is rebuilt at
+        each epoch boundary as :meth:`_replay_epochs` does.
+
+        Per-page list membership lives in one int array indexed by dense
+        page id, packing ``(index in its epoch-start list << 2) | code``
+        (code 1 = inactive, 2 = active, 0 = on neither list).  First,
+        second and last touches per epoch come from one previous-
+        occurrence pass, which the returned log carries for the caller.
+        """
+        from repro.mem.reuse import _prev_occurrence
+
+        n = int(pages.shape[0])
+        act_pages, inact_pages = self.state_arrays()
+        n_act = int(act_pages.shape[0])
+        n_inact = int(inact_pages.shape[0])
+        every = np.concatenate([act_pages, inact_pages, pages])
+        if int(every.min()) >= 0 and int(every.max()) < _DIRECT_ID_SPAN * every.shape[0]:
+            uniq = None
+            n_ids = int(every.max()) + 1
+            act, inact, ids = act_pages, inact_pages, pages
+        else:
+            uniq, dense = np.unique(every, return_inverse=True)
+            n_ids = int(uniq.shape[0])
+            act = dense[:n_act]
+            inact = dense[n_act:n_act + n_inact]
+            ids = dense[n_act + n_inact:]
+        state = np.zeros(n_ids, dtype=np.int64)
+        state[act] = np.arange(n_act, dtype=np.int64) * 4 + 2
+        state[inact] = np.arange(n_inact, dtype=np.int64) * 4 + 1
+        prev = _prev_occurrence(ids, n)
+        warm = np.flatnonzero(prev >= 0)
+        nxt = np.full(n, n, dtype=np.int64)  # n: no later touch
+        nxt[prev[warm]] = warm
+        hits = np.ones(n, dtype=bool)
+        ev_pos_parts: list[np.ndarray] = []
+        ev_id_parts: list[np.ndarray] = []
+        nact = n_act
+        ntotal = n_act + n_inact
+        d_misses = d_promotions = d_demotions = 0
+        for s in range(0, n, epoch):
+            e = min(s + epoch, n)
+            first = np.flatnonzero(prev[s:e] < s) + s
+            code_k = state[ids[first]]
+            code = code_k & 3
+            k = code_k >> 2
+            on_inact = code == 1
+            on_act = code == 2
+            # -- reclaim scan: misses and inactive first touches ----------
+            i_first = np.full(int(inact.shape[0]), _UNTOUCHED, dtype=np.int64)
+            i_first[k[on_inact]] = first[on_inact]
+            r_sel = ~on_act
+            r_pos = first[r_sel]
+            r_k = np.where(on_inact, k, -1)[r_sel]
+            room = self.capacity - ntotal
+            victims, evicted_first, room_left = self._pointer_scan(
+                r_pos, r_k, i_first, room, "reclaim")
+            # misses: pages on neither list, and inactive pages evicted
+            # before their first touch; all but the first ``room`` evict
+            miss = np.sort(np.concatenate([r_pos[r_k < 0], i_first[evicted_first]]))
+            hits[miss] = False
+            ntotal += room - room_left
+            evicted = inact[victims]
+            if evicted.size:
+                ev_pos_parts.append(miss[room - room_left:])
+                ev_id_parts.append(evicted)
+            # -- demotion scan: promotions and active first touches -------
+            # promotions: inactive first touches that hit, and the second
+            # touch of every page whose first touch missed
+            nx = nxt[miss]
+            prom = np.sort(np.concatenate([first[on_inact & hits[first]], nx[nx < e]]))
+            a_first = np.full(n_act, _UNTOUCHED, dtype=np.int64)
+            a_first[k[on_act]] = first[on_act]
+            d_pos = np.concatenate([prom, first[on_act]])
+            d_k = np.concatenate([np.full(prom.shape[0], -1, dtype=np.int64), k[on_act]])
+            order = np.argsort(d_pos)
+            room = max_active - nact
+            dem, repromoted, room_left = self._pointer_scan(
+                d_pos[order], d_k[order], a_first, room, "demotion")
+            if repromoted.size:
+                # a demoted page first-touched later in the epoch promotes again
+                prom = np.sort(np.concatenate([prom, a_first[repromoted]]))
+            nact += room - room_left
+            dem_at = prom[room - room_left:]
+            d_misses += int(miss.shape[0])
+            d_promotions += int(prom.shape[0])
+            d_demotions += int(dem.shape[0])
+            # -- rebuild list order at the epoch boundary -----------------
+            # active: untouched survivors, then the touched pages that end
+            # active, by last touch — those whose last touch hit, as every
+            # re-touch does: all but single-touch misses
+            a_keep = a_first == _UNTOUCHED
+            a_keep[dem] = False
+            last = np.flatnonzero(nxt[s:e] >= e) + s
+            last = last[hits[last]]
+            act0 = act
+            act = np.concatenate([act0[a_keep], ids[last]])
+            # inactive: untouched survivors, then misses and demotions in
+            # position order, minus pages promoted later in the epoch
+            i_keep = i_first == _UNTOUCHED
+            i_keep[victims] = False
+            m_stay = miss[nx >= e]
+            appended = ids[m_stay]
+            if dem.size:
+                d_stay = a_first[dem] == _UNTOUCHED
+                app_pos = np.concatenate([m_stay, dem_at[d_stay]])
+                appended = np.concatenate([appended, act0[dem[d_stay]]])
+                appended = appended[np.argsort(app_pos)]
+            inact = np.concatenate([inact[i_keep], appended])
+            n_act = int(act.shape[0])
+            if n_act != nact or n_act + int(inact.shape[0]) != ntotal:
+                raise RuntimeError("two-gen replay: list-size conservation violated")
+            state[evicted] = 0
+            state[act] = np.arange(n_act, dtype=np.int64) * 4 + 2
+            state[inact] = np.arange(int(inact.shape[0]), dtype=np.int64) * 4 + 1
+        if uniq is not None:
+            act = uniq[act]
+            inact = uniq[inact]
+        self._active = OrderedDict.fromkeys(act.tolist())
+        self._inactive = OrderedDict.fromkeys(inact.tolist())
+        if ev_pos_parts:
+            evict_pos = np.concatenate(ev_pos_parts)
+            evict_page = np.concatenate(ev_id_parts)
+            if uniq is not None:
+                evict_page = uniq[evict_page]
+        else:
+            evict_pos = np.empty(0, dtype=np.int64)
+            evict_page = np.empty(0, dtype=np.int64)
+        self.hits += n - d_misses
+        self.misses += d_misses
+        self.promotions += d_promotions
+        self.demotions += d_demotions
+        self.evictions += int(evict_pos.shape[0])
+        return LRUReplayLog(hits, evict_pos, evict_page, prev)
+
+    @staticmethod
+    def _pointer_scan(pos: np.ndarray, k: np.ndarray, first: np.ndarray, room: int,
+                      scan: str) -> tuple[np.ndarray, np.ndarray, int]:
+        """One epoch of a list-head pointer over its epoch-start list.
+
+        Both scans of :meth:`_replay_kernel` share this shape.  Events
+        come in position order (``pos``); each one puts a page on the
+        list — a miss onto inactive, a promotion onto active — except a
+        touch of an epoch-start entry the pointer has not reached yet,
+        which is a plain hit.  ``k[i]`` is the epoch-start index of the
+        page of event ``i``, or -1 for a page that always enters.  The
+        first ``room`` entering events fill free slots; each later one
+        pops the list head: the pointer skips the entries first-touched
+        by then (``first[j]``, ``_UNTOUCHED`` if never), whose touch moved
+        them away from the head, and pops the next one.
+
+        Returns the popped indices in pop order, the popped entries that
+        re-entered at their first touch (behind the pointer), and the
+        unused ``room``.
+        """
+        entering = np.flatnonzero(k < 0)
+        if entering.shape[0] <= room:  # the pointer never moves
+            none = np.empty(0, dtype=np.int64)
+            return none, none, room - int(entering.shape[0])
+        # Until the first pop the pointer sits at 0, so every event before
+        # it is a plain hit or fills a free slot: start the walk there.
+        start = int(entering[room])
+        back: list[int] = []
+        back_app = back.append
+        firsts = first.tolist()
+        ptr = 0
+        try:
+            for t, j in zip(pos[start:].tolist(), k[start:].tolist()):
+                if j >= ptr:
+                    continue  # epoch-start entry ahead of the pointer: a plain hit
+                if j >= 0:
+                    back_app(j)  # popped earlier this epoch, enters again
+                while firsts[ptr] < t:
+                    ptr += 1
+                ptr += 1
+        except IndexError:
+            raise RuntimeError(
+                f"two-gen replay: {scan} pointer ran off its epoch-start list "
+                "(epoch invariant violated)"
+            ) from None
+        backs = np.asarray(back, dtype=np.int64)
+        popped = np.concatenate([np.flatnonzero(first[:ptr] == _UNTOUCHED), backs])
+        return np.sort(popped), backs, 0
 
     def state_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Current (active, inactive) list contents, LRU-first, as arrays."""

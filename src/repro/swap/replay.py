@@ -204,7 +204,8 @@ def classify_span(
     n_anon = int(pages.shape[0])
     log = lru.replay(pages)
     if n_anon:
-        prev = _prev_occurrence(pages, n_anon)
+        # the LRU's scan kernel already ran the previous-occurrence pass
+        prev = log.prev if log.prev is not None else _prev_occurrence(pages, n_anon)
         miss_pos = np.flatnonzero(~log.hits)
         first = prev[miss_pos] < 0
         first_idx = miss_pos[first]

@@ -1,10 +1,16 @@
 """Unit + property tests for LRU structures."""
 
+import sys
+from contextlib import contextmanager
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.mem.lru as lru_mod
 from repro.mem import ActiveInactiveLRU, LRUCache
+from repro.rng import derive
 
 
 # ------------------------------------------------------------- LRUCache
@@ -160,3 +166,175 @@ def test_two_list_invariants(trace, cap):
         assert len(l) <= cap
         assert l.active_size + l.inactive_size == len(l)
     assert l.hits + l.misses == len(trace)
+
+
+# ------------------------------------------- batched replay == access()
+# ActiveInactiveLRU.replay has three paths: the inline per-access loop,
+# the dict-based epoch sweep, and the two-pointer scan kernel.  Each must
+# match feeding the pages one by one through access(): hits, the victim
+# stream, both lists in order, and all five counters.  The path is forced
+# by patching the epoch thresholds down (only the kernel returns the
+# previous-occurrence array it computed, which tells the paths apart).
+COUNTERS = ("hits", "misses", "promotions", "demotions", "evictions")
+NEVER = sys.maxsize  # an epoch length no capacity reaches
+
+#: path -> (_MIN_EPOCH, _KERNEL_EPOCH)
+PATHS = {"loop": (NEVER, NEVER), "sweep": (1, NEVER), "kernel": (1, 1)}
+
+
+@contextmanager
+def _replay_path(path):
+    """Force a replay path; "default" keeps the real thresholds."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path != "default":
+            min_epoch, kernel_epoch = PATHS[path]
+            mp.setattr(lru_mod, "_MIN_EPOCH", min_epoch)
+            mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
+        yield
+
+
+def _access_each(lru, pages):
+    """Per-access reference: hit flags and the (position, victim) stream."""
+    victims = []
+    pos = 0
+    lru.on_evict = lambda victim: victims.append((pos, victim))
+    hits = []
+    for pos, page in enumerate(pages.tolist()):
+        hits.append(lru.access(page))
+    lru.on_evict = None
+    return hits, victims
+
+
+def _assert_replay_matches(ref, got, pages, cuts=(), path="kernel"):
+    """Replay ``pages`` into ``got`` (one call per piece between ``cuts``)
+    and through ``ref.access``; both LRUs start in the same state."""
+    start = {c: getattr(ref, c) - getattr(got, c) for c in COUNTERS}
+    with _replay_path(path):
+        for chunk in np.split(np.asarray(pages, dtype=np.int64), sorted(cuts)):
+            kernel = (chunk.size > 0 and ref.active_size <= _max_active(ref)
+                      and _epoch(ref) >= lru_mod._KERNEL_EPOCH)
+            log = got.replay(chunk)
+            hits, victims = _access_each(ref, chunk)
+            assert (log.prev is not None) == kernel
+            assert log.hits.tolist() == hits
+            assert log.evict_pos.tolist() == [pos for pos, _ in victims]
+            assert log.evict_page.tolist() == [victim for _, victim in victims]
+            assert [a.tolist() for a in got.state_arrays()] == \
+                [a.tolist() for a in ref.state_arrays()]
+            for c in COUNTERS:
+                assert getattr(ref, c) - getattr(got, c) == start[c], c
+
+
+def _max_active(lru):
+    return max(1, int(lru.capacity * lru.active_ratio))
+
+
+def _epoch(lru):
+    max_active = _max_active(lru)
+    return min(lru.capacity - max_active, max_active) - 1
+
+
+pages_st = st.lists(st.integers(min_value=0, max_value=60), max_size=300)
+ratio_st = st.sampled_from([0.2, 0.5, 0.8])
+#: page-id remaps: small ids index the kernel's state directly; negative
+#: ids and ids of 2**32 or more go through np.unique first
+ids_st = st.sampled_from([(1, 0), (1, -40), (1, 2**32), (2**33, -(3**25))])
+
+
+def _remap(pages, ids):
+    stride, base = ids
+    return np.asarray(pages, dtype=np.int64) * stride + base
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@given(pages=pages_st, cap=st.integers(2, 40), ratio=ratio_st, ids=ids_st,
+       cuts=st.lists(st.integers(0, 300), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_replay_matches_access_cold(path, pages, cap, ratio, ids, cuts):
+    pages = _remap(pages, ids)
+    cuts = [c for c in cuts if c <= len(pages)]
+    _assert_replay_matches(ActiveInactiveLRU(cap, ratio), ActiveInactiveLRU(cap, ratio),
+                           pages, cuts, path)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@given(warm=pages_st, pages=pages_st, cap=st.integers(2, 40), ratio=ratio_st,
+       ids=ids_st, cuts=st.lists(st.integers(0, 300), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_replay_matches_access_warm_restored(path, warm, pages, cap, ratio, ids, cuts):
+    """Start from lists handed over with restore_state (the hybrid
+    planner's seam handoff)."""
+    ref = ActiveInactiveLRU(cap, ratio)
+    for page in _remap(warm, ids).tolist():
+        ref.access(page)
+    got = ActiveInactiveLRU(cap, ratio)
+    got.restore_state(*ref.state_arrays())
+    pages = _remap(pages, ids)
+    cuts = [c for c in cuts if c <= len(pages)]
+    _assert_replay_matches(ref, got, pages, cuts, path)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@given(pages=pages_st, cap=st.integers(8, 40), shrunk=st.integers(2, 39),
+       ratio=ratio_st, cuts=st.lists(st.integers(0, 300), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_replay_matches_access_after_shrink(path, pages, cap, shrunk, ratio, cuts):
+    """A shrinking resize() can leave more than max_active pages active,
+    which breaks both epoch paths' precondition."""
+    assume(shrunk < cap)
+    lrus = []
+    for _ in range(2):
+        lru = ActiveInactiveLRU(cap, ratio)
+        for page in range(cap):  # touch twice: fill the active share
+            lru.access(page)
+            lru.access(page)
+        lru.resize(shrunk)
+        lrus.append(lru)
+    ref, got = lrus
+    assume(ref.active_size > _max_active(ref))
+    cuts = [c for c in cuts if c <= len(pages)]
+    _assert_replay_matches(ref, got, pages, cuts, path)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_replay_empty_input(path):
+    ref, got = ActiveInactiveLRU(16), ActiveInactiveLRU(16)
+    for lru in (ref, got):
+        for page in (1, 2, 2, 3):
+            lru.access(page)
+    _assert_replay_matches(ref, got, np.empty(0, dtype=np.int64), (), path)
+
+
+@pytest.mark.parametrize("pages", [
+    [4, 9],  # promote the inactive head, then a miss evicts the next one
+    [0, 5],  # refresh the active head, then a promotion demotes the next one
+])
+def test_replay_pointer_steps_over_head_touched_just_before(pages):
+    lrus = [ActiveInactiveLRU(8) for _ in range(2)]
+    for lru in lrus:
+        lru.restore_state(np.arange(4), np.arange(4, 8))
+    _assert_replay_matches(*lrus, np.asarray(pages), path="kernel")
+
+
+def test_kernel_pointer_overrun_raises_runtime_error():
+    """On a state that breaks its precondition (replay() sends those to
+    the loop) the kernel names the broken invariant, not an IndexError."""
+    lru = ActiveInactiveLRU(16)
+    for page in range(16):
+        lru.access(page)
+        lru.access(page)
+    lru.resize(8)  # 8 active, 0 inactive; max_active is 4
+    with pytest.raises(RuntimeError, match="epoch invariant"):
+        lru._replay_kernel(np.arange(100, 110, dtype=np.int64), epoch=3, max_active=4)
+
+
+def test_replay_kernel_at_real_threshold():
+    """A seeded run long enough to reach the kernel unpatched."""
+    rng = derive(15, "tests/mem_lru/kernel_threshold")
+    cap = 2 * lru_mod._KERNEL_EPOCH + 4
+    hot = rng.integers(0, cap // 2, size=30_000)
+    cold = rng.integers(0, 3 * cap, size=30_000)
+    pages = np.where(rng.random(30_000) < 0.6, hot, cold)
+    ref, got = ActiveInactiveLRU(cap), ActiveInactiveLRU(cap)
+    assert _epoch(ref) >= lru_mod._KERNEL_EPOCH
+    _assert_replay_matches(ref, got, pages, cuts=(20_000,), path="default")

@@ -31,6 +31,7 @@ from repro.faults import (
     TransientFault,
 )
 from repro.faults.plan import merge_spans
+from repro.mem import lru as lru_mod
 from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page import PageKind, PageOp
 from repro.simcore import Simulator
@@ -336,13 +337,22 @@ def test_live_windows_force_hybrid_eligibility():
     capacity=st.integers(2, 60),
     split_frac=st.floats(0.0, 1.0),
     store_ratio=st.floats(0.0, 1.0),
+    kernel_epoch=st.sampled_from([lru_mod._KERNEL_EPOCH, 1]),
 )
 def test_seam_handoff_property(seed, n, distinct, capacity, split_frac,
-                               store_ratio):
+                               store_ratio, kernel_epoch):
     """Classification resumed from seam state equals whole-trace
     classification: split a random trace at a random boundary, classify
     the halves with the seam state handed across, and the LRU lists,
-    far-resident set, and all counters must match the unsplit run."""
+    far-resident set, and all counters must match the unsplit run.
+    ``kernel_epoch`` 1 sends every replay from capacity 4 up through the
+    LRU's two-scan kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
+        _check_seam_handoff(seed, n, distinct, capacity, split_frac, store_ratio)
+
+
+def _check_seam_handoff(seed, n, distinct, capacity, split_frac, store_ratio):
     rng = np.random.default_rng(seed)
     pages = rng.integers(0, distinct, size=n)
     ops = np.where(rng.random(n) < store_ratio, int(PageOp.STORE),

@@ -29,6 +29,7 @@ from repro.devices import BackendKind
 from repro.devices.registry import make_device
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, FaultyDevice, LatencyFault
+from repro.mem import lru as lru_mod
 from repro.mem.page import PageOp
 from repro.simcore import Simulator
 from repro.swap import replay as replay_mod
@@ -95,25 +96,33 @@ def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, des=False,
             os.environ[REPLAY_ENV] = saved
 
 
-def _assert_mt_equivalent(traces, **kwargs):
-    """The three-way check: fluid vs event counters, fluid vs DES timing."""
-    fluid, fex = _run_mt(traces, "batch", **kwargs)
+def _assert_mt_equivalent(traces, kernel_epochs=(None,), **kwargs):
+    """The three-way check: fluid vs event counters, fluid vs DES timing.
+
+    The batch runs repeat per entry of ``kernel_epochs``: None keeps the
+    LRU's real two-scan kernel threshold, a number patches it down.
+    """
     event, eex = _run_mt(traces, "event", **kwargs)
-    des, _ = _run_mt(traces, "batch", des=True, **kwargs)
-    for i in range(len(traces)):
-        for counter in COUNTERS:
-            assert getattr(fluid[i], counter) == getattr(event[i], counter), \
-                (i, counter)
-        assert fluid[i].sim_time == pytest.approx(des[i].sim_time, rel=TIME_RTOL)
-        assert fluid[i].fault_latency.n == event[i].fault_latency.n
-        b_act, b_inact = fex[i].lru.state_arrays()
-        e_act, e_inact = eex[i].lru.state_arrays()
-        assert b_act.tolist() == e_act.tolist()
-        assert b_inact.tolist() == e_inact.tolist()
-        assert fex[i]._touched == eex[i]._touched
-        assert fex[i].frontend._owner == eex[i].frontend._owner
-        assert fex[i].frontend.stores == eex[i].frontend.stores
-        assert fex[i].frontend.loads == eex[i].frontend.loads
+    for kernel_epoch in kernel_epochs:
+        with pytest.MonkeyPatch.context() as mp:
+            if kernel_epoch is not None:
+                mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
+            fluid, fex = _run_mt(traces, "batch", **kwargs)
+            des, _ = _run_mt(traces, "batch", des=True, **kwargs)
+        for i in range(len(traces)):
+            for counter in COUNTERS:
+                assert getattr(fluid[i], counter) == getattr(event[i], counter), \
+                    (i, counter)
+            assert fluid[i].sim_time == pytest.approx(des[i].sim_time, rel=TIME_RTOL)
+            assert fluid[i].fault_latency.n == event[i].fault_latency.n
+            b_act, b_inact = fex[i].lru.state_arrays()
+            e_act, e_inact = eex[i].lru.state_arrays()
+            assert b_act.tolist() == e_act.tolist()
+            assert b_inact.tolist() == e_inact.tolist()
+            assert fex[i]._touched == eex[i]._touched
+            assert fex[i].frontend._owner == eex[i].frontend._owner
+            assert fex[i].frontend.stores == eex[i].frontend.stores
+            assert fex[i].frontend.loads == eex[i].frontend.loads
     return fluid, event, des
 
 
@@ -121,9 +130,11 @@ def _assert_mt_equivalent(traces, **kwargs):
 @pytest.mark.parametrize("n_tenants", [1, 2, 4, 8])
 def test_mt_sweep_backends_tenants_distributions(kind, n_tenants):
     """The acceptance sweep: backends × tenant counts, tenants cycling
-    through all three access distributions."""
+    through all three access distributions — once on the LRU's default
+    replay path (an epoch sweep at 90 local pages) and once through its
+    two-scan kernel."""
     traces = _tenant_traces(n_tenants, seed0=10 * n_tenants)
-    _assert_mt_equivalent(traces, kind=kind)
+    _assert_mt_equivalent(traces, kernel_epochs=(None, 1), kind=kind)
 
 
 def test_single_tenant_fluid_matches_per_access_loop():
