@@ -829,7 +829,7 @@ def check_replay_regression(report: dict, baseline_path: str, suite: str) -> int
 
 def check_sim_time_bound(report: dict) -> int:
     """Fail when a replay-mt workload's fluid ``sim_time`` error exceeds
-    :data:`SIM_TIME_REL_ERR_BOUND` (DESIGN.md §3.3)."""
+    :data:`SIM_TIME_REL_ERR_BOUND` (DESIGN.md §3.2)."""
     over = []
     for name, row in report["workloads"].items():
         err = row["max_sim_time_rel_err"]

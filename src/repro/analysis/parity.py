@@ -8,12 +8,14 @@ surface** of each engine:
 
 * **group "result"** — the :class:`SwapExecutionResult` surface.  The event
   engine is everything reachable from ``SwapExecutor._run_proc``; the batch
-  side everything reachable from ``replay_run``/``replay_run_multi`` *plus*
-  the segmented hybrid planner's ``hybrid_run`` (which reaches the fault
-  path — retries, stalls, failover — through its event segments).  A
-  mutation is any ``res.X += / -= / =`` or ``res.X.add(...)`` /
-  ``res.X.add_repeat(...)`` whose receiver chain ends in ``res`` or
-  ``result`` (so LRU-internal stats like ``lru.hits`` don't count).
+  side is two entries, diffed one at a time: everything reachable from
+  ``replay_run_multi`` (the clean batch engine, one tenant or many), and
+  everything reachable from the segmented hybrid planner's ``hybrid_run``
+  (which reaches the fault path — retries, stalls, failover — through its
+  event segments).  A mutation is any ``res.X += / -= / =`` or
+  ``res.X.add(...)`` / ``res.X.add_repeat(...)`` whose receiver chain ends
+  in ``res`` or ``result`` (so LRU-internal stats like ``lru.hits`` don't
+  count).
 * **group "device"** — :class:`FaultyDevice`'s ``self.*`` counters
   (attributes initialised to numeric constants in ``__init__``), diffed
   between the per-access ``_io`` path and the batched ``_io_batch`` path.
@@ -46,18 +48,18 @@ __all__ = []
 #: reason per field) only if a counter legitimately becomes one-sided.
 _EVENT_ONLY: dict[str, str] = {}
 
-#: Per-entry exemptions for the *clean-path* batch engines: `replay_run`
-#: and `replay_run_multi` are only ever taken when no live fault windows
-#: and no failover controller are attached (executor eligibility routes
-#: every injected run to `hybrid_run`), so the fault-path counters have
-#: no mutation site there by design.  `hybrid_run` gets no exemption —
-#: it must cover the full event surface.
+#: Per-entry exemptions for the *clean-path* batch engine:
+#: `replay_run_multi` is only ever taken when no live fault windows and no
+#: failover controller are attached (the `_engine` dispatcher routes every
+#: injected run to `hybrid_run` or the event loop), so the fault-path
+#: counters have no mutation site there by design.  `hybrid_run` gets no
+#: exemption — it must cover the full event surface.
 _CLEAN_ONLY: dict[str, str] = {
     "transient_retries": "clean-path engine: injected runs route to hybrid_run",
     "stall_time": "clean-path engine: injected runs route to hybrid_run",
     "failovers": "clean-path engine: injected runs route to hybrid_run",
 }
-_CLEAN_ENTRIES = frozenset({"replay_run", "replay_run_multi"})
+_CLEAN_ENTRIES = frozenset({"replay_run_multi"})
 
 _RESULT_RECEIVERS = frozenset({"res", "result"})
 _STAT_METHODS = frozenset({"add", "add_repeat"})
@@ -151,8 +153,8 @@ class EngineParity(Rule):
             "        res.faults += 1\n"
         ),
         "swap/replay.py": (
-            "def replay_run(ex):\n"
-            "    res = ex.result\n"
+            "def replay_run_multi(executors):\n"
+            "    res = executors[0].result\n"
             "    res.hits += 1\n"
         ),
     }
@@ -165,8 +167,8 @@ class EngineParity(Rule):
             "        res.faults += 1\n"
         ),
         "swap/replay.py": (
-            "def replay_run(ex):\n"
-            "    res = ex.result\n"
+            "def replay_run_multi(executors):\n"
+            "    res = executors[0].result\n"
             "    res.hits += 1\n"
             "    res.faults += 1\n"
         ),
@@ -180,8 +182,7 @@ class EngineParity(Rule):
 
     def _result_group(self, project: ProjectContext) -> Iterator[Finding]:
         event_entries = _find_entries(project, "SwapExecutor._run_proc")
-        batch_entries = (_find_entries(project, "replay_run")
-                         + _find_entries(project, "replay_run_multi")
+        batch_entries = (_find_entries(project, "replay_run_multi")
                          + [i for i in _find_entries(project, "hybrid_run")
                             if i.cls is None])
         if not event_entries or not batch_entries:

@@ -5,7 +5,7 @@ in the lint set and offers the cross-file lookups the dataflow rule families
 need:
 
 * ``functions`` — every function/method keyed by dotted qualname
-  (``repro.swap.replay.replay_run``, ``repro.swap.executor.SwapExecutor._run_proc``);
+  (``repro.swap.replay.replay_run_multi``, ``repro.swap.executor.SwapExecutor._run_proc``);
 * ``resolve_callee`` — best-effort static resolution of a call site to one
   of those functions (local name, import alias, ``self.method``, unique
   bare name);

@@ -7,7 +7,7 @@ differ, so a per-phase console can offload more during light phases while
 still meeting the SLO in heavy ones.  Exhaustively grid-sweeping every
 (tenant, phase) cell is what made this unaffordable: each SLO search
 burns ``12 × |lattice|`` scalar model runs, and the phase axis multiplies
-it.  The tuner's batched bisection (DESIGN.md §3.6) makes each cell cost
+it.  The tuner's batched bisection (DESIGN.md §3.4) makes each cell cost
 two vectorized batches, and replay validation of the chosen configs is
 shortlisted and content-addressed in the artifact cache — re-runs pay
 zero replays.
@@ -38,7 +38,7 @@ SLO = 1.05
 _N_TENANTS = 4
 _BACKEND = BackendKind.RDMA
 #: replay-validation window per validated candidate (keeps full-scale
-#: traces affordable; ranking is stable over prefixes, DESIGN.md §3.6)
+#: traces affordable; ranking is stable over prefixes, DESIGN.md §3.4)
 _VALIDATE_ACCESSES = 60_000
 
 

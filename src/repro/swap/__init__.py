@@ -30,7 +30,7 @@ from repro.swap.executor import (
     make_contended_executors,
     run_tenants,
 )
-from repro.swap.replay import replay_run, replay_run_multi
+from repro.swap.replay import replay_run_multi
 from repro.swap.pathmodel import (
     PathType,
     SwapConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "SwapExecutionResult",
     "run_tenants",
     "make_contended_executors",
-    "replay_run",
     "replay_run_multi",
     "PathType",
     "SwapConfig",

@@ -20,14 +20,15 @@ exists for three reasons:
 
 Cost model at this layer: each *blocking* fault pays the kernel fault cost
 plus the backend's DES store/load (device channels, media pipe, PCIe slot,
-root complex all contended); prefetched pages ride along batched.  For
-tractability the executor walks traces of up to a few hundred thousand
-accesses; use the analytic layer for sweeps.
+root complex all contended); prefetched pages ride along batched.  The
+per-access loop here is the reference engine; :meth:`SwapExecutor.run`
+and :func:`run_tenants` hand eligible runs to the batch engine
+(:mod:`repro.swap.replay`) or the hybrid planner (:mod:`repro.swap.plan`)
+through one dispatcher, :func:`repro.swap.replay._engine`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.devices.base import FarMemoryDevice
@@ -44,7 +45,7 @@ from repro.simcore import OnlineStats, Simulator, TimeSeries
 from repro.swap.backend import build_backend_module
 from repro.swap.frontend import SwapFrontend
 from repro.swap.pathmodel import FAULT_COST, SwapConfig
-from repro.swap.replay import REPLAY_ENV, replay_run, replay_run_multi
+from repro.swap.replay import _engine, _tenant_group, replay_run_multi
 from repro.trace.schema import PageTrace
 from repro.units import usec
 
@@ -219,31 +220,22 @@ class SwapExecutor:
     def run(self, trace: PageTrace, classify=None) -> SwapExecutionResult:
         """Execute the whole trace; returns the accumulated counters.
 
-        ``REPRO_REPLAY=batch`` (the default) delegates eligible runs —
-        cold single-tenant stacks with an idle simulator — to the batched
-        fault-replay engine (:mod:`repro.swap.replay`), which produces
-        bit-identical counters from a vectorized classification pass plus
-        aggregate DES admission.  Cold runs with live fault windows or an
-        attached failover controller go to the segmented hybrid engine
-        (:mod:`repro.swap.plan`): batch admission outside hazard spans,
-        the exact per-access loop inside them.  ``REPRO_REPLAY=event``
-        forces the exact per-access loop (the reference the equivalence
-        tests compare against); warm or multi-tenant executors always
-        take it.  ``classify`` is the batch engine's phase-1 hook (see
-        :func:`~repro.swap.replay.replay_run`); no other path calls it.
+        :func:`~repro.swap.replay._engine` picks the engine: ``batch``
+        runs the one-tenant case of
+        :func:`~repro.swap.replay.replay_run_multi` (classification plus
+        fluid admission); ``hybrid`` the segmented planner of
+        :mod:`repro.swap.plan` (batch outside hazard spans, the exact loop
+        inside them); ``event`` the exact per-access loop, the reference
+        the equivalence tests compare against.  ``classify`` is the batch
+        engine's phase-1 hook; no other engine calls it.
         """
-        mode = os.environ.get(REPLAY_ENV, "batch")
-        if mode not in ("batch", "event"):
-            raise ConfigurationError(
-                f"unknown {REPLAY_ENV}={mode!r}; expected 'batch' or 'event'"
-            )
-        if mode == "batch":
-            if self._batch_eligible():
-                return replay_run(self, trace, classify)
-            if self._hybrid_eligible():
-                from repro.swap.plan import hybrid_run
+        engine = _engine([self])
+        if engine == "batch":
+            return replay_run_multi([self], [trace], classify)[0]
+        if engine == "hybrid":
+            from repro.swap.plan import hybrid_run
 
-                return hybrid_run(self, trace)
+            return hybrid_run(self, trace)
         done = self.sim.process(self._run_proc(trace), name="exec:run")
         self.sim.run(until=done)
         return self.result
@@ -262,40 +254,6 @@ class SwapExecutor:
             and len(self.lru) == 0
             and not self._evicted
             and self.frontend.resident_far_pages == 0
-        )
-
-    def _batch_eligible(self) -> bool:
-        """Whether pure batched replay reproduces this run exactly.
-
-        The classification pass assumes the access outcome stream is
-        predetermined by the trace alone.  Fault windows break that
-        premise — retries, stalls, and mid-run switches depend on *when*
-        each access runs — so an attached failover controller or live
-        fault windows route to the segmented hybrid engine instead (an
-        empty or fully elapsed :class:`~repro.faults.plan.FaultPlan` is
-        harmless and keeps batch eligibility).
-        """
-        return (
-            self._cold_idle()
-            and self.failover is None
-            and not self._fault_injected()
-        )
-
-    def _hybrid_eligible(self) -> bool:
-        """Whether the segmented hybrid engine can run this trace.
-
-        Cold idle stack with something the pure batch engine cannot
-        honour — live fault windows or an attached failover controller —
-        on a device model the planner knows how to price (stock batched
-        I/O path, possibly wrapped by a single
-        :class:`~repro.faults.device.FaultyDevice`).
-        """
-        from repro.swap.plan import plannable
-
-        return (
-            self._cold_idle()
-            and (self.failover is not None or self._fault_injected())
-            and plannable(self)
         )
 
     def _run_proc(self, trace: PageTrace):
@@ -577,43 +535,26 @@ def make_contended_executors(
 def run_tenants(executors, traces, classify=None) -> list[SwapExecutionResult]:
     """Execute one trace per tenant concurrently on a shared simulator.
 
-    The multi-tenant counterpart of :meth:`SwapExecutor.run`:
-    ``REPRO_REPLAY=batch`` (the default) routes cold stacks through the
-    contended batched replay engine
-    (:func:`repro.swap.replay.replay_run_multi` — vectorized
-    classification per tenant, then a fluid fair-share phase-2 solve);
-    ``REPRO_REPLAY=event`` (or any warm/ineligible tenant) runs every
-    per-access reference loop concurrently through the event engine.
-    A single tenant delegates to :meth:`SwapExecutor.run`, so injected
-    or failover-managed runs take the segmented hybrid planner
-    (:mod:`repro.swap.plan`) rather than the bare event loop.
-    ``classify`` is handed to whichever batch engine runs.
-    Returns the per-tenant results in input order; each tenant's
-    ``sim_time`` covers its own start-to-finish interval.
+    The multi-tenant counterpart of :meth:`SwapExecutor.run`, dispatched
+    by the same :func:`~repro.swap.replay._engine`: ``batch`` routes the
+    group through :func:`~repro.swap.replay.replay_run_multi`
+    (vectorized classification per tenant, then one fluid fair-share
+    solve), ``event`` runs every per-access loop concurrently through the
+    event engine.  A single tenant delegates to :meth:`SwapExecutor.run`,
+    so injected or failover-managed runs take the segmented hybrid
+    planner (:mod:`repro.swap.plan`) rather than the bare event loop.
+    The group is checked (non-empty, one trace per executor, distinct
+    executors, one simulator) before any engine starts.  ``classify`` is
+    handed to the batch engine.  Returns the per-tenant results in input
+    order; each tenant's ``sim_time`` covers its own start-to-finish
+    interval.
     """
-    executors = list(executors)
-    traces = list(traces)
-    if not executors or len(executors) != len(traces):
-        raise ConfigurationError(
-            f"need one trace per executor, got {len(executors)} executor(s) "
-            f"and {len(traces)} trace(s)"
-        )
-    sim = executors[0].sim
-    for ex in executors:
-        if ex.sim is not sim:
-            raise ConfigurationError("tenant executors must share one simulator")
+    executors, traces = _tenant_group(executors, traces)
     if len(executors) == 1:
-        # the single-tenant ladder (batch -> segmented hybrid -> event)
-        # lives on SwapExecutor.run; delegating keeps injected/failover
-        # runs on the hybrid planner instead of the bare event loop
         return [executors[0].run(traces[0], classify)]
-    mode = os.environ.get(REPLAY_ENV, "batch")
-    if mode not in ("batch", "event"):
-        raise ConfigurationError(
-            f"unknown {REPLAY_ENV}={mode!r}; expected 'batch' or 'event'"
-        )
-    if mode == "batch" and all(ex._batch_eligible() for ex in executors):
+    if _engine(executors) == "batch":
         return replay_run_multi(executors, traces, classify)
+    sim = executors[0].sim
     procs = [
         sim.process(ex._run_proc(trace), name=f"exec:run:{i}")
         for i, (ex, trace) in enumerate(zip(executors, traces))

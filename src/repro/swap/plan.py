@@ -14,8 +14,9 @@ active backend's plan:
 
 * **outside** every hazard span, chunks of the trace are classified
   against the live seam state (:func:`~repro.swap.replay.classify_span`)
-  and admitted as aggregate per-``_WINDOW`` flows, exactly like
-  :func:`~repro.swap.replay.replay_run`;
+  and admitted as aggregate per-``_WINDOW`` steps by the same one-tenant
+  fluid solve the batch engine runs
+  (:func:`~repro.swap.replay._fluid_phase2`);
 * **inside** a hazard span (and on its approach, once batching to the
   window start would risk overshooting), the exact per-access event loop
   runs (:meth:`SwapExecutor._span_proc`), faithfully resolving retries,
@@ -25,7 +26,9 @@ active backend's plan:
   controller is attached — the health monitor is fed the batch segments'
   per-fault latencies at exact global fault ordinals, so every health
   check fires at the same fault index with the same window content as in
-  the pure event engine.
+  the pure event engine (a check inside a batch segment is stamped with
+  the completion time of its window's fault step, not the crossing
+  fault's own).
 
 Two invariants make the splice exact:
 
@@ -33,7 +36,8 @@ Two invariants make the splice exact:
   (its window holds no unevaluated samples — see
   :meth:`FailoverController.quiescent`), so every check falling inside a
   batch segment sees only healthy same-bin samples and provably returns
-  a healthy verdict (zero DES events, no switch);
+  a healthy verdict (a report that is not healthy raises
+  :class:`~repro.errors.SimulationError`);
 * a batch segment never *ends* inside a hazard: admission is priced from
   the exact serial cost of the uncontended healthy batch path, so the
   segment is cut one op-cost short of the hazard start (the event engine
@@ -52,7 +56,8 @@ instead of limping on the event engine to the end of the trace.
 Counters come out bit-identical to the event engine; ``sim_time`` agrees
 to float round-off (the serial cost sum is merely re-associated).  The
 equivalence sweep in ``tests/test_swap_plan.py`` locks this in across
-backends x fault-window kinds x {with, without} failover.
+backends x fault-window kinds x {with, without} failover, health-monitor
+reports included.
 """
 
 from __future__ import annotations
@@ -61,14 +66,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.devices.base import FarMemoryDevice
 from repro.errors import SimulationError
-from repro.faults.device import FaultyDevice
 from repro.mem.page import PageOp
 from repro.swap.pathmodel import FAULT_COST
-from repro.swap.replay import _WINDOW, classify_span
+from repro.swap.replay import (
+    _WINDOW,
+    _fluid_phase2,
+    _fluid_supported,
+    _TenantPlan,
+    classify_span,
+)
 
-__all__ = ["PlanSegment", "ExecutionPlan", "hybrid_run", "plannable"]
+__all__ = ["PlanSegment", "ExecutionPlan", "hybrid_run"]
 
 _STORE_OP = int(PageOp.STORE)
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -157,30 +166,6 @@ class ExecutionPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ExecutionPlan {self.describe()}>"
-
-
-def plannable(executor) -> bool:
-    """Whether the hybrid planner can price this executor's active device.
-
-    Batch segments admit aggregate flows through the stock
-    :meth:`FarMemoryDevice._io_batch` path (possibly behind a single
-    :class:`FaultyDevice` wrapper, which is a healthy-time no-op outside
-    its windows); a device subclass with its own batched DES path needs
-    the event engine throughout.
-    """
-    frontend = executor.frontend
-    name = frontend.active_backend
-    if name is None:
-        return False
-    device = frontend.module(name).device
-    if type(device) is FaultyDevice:
-        device = device.inner
-    t = type(device)
-    return (
-        t._io_batch is FarMemoryDevice._io_batch
-        and t.batch_command_cost is FarMemoryDevice.batch_command_cost
-        and t.stage_pipes is FarMemoryDevice.stage_pipes
-    )
 
 
 def _active_hazards(executor) -> list[tuple[float, float]]:
@@ -296,7 +281,6 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
         # oversized one costs re-classifying the whole kept prefix
         predicted = int(0.85 * (limit - sim.now) * rate[1] / rate[0])
         chunk = min(_CHUNK_MAX, max(_WINDOW, predicted))
-    add_repeat = res.fault_latency.add_repeat
     # far copies owned by a non-active backend are *stale*: their fault
     # timing (and the lazy-migration invalidation that follows) depends on
     # the owner, and a store re-homes them — neither of which the
@@ -407,53 +391,33 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
             a1 = a_pos + cut
             span = _replay_span(executor, anon_pages[a_pos:a1],
                                 anon_ops[a_pos:a1], touched_arr, far_arr)
-        n_windows = (a1 - a_pos + _WINDOW - 1) // _WINDOW
-        fault_counts = np.bincount(span.fault_pos // _WINDOW,
-                                   minlength=n_windows)
-        wb_counts = np.bincount(span.evict_pos[~span.clean] // _WINDOW,
-                                minlength=n_windows)
-        fc = fault_counts.tolist()
-        wc = wb_counts.tolist()
-        base_faults = res.faults
-
-        def admit():
-            f_idx = base_faults
-            for k_fault, k_wb in zip(fc, wc):
-                if k_fault:
-                    t0 = sim.now
-                    yield sim.timeout(k_fault * FAULT_COST)
-                    yield from frontend.load_batch_gen(
-                        k_fault, granularity=granularity)
-                    mean = (sim.now - t0) / k_fault
-                    add_repeat(mean, k_fault)
-                    if failover is not None:
-                        # replicate the event loop's monitor feed: one
-                        # observation per fault at its global ordinal, a
-                        # check at every interval crossing — provably
-                        # healthy-verdict (quiescent entry, same-bin
-                        # samples), so checks cost zero DES events
-                        for _ in range(k_fault):
-                            f_idx += 1
-                            failover.observe_fault(
-                                mean, granularity, backend=active_name)
-                            if f_idx % interval == 0:
-                                if (yield from failover.check_gen()) is not None:
-                                    raise SimulationError(
-                                        "hybrid replay: health check fired a "
-                                        "switch inside a batch segment"
-                                    )
-                if k_wb:
-                    yield from frontend.store_batch_gen(
-                        k_wb, granularity=granularity)
-
-        if any(fc) or any(wc):
-            done = sim.process(admit(), name="exec:hybrid")
-            sim.run(until=done)
+        admission = _TenantPlan(executor, span, a1 - a_pos)
+        if admission.steps:
+            _fluid_phase2(sim, [admission])
             if limit is not None and sim.now > limit:
                 raise SimulationError(
                     f"hybrid replay: batch segment overshot the hazard at "
                     f"t={limit:.6f} (now t={sim.now:.6f})"
                 )
+            if failover is not None:
+                # replay the event loop's monitor feed: one observation per
+                # fault at its global ordinal, a check at every interval
+                # crossing, stamped when the step holding that fault completed
+                f_idx = res.faults
+                for mean, count, t_done in admission.latencies:
+                    for _ in range(count):
+                        f_idx += 1
+                        failover.observe_fault(mean, granularity,
+                                               backend=active_name)
+                        if f_idx % interval == 0:
+                            report = failover.monitor(active_name).check(t_done)
+                            if report is not None and not report.healthy:
+                                raise SimulationError(
+                                    "hybrid replay: health check inside a "
+                                    "batch segment reported degradation; "
+                                    "batch segments must start with a "
+                                    "quiescent failover monitor"
+                                )
         # book the chunk's timing-independent facts
         full_next = int(anon_idx[a1]) if a1 < n_anon else n_full
         n_span = a1 - a_pos
@@ -496,9 +460,15 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
 _EVENT_SLICE = 4 * _WINDOW  # simlint: ignore[UNIT001] -- access count, not bytes
 
 
-def _event_span(executor, trace, full_pos, stop_time):
+def _event_span(executor, trace, full_pos, stop_time, end=None):
     """Run the exact per-access loop from ``full_pos``; returns the next
     unprocessed index (see :meth:`SwapExecutor._span_proc`).
+
+    The walk hands back control at the first access boundary past
+    ``stop_time`` (once the failover monitor is quiescent), or at
+    position ``end``: the bound a caller sets when it knows exactly which
+    accesses need the exact loop (a stale cut's owner-dependent ones).
+    With neither, it runs to the end of the trace.
 
     The trace is handed over in bounded python-list slices: event spans
     cover a sliver of the run, so converting the whole trace up front
@@ -510,8 +480,12 @@ def _event_span(executor, trace, full_pos, stop_time):
     failover = executor.failover
     switched0 = failover.switched_at if failover is not None else None
     n = int(trace.pages.shape[0])
-    while full_pos < n:
-        hi = n if stop_time is None else min(n, full_pos + _EVENT_SLICE)
+    stop = n if end is None else min(end, n)
+    while full_pos < stop:
+        if stop_time is None and end is None:
+            hi = n  # an unbounded walk takes the rest in one slice
+        else:
+            hi = min(stop, full_pos + _EVENT_SLICE)
         pages = trace.pages[full_pos:hi].tolist()
         kinds = trace.kinds[full_pos:hi].tolist()
         ops = trace.ops[full_pos:hi].tolist()
@@ -522,15 +496,16 @@ def _event_span(executor, trace, full_pos, stop_time):
         )
         sim.run(until=done)
         full_pos += int(done.value)
-        if full_pos < hi or stop_time is None:
-            break
+        if full_pos < hi:
+            break  # the stop fired inside the slice
         # the loop's stop check runs *after* each access, so a stop that
         # fires exactly on the slice boundary must not leak one access
         # into the next slice
         if (
-            (sim.now >= stop_time
-             or (failover is not None
-                 and failover.switched_at != switched0))
+            stop_time is not None
+            and (sim.now >= stop_time
+                 or (failover is not None
+                     and failover.switched_at != switched0))
             and (failover is None or failover.quiescent())
         ):
             break
@@ -541,30 +516,6 @@ def _event_span(executor, trace, full_pos, stop_time):
 #: doubles per consecutive cut up to ``_EVENT_SLICE`` and resets once a
 #: batch segment makes real progress again.
 _EVENT_STEP = _WINDOW // 16  # simlint: ignore[UNIT001] -- access count, not bytes
-
-
-def _event_exact(executor, trace, full_pos, end):
-    """Walk accesses ``[full_pos, end)`` on the exact loop, position-bounded.
-
-    Unlike :func:`_event_span` there is no stop time: the slice boundary
-    is the contract (the caller knows exactly which accesses are
-    owner-dependent), and ``_span_proc`` without a stop time consumes each
-    handed slice entirely.
-    """
-    sim = executor.sim
-    end = min(end, int(trace.pages.shape[0]))
-    while full_pos < end:
-        hi = min(end, full_pos + _EVENT_SLICE)
-        pages = trace.pages[full_pos:hi].tolist()
-        kinds = trace.kinds[full_pos:hi].tolist()
-        ops = trace.ops[full_pos:hi].tolist()
-        done = sim.process(
-            executor._span_proc(pages, kinds, ops, 0, None),
-            name="exec:hybrid:event",
-        )
-        sim.run(until=done)
-        full_pos += int(done.value)
-    return full_pos
 
 
 def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
@@ -588,8 +539,10 @@ def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
     failover = executor.failover
     rate = [0.0, 0.0]  # the switched-to device prices differently: restart
     event_len = _EVENT_STEP
+    frontend = executor.frontend
     while full_pos < n_full:
-        if not plannable(executor):
+        if not _fluid_supported(frontend.module(frontend.active_backend).device):
+            # the switched-to device is one the fluid solver does not model
             t0, p0 = sim.now, full_pos
             full_pos = _event_span(executor, trace, full_pos, None)
             plan.add("event", p0, full_pos, t0, sim.now)
@@ -622,7 +575,7 @@ def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
         if blocked is not None:
             target = min(n_full, max(blocked + 1, full_pos + event_len))
             t0, p0 = sim.now, full_pos
-            full_pos = _event_exact(executor, trace, full_pos, target)
+            full_pos = _event_span(executor, trace, full_pos, None, end=target)
             plan.add("event", p0, full_pos, t0, sim.now)
             event_len = min(event_len * 2, _EVENT_SLICE)
         else:
@@ -638,9 +591,10 @@ def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
 def hybrid_run(executor, trace):
     """Execute ``trace`` on the segmented hybrid engine.
 
-    The planner's entry point, called by :meth:`SwapExecutor.run` for
-    cold runs with live fault windows or an attached failover controller
-    on a plannable device.  Bit-identical counters and end state to the
+    The planner's entry point, called by :meth:`SwapExecutor.run` when
+    :func:`~repro.swap.replay._engine` picks ``hybrid``: a cold run with
+    live fault windows or an attached failover controller, on a device
+    the fluid solver models.  Bit-identical counters and end state to the
     per-access event engine; ``sim_time`` equal to float round-off.  The
     as-executed schedule lands on ``executor.execution_plan``.
     """

@@ -1,12 +1,12 @@
-"""Batched fault-replay engine: classify once, admit in bulk.
+"""Batched fault replay: classify once, admit in bulk.
 
 The event-level :class:`~repro.swap.executor.SwapExecutor` walks a trace
 one access at a time through the DES — faithful, but ~10⁵–10⁶ events per
-million accesses.  For a *single-tenant* run starting from a cold stack,
-every one of those events is predetermined by the trace and the LRU
-policy alone: nothing the DES resolves (device service times, channel
-waits) feeds back into *which* accesses hit, fault, or evict.  This
-module exploits that by splitting the run into two phases:
+million accesses.  For a run starting from a cold stack, every one of
+those events is predetermined by the trace and the LRU policy alone:
+nothing the DES resolves (device service times, channel waits) feeds back
+into *which* accesses hit, fault, or evict.  This module exploits that by
+splitting the run into two phases:
 
 **Phase 1 — vectorized classification** (:func:`classify_trace`).  The
 anonymous sub-trace is pushed through the batched two-generation replay
@@ -19,48 +19,42 @@ count for **every** capacity from one Mattson reuse pass
 (:func:`trace_mrc`), so capacity sweeps cost one classification, not one
 replay per point.
 
-**Phase 2 — epoch-batched admission** (:func:`replay_run`).  The fault
-and writeback streams are admitted to the DES as aggregate I/O flows per
-fixed window of ``_WINDOW`` accesses, via the frontend/backend/device
-``*_batch_gen`` paths — identical aggregate timing to the per-page ops
-on an uncontended device, but O(windows) DES events instead of
-O(accesses).  Counters come out bit-identical to the event loop and
-``sim_time`` agrees to float round-off; the equivalence suite
-(``tests/test_swap_replay.py``) locks both in.
+**Phase 2 — fluid admission** (:func:`replay_run_multi`).  Each tenant's
+faults and writebacks become one aggregate admission step per fixed
+window of ``_WINDOW`` accesses, and an exact **progressive-filling fluid
+solve** (:func:`_fluid_phase2`) schedules every tenant's steps over the
+shared links and channel pools: fair-share rates only change at flow
+arrival/completion breakpoints, so the piecewise-linear schedule is
+solved on one merged breakpoint timeline with no DES events at all.  A
+single-tenant run is the N = 1 case, and the hybrid planner
+(:mod:`repro.swap.plan`) hands each admitted chunk to the same solver.
+Counters come out bit-identical to the event loop — classification is
+timing-independent, so contention reorders I/O completions but never
+which accesses hit, fault, or evict — and ``sim_time`` matches the
+per-access loop to 1e-9 at one tenant and the windowed DES admission
+reference (``tests/oracles.py``) to 1e-9 at any tenant count.
 
-**Contended N-tenant runs** (:func:`replay_run_multi`) reuse phase 1
-unchanged — classification is timing-independent, so contention reorders
-I/O completions but never which accesses hit, fault, or evict — and
-replace phase 2's uncontended admission with an exact
-**progressive-filling fluid solve** (:func:`_fluid_phase2`): all tenants'
-per-window demand merges into one breakpoint timeline over the shared
-links and channel pool, where fair-share rates only change at flow
-arrival/completion breakpoints, so the piecewise-linear schedule equals
-the windowed DES admission (:func:`_des_phase2`) to round-off.  The DES
-admission stays as the fallback for devices whose batched I/O path the
-solver does not model (:func:`_fluid_supported`); the equivalence suite
-reaches it by patching that predicate.
+Phase 2 takes phase 1 through a ``classify`` hook; a co-tenant sweep that
+replays the same tenant slices over and over passes one
+:class:`ClassificationMemo` so each slice is classified once.
 
-Both phase-2 entry points take phase 1 through a ``classify`` hook; a
-co-tenant sweep that replays the same tenant slices over and over passes
-one :class:`ClassificationMemo` so each slice is classified once.
-
-Selection is by the ``REPRO_REPLAY`` environment variable, read by
-:meth:`SwapExecutor.run` and :func:`~repro.swap.executor.run_tenants`:
-``batch`` (default) delegates here whenever the run is eligible (cold
-stack, supported device model), ``event`` forces the exact per-access
-loop.
+:func:`_engine` picks the engine for both
+:meth:`~repro.swap.executor.SwapExecutor.run` and
+:func:`~repro.swap.executor.run_tenants`; it is the only parser of
+``REPRO_REPLAY`` (``batch``, the default, or ``event``).
 """
 
 from __future__ import annotations
 
 import heapq  # simlint: ignore[SIM001] -- fluid solver's breakpoint timeline mirrors the engine heap
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.devices.base import FarMemoryDevice
 from repro.errors import ConfigurationError, SanitizerError
+from repro.faults.device import FaultyDevice
 from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page import PageOp
 from repro.mem.reuse import MissRatioCurve, _prev_occurrence
@@ -69,8 +63,8 @@ from repro.swap.pathmodel import FAULT_COST
 from repro.trace.schema import PageTrace
 
 __all__ = ["ReplayClassification", "SpanClassification", "ClassificationMemo",
-           "classify_trace", "classify_span", "trace_mrc", "replay_run",
-           "replay_run_multi", "REPLAY_VERSION", "REPLAY_ENV"]
+           "classify_trace", "classify_span", "trace_mrc", "replay_run_multi",
+           "REPLAY_VERSION", "REPLAY_ENV"]
 
 #: Bumped whenever classification output could change; part of the
 #: on-disk classification cache key.
@@ -417,9 +411,9 @@ def _classify_uncached(
 class ClassificationMemo:
     """In-memory :func:`classify_trace` memo owned by one co-tenant sweep.
 
-    A drop-in ``classify`` hook for :func:`replay_run`,
-    :func:`replay_run_multi` and the executors that route to them: called
-    as ``memo(trace, capacity, active_ratio)``, it classifies each
+    A drop-in ``classify`` hook for :func:`replay_run_multi` and the
+    executors that route to it: called as
+    ``memo(trace, capacity, active_ratio)``, it classifies each
     distinct ``(trace.content_digest(), capacity, active_ratio)`` — the
     identity :func:`repro.cache.replay_key` persists under — once, and
     hands every later caller the same result.  Sweeps replay the same
@@ -429,7 +423,7 @@ class ClassificationMemo:
     Classification is a pure function of that key, so reuse changes no
     outcome.  The result is shared between tenants, so its arrays are
     returned read-only.  Scope a memo to one sweep: it holds every entry
-    until dropped (DESIGN.md §3.3).
+    until dropped (DESIGN.md §3.2).
     """
 
     def __init__(self) -> None:
@@ -463,8 +457,7 @@ def _apply_classification(executor, cls: ReplayClassification) -> None:
     """Book a classification's counters and end state onto ``executor``.
 
     Everything timing-independent: execution counters, LRU contents and
-    statistics, the touched set.  Shared by the single-tenant and
-    multi-tenant phase-2 paths.
+    statistics, the touched set.
     """
     res = executor.result
     res.accesses += cls.n_accesses
@@ -485,89 +478,16 @@ def _apply_classification(executor, cls: ReplayClassification) -> None:
     executor._touched.update(cls.touched.tolist())
 
 
-def _window_counts(cls: ReplayClassification) -> tuple[list[int], list[int]]:
-    """Per-``_WINDOW`` fault and writeback counts, as plain ints."""
-    n_anon = cls.n_accesses - cls.file_skips
-    n_windows = (n_anon + _WINDOW - 1) // _WINDOW
-    fault_counts = np.bincount(cls.fault_pos // _WINDOW, minlength=n_windows)
-    wb_pos = cls.evict_pos[~cls.clean]
-    wb_counts = np.bincount(wb_pos // _WINDOW, minlength=n_windows)
-    return fault_counts.tolist(), wb_counts.tolist()
-
-
-def replay_run(executor, trace: PageTrace, classify=None):
-    """Phase 2: apply a classification to ``executor`` through the DES.
-
-    Equivalent to ``executor.run(trace)`` on the event path for an
-    eligible (cold, single-tenant, idle-sim) executor: same counters
-    bit-for-bit, same end state for the LRU lists, touched set, and
-    far-memory ownership, and ``sim_time`` equal up to float round-off.
-    Faults and writebacks are admitted per ``_WINDOW``-access window as
-    aggregate flows; each window charges the kernel fault cost per fault
-    and credits the mean per-fault latency to the latency collector.
-
-    ``classify`` produces phase 1 with :func:`classify_trace`'s
-    signature; a :class:`ClassificationMemo` shares it across a sweep.
-    ``None`` means :func:`classify_trace`, looked up at call time so a
-    wrapped or patched module function sees every call.
-    """
-    if classify is None:
-        classify = classify_trace
-    cls = classify(trace, executor.lru.capacity, executor.lru.active_ratio)
-    sim = executor.sim
-    res = executor.result
-    frontend = executor.frontend
-    _apply_classification(executor, cls)
-    start = sim.now
-    if cls.faults or cls.swap_outs:
-        fault_counts, wb_counts = _window_counts(cls)
-        granularity = executor.config.granularity
-        add_repeat = res.fault_latency.add_repeat
-
-        def admit():
-            for k_fault, k_wb in zip(fault_counts, wb_counts):
-                if k_fault:
-                    t0 = sim.now
-                    yield sim.timeout(k_fault * FAULT_COST)
-                    yield from frontend.load_batch_gen(k_fault, granularity=granularity)
-                    add_repeat((sim.now - t0) / k_fault, k_fault)
-                if k_wb:
-                    yield from frontend.store_batch_gen(k_wb, granularity=granularity)
-
-        done = sim.process(admit(), name="exec:replay")
-        sim.run(until=done)
-    if cls.far_end.size:
-        frontend.adopt_far_pages(cls.far_end.tolist())
-    res.sim_time = sim.now - start
-    if sim.sanitize:
-        executor.assert_page_conservation()
-    return res
-
-
 # ---------------------------------------------------------------------------
-# Multi-tenant contended replay
+# Phase 2: fluid admission
 # ---------------------------------------------------------------------------
 #
-# Phase 1 is per-tenant and timing-independent, so N contended tenants
-# classify exactly as N solo tenants do.  Phase 2 is where contention
-# lives: tenants' aggregate flows share device channel pools, media pipes,
-# PCIe slots and switches.  Two solvers admit the same per-window step
-# schedule, chosen by `_fluid_supported`:
-#
-# * DES admission (`_des_phase2`) — one admission coroutine per tenant
-#   through the real event engine (O(windows) events per tenant); the
-#   timing reference, and the path for devices that override the batched
-#   I/O path.
-# * fluid (`_fluid_phase2`) — a flow-level progressive-filling solver: fair-share
-#   rates only change at flow arrival/completion breakpoints, so the
-#   piecewise-linear schedule is solved analytically on a merged breakpoint
-#   timeline, replicating `FairShareLink`'s float arithmetic expression by
-#   expression.  Same breakpoints, same floats, no generator machinery —
-#   this is what makes 64-tenant sweeps cheap.
-#
-# Both produce identical counters (those are phase-1 facts) and agree on
-# per-tenant ``sim_time`` to float round-off; the equivalence suite
-# (``tests/test_swap_replay_mt.py``) locks the triangle batch/des/event.
+# Tenants' aggregate flows share device channel pools, media pipes, PCIe
+# slots and switches.  `_fluid_phase2` replicates `FairShareLink`'s float
+# arithmetic expression by expression on one merged breakpoint timeline —
+# same breakpoints, same floats, no generator machinery, which is what
+# makes 64-tenant sweeps cheap.  Its timing oracle, windowed admission
+# through the device `*_batch_gen` paths, lives in `tests/oracles.py`.
 
 #: Fluid-solver event kinds, ordered only for readability (ties on the
 #: timeline break by sequence number, exactly like the engine heap).
@@ -632,13 +552,19 @@ class _PoolState:
 
 
 class _TenantPlan:
-    """One tenant's phase-2 schedule plus its share of the shared topology."""
+    """One tenant's phase-2 schedule plus its share of the shared topology.
+
+    ``cls`` is a :class:`ReplayClassification` (a whole cold run) or a
+    :class:`SpanClassification` (one hybrid batch chunk) covering
+    ``n_anon`` anonymous accesses; either way the steps are admitted on
+    the executor's active backend.
+    """
 
     __slots__ = ("executor", "frontend", "module", "device", "granularity",
                  "steps", "stages_read", "stages_write", "next", "pending",
                  "t0", "end", "latencies", "pool")
 
-    def __init__(self, executor, cls: ReplayClassification) -> None:
+    def __init__(self, executor, cls, n_anon: int) -> None:
         self.executor = executor
         self.frontend = executor.frontend
         name = self.frontend.active_backend
@@ -648,7 +574,11 @@ class _TenantPlan:
         g = self.granularity
         self.steps: list[_AdmissionStep] = []
         if cls.faults or cls.swap_outs:
-            for k_fault, k_wb in zip(*_window_counts(cls)):
+            n_windows = (n_anon + _WINDOW - 1) // _WINDOW
+            faults = np.bincount(cls.fault_pos // _WINDOW, minlength=n_windows)
+            wbs = np.bincount(cls.evict_pos[~cls.clean] // _WINDOW,
+                              minlength=n_windows)
+            for k_fault, k_wb in zip(faults.tolist(), wbs.tolist()):
                 if k_fault:
                     self.steps.append(_AdmissionStep(
                         pre=k_fault * FAULT_COST,
@@ -663,7 +593,8 @@ class _TenantPlan:
         self.pending = 0
         self.t0 = 0.0
         self.end = 0.0
-        self.latencies: list[tuple[float, int]] = []
+        #: per fault step: (mean latency, fault count, completion time)
+        self.latencies: list[tuple[float, int, float]] = []
         self.stages_read: list[_LinkState] = []
         self.stages_write: list[_LinkState] = []
         self.pool: _PoolState | None = None
@@ -673,8 +604,14 @@ def _fluid_supported(device) -> bool:
     """Whether the fluid solver's device model matches this device.
 
     The solver prices command phases and stage pipes with the base-class
-    formulas; a subclass that overrides the batched DES path itself needs
-    the DES solver to stay exact."""
+    formulas.  A single :class:`FaultyDevice` wrapper is unwrapped first:
+    outside its windows its batched path is the wrapped device's (the
+    gate draws nothing, the latency factor is exactly 1.0, no stall is
+    added), and no batch admission runs inside a window.  A device that
+    overrides the batched DES path itself runs on the per-access loop.
+    """
+    if type(device) is FaultyDevice:
+        device = device.inner
     t = type(device)
     return (t._io_batch is FarMemoryDevice._io_batch
             and t.batch_command_cost is FarMemoryDevice.batch_command_cost
@@ -692,8 +629,10 @@ def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
     grant/release, `Timeout` scheduling), so per-tenant completion times
     come out equal to the DES admission reference up to round-off — with
     all flow weights 1.0 the shared expressions are exact term for term.
-    Returns per-tenant phase-2 durations and advances the (idle) engine
-    clock to the schedule's end.
+    Each fault step's mean latency, count and completion time land on
+    ``plan.latencies`` (the hybrid planner replays its monitor feed from
+    them).  Returns per-tenant phase-2 durations and advances the (idle)
+    engine clock to the schedule's end.
     """
     t_start = sim.now
     links: dict[int, _LinkState] = {}
@@ -833,7 +772,7 @@ def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
         st = plan.steps[plan.next]
         release_channel(plan.pool, now)
         if not st.write:
-            plan.latencies.append(((now - plan.t0) / st.count, st.count))
+            plan.latencies.append(((now - plan.t0) / st.count, st.count, now))
         plan.next += 1
         start_step(i, now)
 
@@ -909,7 +848,7 @@ def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
                 fe.listening_queue.put_nowait(("loaded_batch", st.count, fe.active_backend))
             dev.ops += st.count
         add_repeat = plan.executor.result.fault_latency.add_repeat
-        for mean, count in plan.latencies:
+        for mean, count, _ in plan.latencies:
             add_repeat(mean, count)
     end = max(plan.end for plan in plans)
     if end > sim.now:
@@ -917,52 +856,9 @@ def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
     return [plan.end - t_start for plan in plans]
 
 
-def _des_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
-    """Admit every tenant's step schedule through the real event engine.
-
-    One coroutine per tenant, concurrently — O(windows) events per tenant
-    instead of O(accesses); the reference the fluid solver is checked
-    against, and the fallback for devices with custom batched I/O paths.
-    """
-    t_start = sim.now
-    ends = [t_start] * len(plans)
-
-    def admit(i: int, plan: _TenantPlan):
-        frontend = plan.frontend
-        g = plan.granularity
-        add_repeat = plan.executor.result.fault_latency.add_repeat
-        for st in plan.steps:
-            if st.write:
-                yield from frontend.store_batch_gen(st.count, granularity=g)
-            else:
-                t0 = sim.now
-                yield sim.timeout(st.pre)
-                yield from frontend.load_batch_gen(st.count, granularity=g)
-                add_repeat((sim.now - t0) / st.count, st.count)
-        ends[i] = sim.now
-
-    procs = [sim.process(admit(i, plan), name=f"exec:replay:{i}")
-             for i, plan in enumerate(plans)]
-    sim.run(until=sim.all_of(procs))
-    return [e - t_start for e in ends]
-
-
-def replay_run_multi(executors, traces, classify=None):
-    """Phase 2 for N tenants contending on shared backends.
-
-    Equivalent to running every executor's per-access event loop
-    *concurrently* on the shared simulator: per-tenant counters and end
-    state are bit-identical (they are phase-1 facts — LRU decisions never
-    read the clock), and per-tenant ``sim_time`` matches the windowed DES
-    admission reference to float round-off (at one tenant that reference
-    itself matches the per-access loop to round-off; under contention the
-    window is the engine's admission quantum, see DESIGN.md §3.3).
-
-    ``classify`` produces each tenant's phase 1, as in :func:`replay_run`.
-    Phase 2 is the analytic progressive-filling solve when every device
-    uses the stock batched I/O path, and windowed admission through the
-    event engine otherwise.
-    """
+def _tenant_group(executors, traces) -> tuple[list, list]:
+    """Check one tenant group — non-empty, one trace per executor, distinct
+    executors, one shared simulator — and return it as two lists."""
     executors = list(executors)
     traces = list(traces)
     if not executors or len(executors) != len(traces):
@@ -973,13 +869,65 @@ def replay_run_multi(executors, traces, classify=None):
     if len({id(ex) for ex in executors}) != len(executors):
         raise ConfigurationError("tenant executors must be distinct")
     sim = executors[0].sim
-    for ex in executors:
-        if ex.sim is not sim:
-            raise ConfigurationError("tenant executors must share one simulator")
-        if not ex._batch_eligible():
-            raise ConfigurationError(
-                "replay_run_multi needs cold executors on an idle simulator"
-            )
+    if any(ex.sim is not sim for ex in executors):
+        raise ConfigurationError("tenant executors must share one simulator")
+    return executors, traces
+
+
+def _engine(executors, mode: str | None = None) -> str:
+    """The engine a tenant group runs on: ``"batch"``, ``"hybrid"`` or
+    ``"event"``.
+
+    The one dispatcher behind :meth:`~repro.swap.executor.SwapExecutor.run`
+    and :func:`~repro.swap.executor.run_tenants`, and the only parser of
+    ``REPRO_REPLAY`` (``mode`` overrides it).  ``event`` when the mode
+    says so, when any tenant's stack is warm or its simulator busy, or
+    when any tenant's active device fails :func:`_fluid_supported`.
+    Otherwise ``batch`` when no tenant has a failover controller or live
+    fault windows; with such hazards, ``hybrid`` for one tenant and
+    ``event`` for a contended group.
+    """
+    if mode is None:
+        mode = os.environ.get(REPLAY_ENV, "batch")
+    if mode not in ("batch", "event"):
+        raise ConfigurationError(
+            f"unknown {REPLAY_ENV}={mode!r}; expected 'batch' or 'event'"
+        )
+    if mode == "event" or not all(
+        ex._cold_idle()
+        and _fluid_supported(ex.frontend.module(ex.frontend.active_backend).device)
+        for ex in executors
+    ):
+        return "event"
+    if not any(ex.failover is not None or ex._fault_injected() for ex in executors):
+        return "batch"
+    return "hybrid" if len(executors) == 1 else "event"
+
+
+def replay_run_multi(executors, traces, classify=None):
+    """Batched replay of N >= 1 tenants contending on shared backends.
+
+    Equivalent to running every executor's per-access event loop
+    *concurrently* on the shared simulator: per-tenant counters and end
+    state are bit-identical (phase-1 facts — LRU decisions never read the
+    clock), and per-tenant ``sim_time`` matches the windowed DES admission
+    oracle to 1e-9 (at one tenant, the per-access loop itself; under
+    contention the window is the admission quantum, see DESIGN.md §3.2).
+
+    The group must be one :func:`_engine` sends to ``batch``.  ``classify``
+    produces each tenant's phase 1 with :func:`classify_trace`'s signature
+    (a :class:`ClassificationMemo` shares it across a sweep); ``None``
+    means :func:`classify_trace`, looked up at call time so a wrapped or
+    patched module function sees every call.
+    """
+    executors, traces = _tenant_group(executors, traces)
+    if _engine(executors, "batch") != "batch":
+        raise ConfigurationError(
+            "replay_run_multi needs cold executors on an idle simulator, "
+            "without failover or live fault windows, on devices the fluid "
+            "solver models"
+        )
+    sim = executors[0].sim
     if classify is None:
         classify = classify_trace
     classifications = [
@@ -989,11 +937,8 @@ def replay_run_multi(executors, traces, classify=None):
     plans = []
     for ex, cls in zip(executors, classifications):
         _apply_classification(ex, cls)
-        plans.append(_TenantPlan(ex, cls))
-    if all(_fluid_supported(p.device) for p in plans):
-        durations = _fluid_phase2(sim, plans)
-    else:
-        durations = _des_phase2(sim, plans)
+        plans.append(_TenantPlan(ex, cls, cls.n_accesses - cls.file_skips))
+    durations = _fluid_phase2(sim, plans)
     for ex, cls, duration in zip(executors, classifications, durations):
         if cls.far_end.size:
             ex.frontend.adopt_far_pages(cls.far_end.tolist())

@@ -1,4 +1,4 @@
-"""Cost-model-driven configuration search (DESIGN.md §3.6).
+"""Cost-model-driven configuration search (DESIGN.md §3.4).
 
 ``repro.tune`` turns the closed-form swap path model into a first-class
 vectorizable cost model and puts a search engine on top of it, replacing

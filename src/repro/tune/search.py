@@ -7,7 +7,7 @@ analytic optimum plus successive halving over ratio rungs, and leaves
 expensive replay simulation to a shortlist (:mod:`repro.tune.validate`).
 
 Run accounting (``TuneStats``) uses one currency everywhere, documented
-in DESIGN.md §3.6: a *simulated run* is one scalar cost-model evaluation
+in DESIGN.md §3.4: a *simulated run* is one scalar cost-model evaluation
 or one replay validation; a vectorized batch — however many points it
 prices — amortizes to roughly one scalar evaluation of numpy work, so it
 counts as one run.  ``grid_runs`` tracks what the exhaustive reference

@@ -7,7 +7,7 @@ the survivors graduate to longer prefixes — so the full-length replay is
 spent on a couple of finalists instead of the whole lattice.  Prefix
 ranking is sound here for the same reason the model's own ratio-sweep
 reuse works: swap cost is near-proportional to miss volume at fixed
-configuration (DESIGN.md §3.6's homogeneity argument), so relative
+configuration (DESIGN.md §3.4's homogeneity argument), so relative
 ordering stabilizes long before the full trace finishes.
 
 Every executed (trace-prefix, backend, configuration) measurement is

@@ -14,9 +14,14 @@ path computes fast, kept here so that production holds one path:
   :class:`~repro.core.console.SmartConsole`'s methods and run whole
   experiments on the grid, and they tally the console's ``TuneStats``
   (``scalar_runs`` and ``grid_runs``) once per scalar evaluation.
+* :func:`des_admission` — phase-2 batched replay admission through the
+  real event engine, one coroutine per tenant over the device-level
+  ``*_batch_gen`` paths; :func:`repro.swap.replay._fluid_phase2` must
+  match its per-tenant completion times to 1e-9.  Tests swap it in by
+  patching ``repro.swap.replay._fluid_phase2``.
 
-``benchmarks/perf_smoke.py`` times the same functions (``reuse`` and
-``tune`` suites).
+``benchmarks/perf_smoke.py`` times the reuse and tuner references
+(``reuse`` and ``tune`` suites).
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from repro.errors import ConfigurationError
 from repro.mem.reuse import COLD
 from repro.swap.pathmodel import SwapPathModel
 
-__all__ = ["reuse_distances_fenwick", "grid_configure", "grid_max_offload_under_slo"]
+__all__ = ["reuse_distances_fenwick", "grid_configure", "grid_max_offload_under_slo",
+           "des_admission"]
 
 
 def reuse_distances_fenwick(pages: np.ndarray) -> np.ndarray:
@@ -161,3 +167,38 @@ def grid_max_offload_under_slo(
     if lo_ok is None:
         return 0.0, None
     return lo_ok
+
+
+def des_admission(sim, plans):
+    """``_fluid_phase2`` as windowed admission through the event engine.
+
+    One coroutine per tenant, concurrently: each fault step pays its
+    serial kernel cost and then one aggregate ``load_batch_gen``, each
+    writeback step one ``store_batch_gen`` — O(windows) DES events per
+    tenant instead of O(accesses).  Fills ``plan.latencies`` and credits
+    the fault-latency collectors as the solver does; returns per-tenant
+    durations.
+    """
+    t_start = sim.now
+    ends = [t_start] * len(plans)
+
+    def admit(i, plan):
+        frontend = plan.frontend
+        g = plan.granularity
+        add_repeat = plan.executor.result.fault_latency.add_repeat
+        for st in plan.steps:
+            if st.write:
+                yield from frontend.store_batch_gen(st.count, granularity=g)
+            else:
+                t0 = sim.now
+                yield sim.timeout(st.pre)
+                yield from frontend.load_batch_gen(st.count, granularity=g)
+                mean = (sim.now - t0) / st.count
+                plan.latencies.append((mean, st.count, sim.now))
+                add_repeat(mean, st.count)
+        ends[i] = sim.now
+
+    procs = [sim.process(admit(i, plan), name=f"exec:replay:{i}")
+             for i, plan in enumerate(plans)]
+    sim.run(until=sim.all_of(procs))
+    return [e - t_start for e in ends]

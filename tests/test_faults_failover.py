@@ -20,7 +20,7 @@ from repro.faults import (
 )
 from repro.simcore import Simulator
 from repro.swap import SwapConfig, SwapExecutor
-from repro.swap.replay import REPLAY_ENV
+from repro.swap.replay import REPLAY_ENV, _engine
 from repro.trace import fuse
 from repro.workloads.generators import assemble, sequential_scan, zipf_accesses
 
@@ -235,13 +235,13 @@ def test_offline_without_standby_stalls_gracefully():
 
 # ------------------------------------------------- batch-engine gating
 def test_fault_plan_forces_event_engine(monkeypatch):
-    """REPRO_REPLAY=batch must fall back to the event loop under faults."""
+    """REPRO_REPLAY=batch must leave pure batching under live faults."""
     monkeypatch.setenv(REPLAY_ENV, "batch")
     sim = Simulator()
     plan = FaultPlan([LatencyFault(start=1.0, duration=0.1, factor=2.0)], seed=0)
     executor = SwapExecutor(sim, FaultyDevice(NVMeSSD(sim), plan),
                             BackendKind.SSD, local_pages=80)
-    assert not executor._batch_eligible()
+    assert _engine([executor]) == "hybrid"
     res = executor.run(_zipf_trace(n_pages=120, n_accesses=1500))
     # the event loop samples progress; the batch engine leaves it empty
     assert len(executor.progress) > 0
@@ -253,7 +253,7 @@ def test_empty_plan_keeps_batch_eligibility(monkeypatch):
     sim = Simulator()
     executor = SwapExecutor(sim, FaultyDevice(NVMeSSD(sim), FaultPlan()),
                             BackendKind.SSD, local_pages=80)
-    assert executor._batch_eligible()
+    assert _engine([executor]) == "batch"
     res = executor.run(_zipf_trace(n_pages=120, n_accesses=1500))
     assert len(executor.progress) == 0  # batched: no per-access sampling
     assert res.accesses == 1500
@@ -262,7 +262,7 @@ def test_empty_plan_keeps_batch_eligibility(monkeypatch):
 def test_attached_failover_forces_event_engine():
     windows = [LatencyFault(start=1.0, duration=0.1, factor=2.0)]
     sim, executor, controller, trace = _failover_stack(windows)
-    assert not executor._batch_eligible()
+    assert _engine([executor], "batch") == "hybrid"
 
 
 # ------------------------------------------------- failover_study edge scale

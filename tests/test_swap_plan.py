@@ -6,12 +6,16 @@ failover controller — all execution counters (including the fault-path
 trio ``transient_retries``/``stall_time``/``failovers``) must equal the
 per-access event loop bit for bit, the end state (LRU lists and order,
 touched set, far ownership, active backend, controller event log) must be
-identical, and ``sim_time`` must agree to float round-off.  The sweep
-here covers backends x fault-window shapes x {with, without} a failover
-controller, including mid-run backend switches; the hypothesis property
-test pins the seam-state handoff invariant the planner is built on.
+identical, and ``sim_time`` must agree to float round-off.  With a
+failover controller, every health monitor must file the same reports
+(sample counts and verdicts exactly, latency percentiles and delivered
+bandwidth to round-off).  The sweep here covers backends x fault-window
+shapes x {with, without} a failover controller, including mid-run backend
+switches; the hypothesis property test pins the seam-state handoff
+invariant the planner is built on.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -21,11 +25,13 @@ from hypothesis import strategies as st
 
 from repro.core.switching import ImplicitSwitcher
 from repro.devices import BackendKind, NVMeSSD, RDMANic
+from repro.errors import SimulationError
 from repro.faults import (
     BandwidthFault,
     FailoverController,
     FaultPlan,
     FaultyDevice,
+    HealthMonitor,
     LatencyFault,
     OfflineFault,
     TransientFault,
@@ -36,8 +42,8 @@ from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page import PageKind, PageOp
 from repro.simcore import Simulator
 from repro.swap import SwapConfig, SwapExecutor
-from repro.swap.plan import ExecutionPlan, plannable
-from repro.swap.replay import REPLAY_ENV, classify_span
+from repro.swap.plan import ExecutionPlan
+from repro.swap.replay import REPLAY_ENV, _engine, _fluid_supported, classify_span
 from repro.trace import fuse
 from repro.trace.schema import make_trace
 
@@ -135,6 +141,24 @@ def _assert_time_equal(got, want):
         assert got == pytest.approx(want, rel=1e-9)
 
 
+def _assert_reports_equal(hctl, ectl):
+    """Every monitor filed the same health reports on both engines.
+
+    Report *times* are not compared: a check inside a batch segment is
+    stamped when its window's fault step completes, not at the crossing
+    fault itself.
+    """
+    assert sorted(hctl.monitors) == sorted(ectl.monitors)
+    for name, monitor in ectl.monitors.items():
+        got, want = hctl.monitors[name].reports, monitor.reports
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            assert (g.samples, g.healthy) == (w.samples, w.healthy), name
+            for attr in ("p50_latency", "p99_latency", "delivered_bandwidth"):
+                assert getattr(g, attr) == pytest.approx(getattr(w, attr), rel=1e-9), \
+                    (name, attr)
+
+
 def _assert_equivalent(windows, trace, expect_hybrid=True, **kw):
     hyb, hex_, hctl = _run_mode("batch", windows, trace, **kw)
     ev, eex, ectl = _run_mode("event", windows, trace, **kw)
@@ -160,6 +184,7 @@ def _assert_equivalent(windows, trace, expect_hybrid=True, **kw):
         assert hctl.failovers == ectl.failovers
         _assert_time_equal(hctl.detected_at, ectl.detected_at)
         _assert_time_equal(hctl.switched_at, ectl.switched_at)
+        _assert_reports_equal(hctl, ectl)
     return hyb, ev, hex_, eex
 
 
@@ -231,6 +256,25 @@ def test_hybrid_matches_event_clean_managed():
     assert plan.n_segments == 1
 
 
+def test_unhealthy_check_inside_batch_segment_raises(monkeypatch):
+    """Checks inside a batch segment must come back healthy (the segment
+    starts with a quiescent monitor); one that does not fails loudly, even
+    when the controller would stay on the degraded backend."""
+    real_check = HealthMonitor.check
+
+    def degraded(self, now):
+        report = real_check(self, now)
+        if report is None:
+            return None
+        return dataclasses.replace(report, healthy=False, reason="forced")
+
+    monkeypatch.setattr(HealthMonitor, "check", degraded)
+    monkeypatch.setattr(FailoverController, "_best_target",
+                        lambda self, name, report: name)
+    with pytest.raises(SimulationError, match="quiescent"):
+        _run_mode("batch", [], _build_trace(5, 12000, 200), failover=True)
+
+
 def test_hybrid_matches_event_mid_run_switch():
     """Never-closing degradation fires a mid-run failover: the hybrid
     engine must reproduce the switch instant, event log, and post-switch
@@ -294,7 +338,7 @@ def test_dead_windows_keep_pure_batch():
         sim, executor, _ = _stack(windows, trace)
         assert sim.now > 0.01  # the window really is in the past
         assert not executor._fault_injected()
-        assert executor._batch_eligible()
+        assert _engine([executor]) == "batch"
         res = executor.run(trace)
         assert executor.execution_plan is None  # pure batch path taken
     finally:
@@ -323,9 +367,8 @@ def test_live_windows_force_hybrid_eligibility():
     sim, executor, _ = _stack(
         [LatencyFault(start=1e3, duration=1.0, factor=2.0)], trace)
     assert executor._fault_injected()
-    assert not executor._batch_eligible()
-    assert executor._hybrid_eligible()
-    assert plannable(executor)
+    assert _engine([executor], "batch") == "hybrid"
+    assert _fluid_supported(executor.frontend.module("ssd").device)
 
 
 # --------------------------------------------------- seam-state handoff (hyp)

@@ -4,9 +4,9 @@ The batch engine's contract is exactness, not approximation: for every
 eligible run, all seven execution counters must equal the per-access
 event loop bit for bit, the end state (LRU lists *and order*, touched
 set, far-memory ownership) must be identical, and simulated time must
-agree within 1 % (measured: float round-off).  Seeded distributions,
-file-backed mixes, a hypothesis property test, and the Mattson MRC
-cross-check lock this in.
+agree within 1e-9 relative (float round-off; DESIGN.md §3.2).  Seeded
+distributions, file-backed mixes, a hypothesis property test, and the
+Mattson MRC cross-check lock this in.
 """
 
 import os
@@ -23,7 +23,7 @@ from repro.mem.lru import LRUCache, lru_replay
 from repro.mem.page import PageKind, PageOp
 from repro.simcore import Simulator
 from repro.swap.executor import SwapExecutor
-from repro.swap.replay import REPLAY_ENV, classify_trace, trace_mrc
+from repro.swap.replay import REPLAY_ENV, _engine, classify_trace, trace_mrc
 from repro.trace.schema import make_trace
 from repro.units import PAGE_SIZE
 
@@ -64,7 +64,7 @@ def _assert_equivalent(trace, capacity, **kwargs):
     event, eex = _run_mode(trace, capacity, "event", **kwargs)
     for counter in COUNTERS:
         assert getattr(batch, counter) == getattr(event, counter), counter
-    assert batch.sim_time == pytest.approx(event.sim_time, rel=0.01)
+    assert batch.sim_time == pytest.approx(event.sim_time, rel=1e-9)
     assert batch.fault_latency.n == event.fault_latency.n
     if event.fault_latency.n:
         assert batch.fault_latency.mean == pytest.approx(event.fault_latency.mean)
@@ -176,10 +176,11 @@ def test_warm_executor_falls_back_to_event_loop():
 
 
 def test_replay_run_requires_consistent_classification():
-    """replay_run applied twice would double-adopt far pages."""
+    """Batch admission applied twice would double-adopt far pages, so a
+    second run on the same executor takes the event loop."""
     trace = _build_trace(11, 2000, 150, "uniform")
     _, executor = _run_mode(trace, 40, "batch")
-    assert not executor._batch_eligible()  # warm now
+    assert _engine([executor], "batch") == "event"  # warm now
 
 
 # -- classification cache ----------------------------------------------------
@@ -262,7 +263,7 @@ def test_property_batch_equals_event(pages, capacity, data):
     event, eex = _run_mode(trace, capacity, "event")
     for counter in COUNTERS:
         assert getattr(batch, counter) == getattr(event, counter), counter
-    assert batch.sim_time == pytest.approx(event.sim_time, rel=0.01)
+    assert batch.sim_time == pytest.approx(event.sim_time, rel=1e-9)
     b_act, b_inact = bex.lru.state_arrays()
     e_act, e_inact = eex.lru.state_arrays()
     assert b_act.tolist() == e_act.tolist()

@@ -1,21 +1,22 @@
 """Equivalence suite for the multi-tenant contended replay engine.
 
-The contract has two independently checked sides (DESIGN.md §3.3):
+The contract has two independently checked sides (DESIGN.md §3.2):
 
 * **counters** — bit-identical per tenant to the concurrent per-access
   event loop, for any tenant count: classification is timing-independent,
   so contention can reorder I/O but never change which accesses hit,
   fault, or evict;
 * **timing** — the fluid fair-share solver's per-tenant ``sim_time``
-  equals the windowed DES admission reference to float round-off at
-  every tenant count, and at one tenant that reference itself matches
-  the per-access loop to round-off.  Production takes the DES admission
-  only for devices the solver does not model; :func:`_des_reference`
-  forces it by patching ``repro.swap.replay._fluid_supported``.
+  equals the windowed DES admission oracle
+  (:func:`tests.oracles.des_admission`) to float round-off at every
+  tenant count, and at one tenant the solver matches the per-access loop
+  to round-off.  :func:`_des_reference` swaps the oracle in by patching
+  ``repro.swap.replay._fluid_phase2``.
 
 The sweep covers backends × tenant counts × access distributions, shared
-PCIe-switch topologies, eligibility fallbacks, and a hypothesis property
-test.
+PCIe-switch topologies, engine routing (warm tenants, devices the solver
+does not model, fault-wrapped devices with no live window), and a
+hypothesis property test.
 """
 
 import os
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices import BackendKind
+from repro.devices import BackendKind, NVMeSSD
 from repro.devices.registry import make_device
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, FaultyDevice, LatencyFault
@@ -34,9 +35,10 @@ from repro.mem.page import PageOp
 from repro.simcore import Simulator
 from repro.swap import replay as replay_mod
 from repro.swap.executor import SwapExecutor, make_contended_executors, run_tenants
-from repro.swap.replay import REPLAY_ENV, ClassificationMemo, replay_run_multi
+from repro.swap.replay import REPLAY_ENV, ClassificationMemo, _engine, replay_run_multi
 from repro.topology.pcie import PCIeSwitch
 from repro.trace.schema import make_trace
+from tests.oracles import des_admission
 
 COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
             "swap_outs", "clean_drops", "file_skips")
@@ -67,9 +69,10 @@ def _tenant_traces(n_tenants, seed0=0, n=4000, distinct=300):
 
 
 def _des_reference(executors, traces):
-    """Phase 2 through windowed DES admission instead of the fluid solve."""
+    """Phase 2 through the windowed DES admission oracle instead of the
+    fluid solve."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(replay_mod, "_fluid_supported", lambda device: False)
+        mp.setattr(replay_mod, "_fluid_phase2", des_admission)
         return replay_run_multi(executors, traces)
 
 
@@ -220,7 +223,7 @@ def test_mt_warm_tenant_falls_back_to_event_loop():
             executors = make_contended_executors(
                 sim, device, BackendKind.SSD, 2, local_pages=60
             )
-            # warm up tenant 0 so _batch_eligible() fails for it
+            # warm up tenant 0 so _engine sends the group to the event loop
             os.environ[REPLAY_ENV] = "event"
             executors[0].run(_build_trace(7, 800, 100, "zipf"))
             os.environ[REPLAY_ENV] = mode
@@ -253,6 +256,78 @@ def test_mt_validation_errors():
                                        BackendKind.SSD, 1, local_pages=50)
     with pytest.raises(ConfigurationError):
         run_tenants([executors[0], foreign[0]], traces)
+
+
+@pytest.mark.parametrize("mode", ["batch", "event"])
+def test_run_tenants_rejects_repeated_executor(mode, monkeypatch):
+    """The group check runs before any engine starts: one executor listed
+    twice is refused in both modes, not replayed twice on the event loop."""
+    monkeypatch.setenv(REPLAY_ENV, mode)
+    sim = Simulator()
+    executor = SwapExecutor(sim, make_device(sim, BackendKind.SSD),
+                            BackendKind.SSD, local_pages=20)
+    traces = [_build_trace(seed, 2000, 30, "uniform") for seed in (1, 2)]
+    with pytest.raises(ConfigurationError, match="distinct"):
+        run_tenants([executor, executor], traces)
+
+
+class _OwnBatchPathSSD(NVMeSSD):
+    """An SSD with its own batched DES path, which the fluid solver does
+    not model (it delegates, so its results stay comparable)."""
+
+    def _io_batch(self, count, write, granularity, weight):
+        return (yield from super()._io_batch(count, write, granularity, weight))
+
+
+@pytest.mark.parametrize("n_tenants", [1, 2])
+def test_unmodelled_device_runs_event_engine(n_tenants, monkeypatch):
+    """A device the fluid solver does not model takes the per-access loop
+    under ``REPRO_REPLAY=batch``, solo or contended."""
+    traces = _tenant_traces(n_tenants, seed0=95, n=2000, distinct=200)
+    runs = {}
+    for mode in ("batch", "event"):
+        monkeypatch.setenv(REPLAY_ENV, mode)
+        sim = Simulator()
+        executors = make_contended_executors(
+            sim, _OwnBatchPathSSD(sim), BackendKind.SSD, n_tenants, local_pages=60)
+        assert _engine(executors) == "event"
+        runs[mode] = (run_tenants(executors, traces), executors)
+    (batch, bex), (event, eex) = runs["batch"], runs["event"]
+    for i in range(n_tenants):
+        for counter in COUNTERS:
+            assert getattr(batch[i], counter) == getattr(event[i], counter), (i, counter)
+        assert batch[i].sim_time == event[i].sim_time  # simlint: ignore[UNIT002] -- same engine: bit-identity is the property under test
+        assert bex[i].frontend._owner == eex[i].frontend._owner
+
+
+def test_shared_faulty_device_without_live_window_batches(monkeypatch):
+    """Two tenants on one fault-wrapped device with an empty plan take the
+    batch engine: the fluid solver unwraps the wrapper, counters equal
+    the concurrent event loops and timing equals the DES oracle."""
+    traces = _tenant_traces(2, seed0=97)
+
+    def build():
+        sim = Simulator()
+        device = FaultyDevice(make_device(sim, BackendKind.SSD), FaultPlan())
+        return make_contended_executors(sim, device, BackendKind.SSD, 2,
+                                        local_pages=90)
+
+    monkeypatch.setenv(REPLAY_ENV, "batch")
+    fex = build()
+    assert _engine(fex) == "batch"
+    fluid = run_tenants(fex, traces)
+    # batched admission posts aggregate listening-queue entries
+    assert fex[0].frontend.listening_queue._items[0][0].endswith("_batch")
+    des = _des_reference(build(), traces)
+    monkeypatch.setenv(REPLAY_ENV, "event")
+    eex = build()
+    event = run_tenants(eex, traces)
+    for i in range(2):
+        assert fluid[i].faults
+        for counter in COUNTERS:
+            assert getattr(fluid[i], counter) == getattr(event[i], counter), (i, counter)
+        assert fluid[i].sim_time == pytest.approx(des[i].sim_time, rel=TIME_RTOL)  # simlint: ignore[UNIT002] -- an epsilon comparison
+        assert fex[i].frontend._owner == eex[i].frontend._owner
 
 
 def test_mt_all_hit_tenant_finishes_instantly():

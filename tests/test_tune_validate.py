@@ -7,7 +7,7 @@ the model-vs-replay ranking tolerance band: on cache-unfriendly random
 traffic the model's pick measures as the replay's best (ratio 1.0); on
 sequential traffic — where the DES replay charges readahead rather than
 the model's wide asynchronous streams — the pick stays within 2.2× of the
-measured best.  The band is stated in DESIGN.md §3.6.
+measured best.  The band is stated in DESIGN.md §3.4.
 """
 
 import numpy as np
