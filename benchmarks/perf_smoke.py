@@ -17,9 +17,10 @@ Suites, selected with ``--suite``:
     skewed zipf line alongside, plus the ``injected`` row (see below).
     Writes ``BENCH_replay.json`` and verifies the engines agree on every
     counter while timing them.  ``--check`` re-runs the suite and fails
-    (exit 1) if batch/hybrid throughput regressed more than 25 % against
-    the checked-in baseline instead of overwriting it — the CI guard for
-    the replay fast path.
+    (exit 1) if any engine row — batch/hybrid and the per-access event
+    reference alike — lost more than 25 % of its throughput against the
+    checked-in baseline instead of overwriting it: the CI guard for the
+    replay fast path and for the event engine's inline clock advance.
 
 ``injected``
     The segmented hybrid planner vs the per-access event executor on the
@@ -114,8 +115,12 @@ import numpy as np
 
 from repro.mem.reuse import _warm_distances_vector
 
-#: --check fails when batch accesses/s drops below (1 - this) x baseline.
+#: --check fails when any engine row's accesses/s drops below
+#: (1 - this) x baseline.
 REGRESSION_TOLERANCE = 0.25
+
+#: Engine rows a replay report may carry; --check gates every one present.
+_ENGINE_ROWS = ("batch", "hybrid", "event")
 
 #: Hard wall-clock ceiling for one full-tree lint run (``--suite lint``).
 LINT_BUDGET_SECONDS = 10.0
@@ -799,7 +804,12 @@ def check_lint_budget(report: dict) -> int:
 
 
 def check_replay_regression(report: dict, baseline_path: str, suite: str) -> int:
-    """Compare a fresh replay report against the checked-in baseline."""
+    """Compare a fresh replay report against the checked-in baseline.
+
+    Every engine row a workload carries in both reports is gated: the
+    fast engine (``batch``, or ``hybrid`` on injected rows) and the
+    per-access ``event`` reference.
+    """
     baseline = load_baseline(baseline_path, suite)
     if baseline is None:
         return 2
@@ -808,18 +818,16 @@ def check_replay_regression(report: dict, baseline_path: str, suite: str) -> int
         base = baseline["workloads"].get(name)
         if base is None:
             continue
-        # injected rows record the fast engine under "hybrid"
-        key = "hybrid" if "hybrid" in fresh else "batch"
-        base_engine = base.get(key)
-        if base_engine is None:
-            continue
-        floor = (1.0 - REGRESSION_TOLERANCE) * base_engine["accesses_per_s"]
-        got = fresh[key]["accesses_per_s"]
-        status = "ok" if got >= floor else "REGRESSED"
-        print(f"{name}: {key} {got} acc/s vs baseline "
-              f"{base_engine['accesses_per_s']} (floor {floor:.0f}) {status}")
-        if got < floor:
-            failures.append(name)
+        for key in _ENGINE_ROWS:
+            if key not in fresh or key not in base:
+                continue
+            floor = (1.0 - REGRESSION_TOLERANCE) * base[key]["accesses_per_s"]
+            got = fresh[key]["accesses_per_s"]
+            status = "ok" if got >= floor else "REGRESSED"
+            print(f"{name}: {key} {got} acc/s vs baseline "
+                  f"{base[key]['accesses_per_s']} (floor {floor:.0f}) {status}")
+            if got < floor:
+                failures.append(f"{name}/{key}")
     if failures:
         print(f"replay throughput regression >25% on: {', '.join(failures)}",
               file=sys.stderr)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.simcore import FairShareLink, Resource, Simulator
 from repro.topology.pcie import PCIeLink, PCIeSwitch
 from repro.units import PAGE_SIZE
@@ -206,8 +206,8 @@ class FarMemoryDevice:
         Order matters and mirrors the DES I/O paths: media first, then the
         PCIe slot, then the shared switch.  A transfer occupies every stage
         simultaneously (DMA pipelining) and completes when the slowest one
-        drains — ``_io``/``_io_batch`` wait on exactly these pipes, and the
-        fluid replay solver replays the same set analytically.
+        drains — ``_serve`` waits on exactly these pipes, and the fluid
+        replay solver replays the same set analytically.
         """
         pipes = [self._media_write if write else self._media_read]
         if self.link is not None:
@@ -258,6 +258,41 @@ class FarMemoryDevice:
         """Inline batched variant of :meth:`write_gen`; see :meth:`read_batch_gen`."""
         return self._io_batch(count, write=True, granularity=granularity, weight=weight)
 
+    def _serve(self, command: float, moved: float, write: bool, weight: float):  # simlint: dim[command=seconds, moved=bytes]
+        """Serve one request inside its channel grant.
+
+        The command phase is serial on the channel; the payload then
+        streams through every :meth:`stage_pipes` stage concurrently (DMA
+        pipelining) and the request completes when the slowest stage
+        drains.  When the caller runs alone (:meth:`Simulator.skip`), no
+        other flow is in flight, so each stage is a lone flow on an idle
+        pipe and the whole step resolves in closed form
+        (:meth:`FairShareLink.solo_transfer`) at the float times the event
+        loop would reach.
+        """
+        sim = self.sim
+        if sim.skip(command):
+            end = sim.now
+            for pipe in self.stage_pipes(write):
+                done = pipe.solo_transfer(moved, weight)
+                if done > end:
+                    end = done
+            if not sim.skip_to(end):
+                raise SimulationError(
+                    f"{self.name}: an event was scheduled while resolving a "
+                    "solo transfer inline"
+                )
+            return
+        yield sim.timeout(command)
+        stages = [
+            pipe.transfer(moved, weight=weight)
+            for pipe in self.stage_pipes(write)
+        ]
+        if len(stages) == 1:
+            yield stages[0]
+        else:
+            yield sim.all_of(stages)
+
     def _io_batch(self, count: int, write: bool, granularity: int, weight: float):
         if count <= 0:
             return 0.0
@@ -269,15 +304,8 @@ class FarMemoryDevice:
             grant = yield self.channel_pool.request()
         try:
             moved = count * granularity
-            yield self.sim.timeout(self.batch_command_cost(count, write, granularity))
-            stages = [
-                pipe.transfer(moved, weight=weight)
-                for pipe in self.stage_pipes(write)
-            ]
-            if len(stages) == 1:
-                yield stages[0]
-            else:
-                yield self.sim.all_of(stages)
+            yield from self._serve(self.batch_command_cost(count, write, granularity),
+                                   moved, write, weight)
         finally:
             self.channel_pool.release(grant)
         self.ops += count
@@ -290,6 +318,8 @@ class FarMemoryDevice:
     def _io(self, nbytes: int, write: bool, granularity: int, weight: float):
         if nbytes <= 0:
             return 0.0
+        if granularity <= 0:
+            raise ConfigurationError(f"granularity must be positive, got {granularity}")
         start = self.sim.now
         grant = self.channel_pool.try_acquire()
         if grant is None:
@@ -297,19 +327,8 @@ class FarMemoryDevice:
         try:
             ops = math.ceil(nbytes / granularity)
             moved = ops * granularity  # whole granules cross the wire
-            # command overhead is serial on the channel ...
             command = self.profile.setup_cost + ops * self._op_cost(write, granularity)
-            yield self.sim.timeout(command)
-            # ... while the payload streams through media and PCIe stages
-            # concurrently (DMA pipelining): wait for the slowest stage
-            stages = [
-                pipe.transfer(moved, weight=weight)
-                for pipe in self.stage_pipes(write)
-            ]
-            if len(stages) == 1:
-                yield stages[0]
-            else:
-                yield self.sim.all_of(stages)
+            yield from self._serve(command, moved, write, weight)
         finally:
             self.channel_pool.release(grant)
         self.ops += 1

@@ -109,7 +109,8 @@ class FaultyDevice(FarMemoryDevice):
             healthy = self.inner._media_bw(write)
             stall = moved / (healthy * fraction) - moved / healthy
             self.degradation_stall += stall
-            yield self.sim.timeout(stall)
+            if not self.sim.skip(stall):
+                yield self.sim.timeout(stall)
 
     # -- DES interface -----------------------------------------------------
     def _io(self, nbytes: int, write: bool, granularity: int, weight: float):

@@ -8,7 +8,9 @@ processor-sharing fluid model: with *n* active flows of weight *w_i*, flow
 
 The implementation advances lazily: flow states are only updated when the
 active set changes (arrival or departure), so cost is O(active flows) per
-change rather than per byte.
+change rather than per byte.  :meth:`FairShareLink.solo_transfer` resolves
+a lone flow on an idle link in closed form, replaying the same float steps
+the event loop would take.
 """
 
 from __future__ import annotations
@@ -111,6 +113,21 @@ class FairShareLink:
                     f"link {self.name!r}: non-finite residual {f.remaining!r} bytes"
                 )
 
+    # Lone-flow arithmetic, shared by the event path (_advance,
+    # _earliest_finish) and solo_transfer.  Same float expression shape as
+    # the general loops ((bw / total_w) * w) so results stay bit-identical.
+    def _lone_drain(self, remaining: float, weight: float, dt: float) -> float:  # simlint: dim[return=bytes, remaining=bytes, dt=seconds]
+        """Drain a lone flow for ``dt`` busy seconds; returns its residue."""
+        self.busy_time += dt
+        drained = self.bandwidth / weight * weight * dt
+        remaining -= drained
+        self.total_bytes += min(drained, max(0.0, remaining + drained))
+        return remaining
+
+    def _lone_finish(self, remaining: float, weight: float) -> float:  # simlint: dim[return=seconds, remaining=bytes]
+        """Seconds until a lone flow with ``remaining`` bytes drains."""
+        return remaining / (self.bandwidth / weight * weight)
+
     def _advance(self) -> None:
         """Drain bytes for time elapsed since the last state change."""
         if self.sim.sanitize:
@@ -121,19 +138,15 @@ class FairShareLink:
         flows = self._flows
         if dt <= 0 or not flows:
             return
-        self.busy_time += dt
         if len(flows) == 1:
-            # Lone-flow fast path — the common case on per-device media
-            # pipes.  Same float expression shape as the general loop
-            # ((bw / total_w) * w * dt) so results stay bit-identical.
+            # lone-flow fast path: the common case on per-device media pipes
             f = flows[0]
-            drained = self.bandwidth / f.weight * f.weight * dt
-            f.remaining -= drained
-            self.total_bytes += min(drained, max(0.0, f.remaining + drained))
+            f.remaining = self._lone_drain(f.remaining, f.weight, dt)
             if f.remaining <= _EPS_BYTES:
                 del flows[0]
                 f.event.succeed(None)
             return
+        self.busy_time += dt
         total_w = sum(f.weight for f in flows)
         rate_per_w = self.bandwidth / total_w
         done: list[_Flow] = []
@@ -173,7 +186,7 @@ class FairShareLink:
             return None
         if len(flows) == 1:
             f = flows[0]
-            return f.remaining / (self.bandwidth / f.weight * f.weight)
+            return self._lone_finish(f.remaining, f.weight)
         total_w = sum(f.weight for f in flows)
         rate_per_w = self.bandwidth / total_w
         return min(f.remaining / (rate_per_w * f.weight) for f in flows)
@@ -195,9 +208,7 @@ class FairShareLink:
         self._advance()
         self._reschedule()
 
-    # -- public API --------------------------------------------------------
-    def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
-        """Start moving ``nbytes`` through the link; fires on completion."""
+    def _check_transfer(self, nbytes: float, weight: float) -> None:
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         if weight <= 0:
@@ -208,6 +219,11 @@ class FairShareLink:
                 f"link {self.name!r}: non-finite transfer ({nbytes!r} bytes, "
                 f"weight {weight!r})"
             )
+
+    # -- public API --------------------------------------------------------
+    def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
+        """Start moving ``nbytes`` through the link; fires on completion."""
+        self._check_transfer(nbytes, weight)
         ev = Event(self.sim)
         if nbytes == 0:
             ev.succeed(None)
@@ -216,6 +232,47 @@ class FairShareLink:
         self._flows.append(_Flow(ev, nbytes, weight))
         self._reschedule()
         return ev
+
+    def solo_transfer(self, nbytes: float, weight: float = 1.0) -> float:  # simlint: dim[return=seconds]
+        """Completion time of a lone ``nbytes`` flow started now on this idle link.
+
+        Replays what :meth:`transfer` and the event loop do when nothing
+        else touches the link until the flow completes: the same wakeup
+        times (``now + finish delay``, re-woken while a residue above the
+        completion epsilon is left), the same force-completion once a
+        finish delay underflows the clock, and the same ``busy_time``,
+        ``total_bytes`` and ``_last_update`` credits, float for float.
+        Schedules no event; the caller owns the clock
+        (:meth:`Simulator.skip_to`).
+        """
+        self._check_transfer(nbytes, weight)
+        now = self.sim._now
+        if nbytes == 0:
+            return now
+        if self._flows:
+            raise SimulationError("solo_transfer() is only valid on an idle link")
+        sanitize = self.sim.sanitize
+        if sanitize:
+            self._sanitize_state()
+        # transfer(): _advance() on the idle link only stamps the clock
+        self._last_update = now
+        remaining = float(nbytes)
+        weight = float(weight)
+        while True:
+            # _reschedule(): a finish delay that underflows the clock
+            # force-completes the flow, else a wakeup fires at now + dt
+            dt = self._lone_finish(remaining, weight)
+            if not now + dt > now:
+                return now
+            now = now + dt
+            # _on_wake() -> _advance() at the wakeup
+            if sanitize:
+                self._sanitize_state()
+            elapsed = now - self._last_update
+            self._last_update = now
+            remaining = self._lone_drain(remaining, weight, elapsed)
+            if remaining <= _EPS_BYTES:
+                return now
 
     def set_bandwidth(self, bandwidth: float) -> None:
         """Change capacity mid-flight (e.g. PCIe lane reconfiguration)."""

@@ -8,6 +8,12 @@ with the event's value (or the event's exception is thrown into it).
 Determinism: events scheduled at the same timestamp fire in scheduling
 order (the monotone ``seq`` counter breaks ties), so runs are bit-stable.
 
+Inline advance: a process that is the only thing that can happen next may
+move the clock itself (:meth:`Simulator.skip`) instead of scheduling a
+timeout and waiting for the loop to pop it.  The clock lands on the same
+float either way; the heap path still runs whenever anything else is
+pending.
+
 Sanitizer mode (``REPRO_SANITIZE=1`` or ``Simulator(sanitize=True)``)
 additionally enforces event-lifecycle legality: double-triggering an event
 and registering a callback on an already-processed event raise
@@ -107,8 +113,19 @@ class Event:
             self.callbacks,
             _DeadCallbacks() if self.sim.sanitize else [],
         )
-        for cb in callbacks:
-            cb(self)
+        if len(callbacks) > 1:
+            # later callbacks still run at the current time, so a process
+            # resumed by an earlier one must not advance the clock inline
+            sim = self.sim
+            held, sim._until = sim._until, None
+            try:
+                for cb in callbacks[:-1]:
+                    cb(self)
+            finally:
+                sim._until = held
+            callbacks[-1](self)
+        elif callbacks:
+            callbacks[0](self)
 
 
 class Timeout(Event):
@@ -195,6 +212,16 @@ class Process(Event):
         return f"<Process {self.name} alive={self.is_alive}>"
 
 
+class _Drain:
+    """Target of ``run(until=None)``: an event that never fires."""
+
+    __slots__ = ()
+    _processed = False
+
+
+_DRAIN = _Drain()
+
+
 class Simulator:
     """The event loop: owns the clock and the pending-event heap.
 
@@ -216,6 +243,9 @@ class Simulator:
         self._seq: int = 0
         self.sanitize: bool = sanitizer_enabled() if sanitize is None else bool(sanitize)
         self.event_log = event_log
+        # the target of the running ``run(until=Event)`` / ``run(None)``
+        # loop while inline advances are allowed (see skip), else None
+        self._until: Event | _Drain | None = None
 
     @property
     def now(self) -> float:  # simlint: dim[return=seconds]
@@ -241,6 +271,44 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def skip(self, delay: float) -> bool:  # simlint: dim[delay=seconds]
+        """Advance the clock by ``delay`` inline if nothing else can fire first.
+
+        The caller is the running process; on ``True`` it continues as if a
+        ``yield sim.timeout(delay)`` had just fired, on ``False`` it must
+        yield that timeout.  Inline is exact only when the timeout would
+        be the next event the loop pops and only the caller waits on it,
+        so this returns ``False`` unless every guard holds:
+
+        * the heap is empty — no other event can fire before ``now +
+          delay`` (and no fair-share flow is in flight: every active flow
+          keeps a wakeup on the heap);
+        * the loop runs under ``run(until=Event)`` with the target not yet
+          processed, or under ``run(until=None)`` — ``run(until=<float>)``
+          and bare :meth:`step` never advance inline, so a horizon is never
+          overshot;
+        * no later callback of the event being dispatched is still waiting
+          to run at the current time;
+        * no ``event_log`` is attached — a logged run records every event.
+
+        The clock lands on ``self._now + delay``, the float ``_schedule``
+        would have pushed.
+        """
+        if delay < 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        return self.skip_to(self._now + delay)
+
+    def skip_to(self, when: float) -> bool:  # simlint: dim[when=seconds]
+        """Move the clock to ``when`` inline; same guards as :meth:`skip`."""
+        if when < self._now:
+            cls = SanitizerError if self.sanitize else SimulationError
+            raise cls(f"time ran backwards: {when} < {self._now}")
+        until = self._until
+        if until is None or until._processed or self._heap:
+            return False
+        self._now = when
+        return True
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a coroutine process; returns its completion event."""
@@ -312,46 +380,49 @@ class Simulator:
           value (raises its exception).  Raises :class:`DeadlockError` if
           the queue drains first.
 
-        The dispatch loops inline :meth:`step` (minus its empty-queue
-        guard, restated per shape) — this is the simulator's innermost
-        loop and the method-call + attribute-lookup overhead is measurable
-        on executor-scale replays.  Keep the two in sync.
+        The event and drain shapes share one dispatch loop (a drain waits
+        on :data:`_DRAIN`, which never fires), written inline rather than
+        calling :meth:`step` — this is the simulator's innermost loop and
+        the method-call + attribute-lookup overhead is measurable on
+        executor-scale replays.  Keep the two in sync.  Only these shapes
+        allow inline clock advances (:meth:`skip`).
         """
-        heap = self._heap
-        pop = heapq.heappop
-        log = self.event_log
-        if isinstance(until, Event):
-            target = until
-            while not target._processed:
-                if not heap:
-                    raise DeadlockError(
-                        f"event queue drained before target event fired (t={self._now})"
-                    )
-                when, seq, event = pop(heap)
-                if when < self._now:
-                    cls = SanitizerError if self.sanitize else SimulationError
-                    raise cls(f"time ran backwards: {when} < {self._now}")
-                if log is not None:
-                    log.append((when, seq, type(event).__name__))
-                self._now = when
-                event._run_callbacks()
+        held = self._until
+        if until is None or isinstance(until, Event):
+            target = _DRAIN if until is None else until
+            heap = self._heap
+            pop = heapq.heappop
+            log = self.event_log
+            self._until = target if log is None else None
+            try:
+                while not target._processed:
+                    if not heap:
+                        if target is _DRAIN:
+                            return None
+                        raise DeadlockError(
+                            f"event queue drained before target event fired (t={self._now})"
+                        )
+                    when, seq, event = pop(heap)
+                    if when < self._now:
+                        cls = SanitizerError if self.sanitize else SimulationError
+                        raise cls(f"time ran backwards: {when} < {self._now}")
+                    if log is not None:
+                        log.append((when, seq, type(event).__name__))
+                    self._now = when
+                    event._run_callbacks()
+            finally:
+                self._until = held
             return target.value
-        if until is None:
-            while heap:
-                when, seq, event = pop(heap)
-                if when < self._now:
-                    cls = SanitizerError if self.sanitize else SimulationError
-                    raise cls(f"time ran backwards: {when} < {self._now}")
-                if log is not None:
-                    log.append((when, seq, type(event).__name__))
-                self._now = when
-                event._run_callbacks()
-            return None
         horizon = float(until)
         if horizon < self._now:
             raise ValueError(f"until={horizon} is in the past (now={self._now})")
-        while heap and heap[0][0] <= horizon:
-            self.step()
+        heap = self._heap
+        self._until = None
+        try:
+            while heap and heap[0][0] <= horizon:
+                self.step()
+        finally:
+            self._until = held
         self._now = horizon
         return None
 

@@ -296,6 +296,7 @@ class SwapExecutor:
         evicted = self._evicted
         granularity = self.config.granularity
         add_latency = res.fault_latency.add
+        skip = sim.skip
         sanitize = sim.sanitize
         failover = self.failover
         if switched0 is _CAPTURE:
@@ -318,7 +319,8 @@ class SwapExecutor:
                 res.faults += 1
                 t0 = sim.now
                 owner = frontend.owner_of(page)
-                yield sim.timeout(FAULT_COST)
+                if not skip(FAULT_COST):
+                    yield sim.timeout(FAULT_COST)
                 # one device op fetches the granule covering this page; the
                 # far copy is retained (swap cache) so a clean re-reclaim
                 # later needs no rewrite
@@ -397,7 +399,8 @@ class SwapExecutor:
         else:
             wait = self.retry.delay(self.retry.max_retries + 1)
         self.result.stall_time += wait
-        yield self.sim.timeout(wait)
+        if not self.sim.skip(wait):
+            yield self.sim.timeout(wait)
 
     def _load_guarded(self, page: int, granularity: int):
         """Load with bounded transient retries and offline stall.
@@ -424,7 +427,8 @@ class SwapExecutor:
                 delay = self.retry.delay(min(attempt, self.retry.max_retries + 1))
                 if attempt > self.retry.max_retries:
                     self.result.stall_time += delay
-                yield self.sim.timeout(delay)
+                if not self.sim.skip(delay):
+                    yield self.sim.timeout(delay)
             except DeviceOfflineError:
                 yield from self._stall_for(self._owner_device(page))
                 attempt = 0
@@ -452,7 +456,9 @@ class SwapExecutor:
                     yield from self._escalate_store()
                     attempt = 0
                 else:
-                    yield self.sim.timeout(self.retry.delay(attempt))
+                    delay = self.retry.delay(attempt)
+                    if not self.sim.skip(delay):
+                        yield self.sim.timeout(delay)
             except DeviceOfflineError:
                 self.frontend.abort_store(victim)
                 yield from self._escalate_store()

@@ -23,6 +23,7 @@ from repro.devices import (
 )
 from repro.devices.registry import pcie4_x16_bandwidth
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, FaultyDevice
 from repro.simcore import Simulator
 from repro.topology import PCIeGen, PCIeSwitch
 from repro.units import GB, KiB, MiB, PAGE_SIZE, mib
@@ -147,6 +148,24 @@ def test_des_concurrent_ops_queue_on_channels(sim):
     sim.process(op())
     sim.run()
     assert t_done[1] >= 2 * t_done[0] * 0.95  # serialized on one channel
+
+
+@pytest.mark.parametrize("granularity", [0, -PAGE_SIZE])
+@pytest.mark.parametrize("entry", ["io", "io_batch", "faulty_io"])
+def test_des_io_rejects_non_positive_granularity(sim, entry, granularity):
+    """Every DES entry point raises the same ConfigurationError before
+    taking a channel."""
+    ssd = NVMeSSD(sim)
+    gen = {
+        "io": lambda: ssd.read_gen(PAGE_SIZE, granularity=granularity),
+        "io_batch": lambda: ssd.read_batch_gen(1, granularity=granularity),
+        "faulty_io": lambda: FaultyDevice(ssd, FaultPlan()).read_gen(
+            PAGE_SIZE, granularity=granularity),
+    }[entry]()
+    proc = sim.process(gen)
+    with pytest.raises(ConfigurationError, match="granularity must be positive"):
+        sim.run(until=proc)
+    assert ssd.channel_pool.in_use == 0 and ssd.ops == 0
 
 
 def test_transfer_latency_zero_bytes(sim):
