@@ -8,7 +8,8 @@ process that asks for the same artifact: repeated CLI runs, parallel
 * ``trace`` / ``features`` — synthesized traces and fused feature
   profiles, keyed by ``(workload spec, scale, seed)``;
 * ``replay`` — batched-replay classifications of traces with at least
-  100 k anonymous accesses, keyed by the trace bytes;
+  ``repro.swap.replay._CACHE_MIN_ANON`` (4096) anonymous accesses, keyed
+  by the trace bytes;
 * ``tune`` — replay-validated tuner candidates;
 * ``fleet`` — one entry per fleet sweep: every node job's counters as
   columns in plan order, keyed by the sweep and its resolved lease plan,
@@ -22,7 +23,10 @@ bumping any version changes every digest, so stale entries are simply
 never looked up again (``repro cache clear`` reclaims the space).
 
 Writes are atomic (temp file + ``os.replace``); a corrupted or truncated
-entry is treated as a miss, deleted, and regenerated.
+entry is treated as a miss, deleted, and regenerated.  A writer killed
+mid-write leaves its ``tmp*.tmp`` file behind; ``repro cache info``
+counts those and ``repro cache clear`` removes them once they are a
+minute old (a younger one may be a write in flight).
 
 Environment knobs::
 
@@ -37,6 +41,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -388,32 +393,57 @@ def load_fleet_sweep(fingerprint: dict, plan_digest: str,
 
 # -- management --------------------------------------------------------------
 
+#: A temp file older than this lost its writer (killed mid-write); a live
+#: writer renames its file into place within milliseconds.
+_STALE_TMP_S = 60.0
+
+
+def _size(path: Path) -> int:
+    """Bytes in ``path``; 0 once a concurrent writer or clear removed it."""
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
+
+
 def cache_info() -> dict:
-    """Entry counts and sizes per artifact kind, for ``repro cache info``."""
+    """Entry counts and bytes per artifact kind, for ``repro cache info``.
+
+    ``temp_files`` / ``temp_bytes`` count the ``_atomic_write`` temp files
+    in the layout directory: writes in flight, or leftovers of writers
+    killed mid-write, which :func:`clear_cache` reclaims.  ``bytes``
+    includes them.
+    """
     root = cache_dir() / _LAYOUT
     kinds: dict[str, int] = {}
-    total_bytes = 0
-    entries = 0
+    kind_bytes: dict[str, int] = {}
+    temps: list[Path] = []
     if root.is_dir():
         for path in sorted(root.glob("*.npz")):
             artifact = path.name.rsplit("-", 1)[0]
             kinds[artifact] = kinds.get(artifact, 0) + 1
-            total_bytes += path.stat().st_size
-            sidecar = path.with_suffix(".json")
-            if sidecar.exists():
-                total_bytes += sidecar.stat().st_size
-            entries += 1
+            kind_bytes[artifact] = (kind_bytes.get(artifact, 0) + _size(path)
+                                    + _size(path.with_suffix(".json")))
+        temps = sorted(root.glob("tmp*.tmp"))
+    temp_bytes = sum(_size(path) for path in temps)
     return {
         "dir": str(cache_dir()),
         "enabled": cache_enabled(),
-        "entries": entries,
-        "bytes": total_bytes,
+        "entries": sum(kinds.values()),
+        "bytes": sum(kind_bytes.values()) + temp_bytes,
         "kinds": kinds,
+        "kind_bytes": kind_bytes,
+        "temp_files": len(temps),
+        "temp_bytes": temp_bytes,
     }
 
 
 def clear_cache() -> int:
-    """Delete every cache entry; returns the number of entries removed."""
+    """Delete every cache entry; returns the number of entries removed.
+
+    Temp files older than ``_STALE_TMP_S`` go too; a younger one may
+    belong to a live writer, which would fail if its file vanished.
+    """
     root = cache_dir() / _LAYOUT
     removed = 0
     if root.is_dir():
@@ -421,4 +451,12 @@ def clear_cache() -> int:
             path.unlink(missing_ok=True)
             path.with_suffix(".json").unlink(missing_ok=True)
             removed += 1
+        cutoff = time.time() - _STALE_TMP_S  # simlint: ignore[DET002] -- file ages, never simulation state
+        for path in root.glob("tmp*.tmp"):
+            try:
+                stale = path.stat().st_mtime < cutoff
+            except FileNotFoundError:  # renamed into place meanwhile
+                continue
+            if stale:
+                path.unlink(missing_ok=True)
     return removed

@@ -302,7 +302,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"enabled: {info['enabled']}")
     print(f"entries: {info['entries']} ({info['bytes'] / 1e6:.1f} MB)")
     for kind, count in sorted(info["kinds"].items()):
-        print(f"  {kind}: {count}")
+        print(f"  {kind}: {count} ({info['kind_bytes'][kind] / 1e6:.1f} MB)")
+    if info["temp_files"]:
+        print(f"temp files: {info['temp_files']} ({info['temp_bytes'] / 1e6:.1f} MB, "
+              f"left by killed writers unless a run is writing)")
     return 0
 
 

@@ -22,6 +22,11 @@ class ClusterNode:
     used_fm: int = 0
     running: list[str] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        for name in ("fm_bytes", "used_local", "used_fm"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+
     @property
     def local_capacity(self) -> int:
         """Usable local DRAM."""

@@ -42,20 +42,27 @@ _MEAS_ACCESSES = 16_000
 _NEIGHBOURS = 15
 
 
-def _measured_ratio(ctx: ExperimentContext, name: str) -> tuple[float, float]:
-    """(shared per-op us, shared/isolated ratio) for the probe tenant,
-    measured against fixed noisy neighbours."""
-    neighbour = "kmeans" if name != "kmeans" else "chat-int"
+def _neighbour(name: str) -> str:
+    """The noisy neighbour a probe is measured against."""
+    return "kmeans" if name != "kmeans" else "chat-int"
+
+
+def _tenant_traces(ctx: ExperimentContext, name: str) -> list:
+    """The probe's slice, then its ``_NEIGHBOURS`` neighbour slices."""
     probe = tenant_slice(ctx.workload(name).trace(ctx.scale, ctx.seed),
                          0, _MEAS_ACCESSES)
-    noise_base = ctx.workload(neighbour).trace(ctx.scale, ctx.seed)
-    traces = [probe] + [
+    noise_base = ctx.workload(_neighbour(name)).trace(ctx.scale, ctx.seed)
+    return [probe] + [
         tenant_slice(noise_base, i, _MEAS_ACCESSES) for i in range(_NEIGHBOURS)
     ]
+
+
+def _measured_ratio(ctx: ExperimentContext, name: str,
+                    classify: ClassificationMemo) -> tuple[float, float]:
+    """(shared per-op us, shared/isolated ratio) for the probe tenant,
+    measured against fixed noisy neighbours."""
+    traces = _tenant_traces(ctx, name)
     locals_ = [anon_local_pages(t, FM_RATIO) for t in traces]
-    # scoped to the probe: an experiment-wide memo would hold every
-    # probe's slices at once, and fig17 sets the peak RSS of `run all`
-    classify = ClassificationMemo()
     shared, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=True,
                              classify=classify)
     isolated, _ = cotenant_run(BackendKind.RDMA, traces, locals_, shared=False,
@@ -64,6 +71,23 @@ def _measured_ratio(ctx: ExperimentContext, name: str) -> tuple[float, float]:
     lat_isolated = per_op_latency(isolated[0])
     ratio = lat_shared / lat_isolated if lat_isolated > 0 else 1.0
     return lat_shared * 1e6, ratio
+
+
+def _measured_ratios(ctx: ExperimentContext) -> dict[str, tuple[float, float]]:
+    """:func:`_measured_ratio` of every probe, one neighbour family at a time.
+
+    A family's probes replay the same neighbour slices, so one memo per
+    family classifies each slice once.  The memo is dropped when the
+    family is done: one for the whole experiment would hold both
+    families' slices at once, and fig17 sets the peak RSS of `run all`.
+    """
+    measured = {}
+    for neighbour in dict.fromkeys(map(_neighbour, PROBES)):
+        classify = ClassificationMemo()
+        for name in PROBES:
+            if _neighbour(name) == neighbour:
+                measured[name] = _measured_ratio(ctx, name, classify)
+    return measured
 
 
 def _per_op_latency(ctx, name: str, mode: ChannelMode, co_tenants: int) -> float:
@@ -77,6 +101,7 @@ def _per_op_latency(ctx, name: str, mode: ChannelMode, co_tenants: int) -> float
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     """Mean per-op latency per probe workload under the three designs."""
+    ratios = _measured_ratios(ctx)
     rows = []
     speedups = []
     measured = []
@@ -85,7 +110,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         isolated = _per_op_latency(ctx, name, ChannelMode.ISOLATED, co_tenants=1)
         vm_isolated = _per_op_latency(ctx, name, ChannelMode.VM_ISOLATED, co_tenants=1)
         speedups.append(shared / vm_isolated if vm_isolated > 0 else 1.0)
-        meas_shared_us, meas_ratio = _measured_ratio(ctx, name)
+        meas_shared_us, meas_ratio = ratios[name]
         measured.append(meas_ratio)
         rows.append([
             name, shared * 1e6, isolated * 1e6, vm_isolated * 1e6,

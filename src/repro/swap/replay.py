@@ -79,9 +79,16 @@ REPLAY_ENV = "REPRO_REPLAY"
 _WINDOW = 4096  # simlint: ignore[UNIT001] -- access count, not bytes
 
 #: Classifications of traces with at least this many anonymous accesses
-#: are worth persisting; below it the disk round-trip costs more than the
-#: vectorized pass it would save.
-_CACHE_MIN_ANON = 100_000
+#: are persisted; below it a cache load saves too little over the pass.
+#: Measured break-even (``_classify_uncached`` vs ``cache.load_replay``,
+#: ms, median of 5, capacity = distinct pages / 2, shared 2-core Xeon
+#: host), classify uniform / zipf-1.1 vs load uniform / zipf: 2.0 / 1.6
+#: vs 2.4 / 2.2 at 1 k accesses, 3.1 / 2.7 vs 2.3 / 2.0 at 2 k, 5.3 / 4.7
+#: vs 2.4 / 2.1 at 4 k, 18 / 12 vs 2.5 / 2.3 at 16 k, 111 / 53 vs 3.0 /
+#: 2.3 at 64 k, 190 / 105 vs 6.0 / 4.6 at 256 k; stores cost about what
+#: loads do.  4096 is the first power of two where classifying costs at
+#: least twice a load on both shapes (in 4 of 5 repeats; 2048 in none).
+_CACHE_MIN_ANON = 4096  # simlint: ignore[UNIT001] -- access count, not bytes
 
 
 @dataclass
@@ -359,8 +366,9 @@ def classify_trace(
     its own scratch LRU — which is what makes the result persistable in
     the content-addressed artifact cache (:mod:`repro.cache`): repeated
     experiment sweeps over the same (trace, capacity) skip the pass
-    entirely.  Traces below ``_CACHE_MIN_ANON`` anonymous accesses bypass
-    the cache (the disk round-trip would dominate).
+    entirely.  Traces below ``_CACHE_MIN_ANON`` (4096) anonymous accesses
+    bypass the cache: under it a load costs more than half the pass it
+    would save.
     """
     from repro import cache
 
@@ -418,7 +426,10 @@ class ClassificationMemo:
     identity :func:`repro.cache.replay_key` persists under — once, and
     hands every later caller the same result.  Sweeps replay the same
     short tenant slices over and over (solo baselines, growing groups,
-    shared vs isolated pairs), below the size the disk cache bothers with.
+    shared vs isolated pairs).  The disk cache persists the slices that
+    reach ``_CACHE_MIN_ANON``; the memo still spares a sweep the disk
+    round trip on every repeat, and does all the reuse when the cache is
+    off or a slice sits below the floor.
 
     Classification is a pure function of that key, so reuse changes no
     outcome.  The result is shared between tenants, so its arrays are

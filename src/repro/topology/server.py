@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigurationError
 from repro.simcore import Simulator
 from repro.topology.numa import NUMADomain
 from repro.topology.pcie import PCIeGen, PCIeSwitch
@@ -36,6 +37,17 @@ class ServerSpec:
     pcie_gen: PCIeGen = PCIeGen.GEN4
     pcie_width: int = 16
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # dram_bytes == 0 is legal: an FM-only expander blade
+        for name in ("dram_bytes", "dram_bandwidth", "ssd_bytes", "ssd_bandwidth",
+                     "hdd_bytes", "hdd_bandwidth", "rdma_port_bandwidth"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # numa_domain() divides by sockets, a fleet lease device by rdma_ports
+        for name in ("sockets", "rdma_ports"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def total_cores(self) -> int:

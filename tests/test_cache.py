@@ -7,10 +7,15 @@ corrupted entry must be dropped and regenerated rather than crash or —
 worse — serve garbage.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro import cache
+from repro.cli import main
+from repro.experiments.context import ExperimentContext
+from repro.experiments.runner import run_experiment
 from repro.workloads import get_workload
 
 SCALE = 0.02
@@ -103,3 +108,65 @@ def test_info_and_clear(cache_tmp):
     assert info["bytes"] > 0
     assert cache.clear_cache() == 2
     assert cache.cache_info()["entries"] == 0
+
+
+def test_info_counts_and_clear_reclaims_stray_temp_files(cache_tmp, capsys):
+    """A writer killed mid-write leaves its ``_atomic_write`` temp file
+    behind: info counts it and clear reclaims it, while a fresh one (a
+    write in flight) survives.  Info also reports bytes per kind."""
+    fresh_workload().trace(SCALE, seed=12)
+    layout = cache_tmp / "v1"
+    stray = layout / "tmpdead.tmp"
+    stray.write_bytes(b"x" * 100)
+    aged = stray.stat().st_mtime - 2 * cache._STALE_TMP_S
+    os.utime(stray, (aged, aged))
+    live = layout / "tmplive.tmp"
+    live.write_bytes(b"y" * 10)
+    info = cache.cache_info()
+    assert (info["temp_files"], info["temp_bytes"]) == (2, 110)
+    trace_bytes = sum(p.stat().st_size for p in layout.glob("trace-*"))
+    assert info["kind_bytes"] == {"trace": trace_bytes}
+    assert info["bytes"] == trace_bytes + 110
+    assert main(["cache", "info"]) == 0
+    out = capsys.readouterr().out
+    assert f"trace: 1 ({trace_bytes / 1e6:.1f} MB)" in out
+    assert "temp files: 2" in out
+    assert cache.clear_cache() == 1
+    assert not stray.exists() and live.exists()
+    assert cache.cache_info()["temp_files"] == 1
+
+
+#: every experiment whose batch replays classify through ``classify_trace``
+CLASSIFYING = ("fig04", "fig17", "tenant_scaling", "des_validation",
+               "replay_validation", "failover_study")
+
+
+def test_persisted_classifications_change_no_output(cache_tmp, monkeypatch):
+    """The classifying experiments render identically with the cache off,
+    cold and warm.  At scale 0.1 each of them classifies slices over
+    ``_CACHE_MIN_ANON``, and warm, each loads every classification it
+    asks the cache for from a replay entry."""
+    lookups = []
+    real_load = cache.load_replay
+
+    def counted_load(*args):
+        hit = real_load(*args)
+        lookups.append(hit is not None)
+        return hit
+
+    monkeypatch.setattr(cache, "load_replay", counted_load)
+
+    def render(name):
+        return run_experiment(name, ExperimentContext(scale=0.1)).render()
+
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    off = {name: render(name) for name in CLASSIFYING}
+    assert lookups == []
+    monkeypatch.delenv("REPRO_CACHE")
+    for name in CLASSIFYING:  # cold
+        assert render(name) == off[name], name
+    assert list((cache_tmp / "v1").glob("replay-*.npz"))
+    for name in CLASSIFYING:  # warm
+        lookups.clear()
+        assert render(name) == off[name], name
+        assert lookups and all(lookups), name

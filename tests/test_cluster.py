@@ -58,6 +58,15 @@ def test_node_zero_dram_reports_zero_utilization():
     assert n.used_fm == gib(8)
 
 
+@pytest.mark.parametrize("field", ["fm_bytes", "used_local", "used_fm"])
+def test_node_rejects_negative_capacity(field):
+    """A negative capacity or reservation fails at construction, with the
+    error resize_fm and admit raise (it used to yield free_fm < 0 and a
+    negative utilization)."""
+    with pytest.raises(ValueError, match=field):
+        ClusterNode("n", **{field: -5})
+
+
 def test_node_resize_fm_below_usage_blocks_admission():
     n = ClusterNode("n0", fm_bytes=gib(16))
     n.admit("t", gib(1), gib(8))

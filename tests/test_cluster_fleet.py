@@ -38,6 +38,7 @@ from repro.cluster.mbe import mbe
 from repro.errors import ConfigurationError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import run_experiment
+from repro.swap import replay
 from repro.topology.rack import RackFabric
 
 __all__: list[str] = []
@@ -146,6 +147,9 @@ def test_fleet_cache_round_trip(tmp_path, monkeypatch):
     cfg = FleetConfig(n_nodes=40, n_snapshots=2, seed=5)
     cold = run_fleet(cfg)
     assert len(list(tmp_path.rglob("fleet-*.npz"))) == 1
+    # default-shape node jobs (2,048 accesses) sit below the replay floor
+    assert cfg.accesses_per_job < replay._CACHE_MIN_ANON
+    assert list(tmp_path.rglob("replay-*.npz")) == []
     calls = _count_node_jobs(monkeypatch)
     h0, m0 = cache.cache_stats()
     warm = run_fleet(cfg)

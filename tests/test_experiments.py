@@ -8,7 +8,10 @@ workload.
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, ExperimentContext
+from repro.experiments import EXPERIMENTS, ExperimentContext, fig17
+from repro.experiments.contention import anon_local_pages
+from repro.swap import replay as replay_mod
+from repro.swap.replay import ClassificationMemo
 
 SCALE = 0.25
 
@@ -166,6 +169,38 @@ def test_fig17_isolation(results):
         assert row[1] > row[3]                 # shared worse than vm-isolated
         assert 0.9 < row[5] < 1.2              # vm-isolated ~ isolated
         assert row[7] >= 1.0 - 1e-9            # sharing never helps the probe
+
+
+def test_fig17_classifies_each_neighbour_family_once(ctx, results, monkeypatch):
+    """Probes that share a noisy neighbour share one classification memo:
+    each family's distinct (digest, capacity) is classified once, where
+    one memo per probe classifies every probe's slices again, and the
+    rows equal that per-probe run's."""
+    calls = []
+    real_classify = replay_mod.classify_trace
+
+    def counted(trace, capacity, active_ratio=0.5, **kw):
+        calls.append((trace.content_digest(), capacity))
+        return real_classify(trace, capacity, active_ratio, **kw)
+
+    monkeypatch.setattr(replay_mod, "classify_trace", counted)
+    rows = fig17.run(ctx).rows
+    expected = []
+    for neighbour in dict.fromkeys(map(fig17._neighbour, fig17.PROBES)):
+        expected += {
+            (t.content_digest(), anon_local_pages(t, fig17.FM_RATIO))
+            for name in fig17.PROBES if fig17._neighbour(name) == neighbour
+            for t in fig17._tenant_traces(ctx, name)
+        }
+    assert sorted(calls) == sorted(expected)
+    assert rows == results("fig17").rows
+
+    real_ratio = fig17._measured_ratio
+    monkeypatch.setattr(fig17, "_measured_ratio", lambda ctx, name, classify:
+                        real_ratio(ctx, name, ClassificationMemo()))
+    calls.clear()
+    assert fig17.run(ctx).rows == rows
+    assert len(calls) == (1 + fig17._NEIGHBOURS) * len(fig17.PROBES) > len(expected)
 
 
 def test_tenant_scaling_curves(results):

@@ -9,6 +9,7 @@ distributions, file-backed mixes, a hypothesis property test, and the
 Mattson MRC cross-check lock this in.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -21,9 +22,17 @@ from repro.errors import ConfigurationError
 from repro.mem import lru as lru_mod
 from repro.mem.lru import LRUCache, lru_replay
 from repro.mem.page import PageKind, PageOp
+from repro.rng import derive
 from repro.simcore import Simulator
 from repro.swap.executor import SwapExecutor
-from repro.swap.replay import REPLAY_ENV, _engine, classify_trace, trace_mrc
+from repro.swap.replay import (
+    _CACHE_MIN_ANON,
+    REPLAY_ENV,
+    ReplayClassification,
+    _engine,
+    classify_trace,
+    trace_mrc,
+)
 from repro.trace.schema import make_trace
 from repro.units import PAGE_SIZE
 
@@ -185,6 +194,15 @@ def test_replay_run_requires_consistent_classification():
 
 # -- classification cache ----------------------------------------------------
 
+def _assert_same_classification(a, b):
+    for f in dataclasses.fields(ReplayClassification):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
 def test_classification_cache_roundtrip(monkeypatch):
     import repro.swap.replay as replay_mod
     from repro import cache
@@ -196,12 +214,35 @@ def test_classification_cache_roundtrip(monkeypatch):
     warm = classify_trace(trace, 50)
     h1, _ = cache.cache_stats()
     assert h1 == h0 + 1
-    for name in ("fault_pos", "evict_pos", "evict_page", "clean", "far_end",
-                 "final_active", "final_inactive", "touched"):
-        assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
-    for name in ("n_accesses", "file_skips", "hits", "cold_allocations",
-                 "lru_promotions", "lru_demotions"):
-        assert getattr(cold, name) == getattr(warm, name), name
+    _assert_same_classification(cold, warm)
+
+
+@pytest.mark.parametrize("below", [0, 1])
+def test_classification_cache_floor_counts_anonymous_accesses(
+        below, tmp_path, monkeypatch):
+    """A trace with exactly ``_CACHE_MIN_ANON`` anonymous accesses (plus
+    file-backed ones) is persisted, and its warm classification runs no
+    LRU replay; one anonymous access fewer persists nothing."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    n_anon = _CACHE_MIN_ANON - below
+    rng = derive(16, "tests/replay-cache-floor")
+    n = n_anon + 500
+    kinds = np.full(n, int(PageKind.FILE))
+    kinds[rng.choice(n, size=n_anon, replace=False)] = int(PageKind.ANON)
+    ops = np.where(rng.random(n) < 0.3, int(PageOp.STORE), int(PageOp.LOAD))
+    trace = make_trace(rng.integers(0, 600, size=n), ops=ops, kinds=kinds)
+    cold = classify_trace(trace, 150)
+    assert cold.n_accesses - cold.file_skips == n_anon
+    entries = list(tmp_path.rglob("replay-*.npz"))
+    assert len(entries) == (1 if below == 0 else 0)
+    if below == 0:
+        with pytest.MonkeyPatch.context() as mp:
+            def refuse(*args, **kwargs):
+                raise AssertionError("warm classification replayed the LRU")
+            mp.setattr(lru_mod.ActiveInactiveLRU, "replay", refuse)
+            warm = classify_trace(trace, 150)
+        _assert_same_classification(cold, warm)
 
 
 def test_content_digest_distinguishes_traces():
@@ -255,9 +296,11 @@ def test_property_batch_equals_event(pages, capacity, data):
         st.sampled_from([int(PageKind.ANON), int(PageKind.ANON), int(PageKind.FILE)]),
         min_size=n, max_size=n))
     trace = make_trace(np.asarray(pages), ops=np.asarray(ops), kinds=np.asarray(kinds))
-    # patched down, the LRU's two-scan kernel classifies from capacity 4 up
+    # patched down, the LRU's two-scan kernel classifies from capacity 4 up;
+    # cache off, so the batch run classifies on the path it forces
     kernel_epoch = data.draw(st.sampled_from([lru_mod._KERNEL_EPOCH, 1]), label="kernel_epoch")
     with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE", "0")
         mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
         batch, bex = _run_mode(trace, capacity, "batch")
     event, eex = _run_mode(trace, capacity, "event")

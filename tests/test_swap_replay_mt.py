@@ -103,11 +103,14 @@ def _assert_mt_equivalent(traces, kernel_epochs=(None,), **kwargs):
     """The three-way check: fluid vs event counters, fluid vs DES timing.
 
     The batch runs repeat per entry of ``kernel_epochs``: None keeps the
-    LRU's real two-scan kernel threshold, a number patches it down.
+    LRU's real two-scan kernel threshold, a number patches it down.  They
+    run with the artifact cache off, so every run classifies on the path
+    it forces instead of loading another path's result.
     """
     event, eex = _run_mt(traces, "event", **kwargs)
     for kernel_epoch in kernel_epochs:
         with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_CACHE", "0")
             if kernel_epoch is not None:
                 mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
             fluid, fex = _run_mt(traces, "batch", **kwargs)

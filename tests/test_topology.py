@@ -11,6 +11,7 @@ from repro.topology import (
     PCIeGen,
     PCIeLink,
     PCIeSwitch,
+    ServerSpec,
     paper_testbed,
     pcie_lane_bandwidth,
 )
@@ -186,3 +187,17 @@ def test_server_numa_domain_splits_memory():
     dom = paper_testbed().numa_domain()
     assert dom.nodes[0].mem_bytes == gib(32)
     assert dom.nodes[1].mem_bytes == gib(32)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dram_bytes", -1), ("dram_bandwidth", -1.0), ("ssd_bytes", -1),
+    ("ssd_bandwidth", -0.5), ("hdd_bytes", -1), ("hdd_bandwidth", -1.0),
+    ("rdma_port_bandwidth", -1.0), ("sockets", 0), ("sockets", -2),
+    ("rdma_ports", 0), ("rdma_ports", -1),
+])
+def test_server_spec_rejects_negative_capacity(field, value):
+    """Negative capacities and bandwidths, and fewer than one socket or
+    RDMA port (both are divisors), fail at construction."""
+    with pytest.raises(ConfigurationError, match=field):
+        ServerSpec(**{field: value})
+    assert ServerSpec(dram_bytes=0).dram_bytes == 0  # FM-only blade
