@@ -263,6 +263,18 @@ def _run_swap_stack(trace, local_pages: int, mode: str):
     return time.perf_counter() - t0, result
 
 
+def _check_counters(label: str, got, ref, counters, sim_times=()) -> None:
+    """Raise unless ``got`` matches the event reference ``ref`` exactly on
+    ``counters`` and to 1e-9 relative on the ``sim_times`` quantities."""
+    mismatched = [c for c in counters if getattr(got, c) != getattr(ref, c)]
+    for c in sim_times:
+        want = getattr(ref, c)
+        if want > 0 and abs(getattr(got, c) - want) > 1e-9 * want:
+            mismatched.append(c)
+    if mismatched:
+        raise AssertionError(f"{label} counter mismatch on {', '.join(mismatched)}")
+
+
 def bench_replay(accesses: int, repeats: int) -> dict:
     """Batch vs event throughput per workload, with counter verification."""
     # the classification cache would let warm repeats skip the engine
@@ -280,12 +292,7 @@ def bench_replay(accesses: int, repeats: int) -> dict:
             batch_res = result
         # best-of-1 for the slow event reference; it has no warm-up effects
         event_seconds, event_res = _run_swap_stack(trace, case["local_pages"], "event")
-        mismatched = [c for c in _COUNTERS
-                      if getattr(batch_res, c) != getattr(event_res, c)]
-        if mismatched:
-            raise AssertionError(
-                f"{name}: batch/event counter mismatch on {', '.join(mismatched)}"
-            )
+        _check_counters(f"{name}: batch/event", batch_res, event_res, _COUNTERS)
         workloads[name] = {
             **case,
             "accesses": accesses,
@@ -381,20 +388,11 @@ def bench_injected(accesses: int, repeats: int) -> dict:
         # best-of-1 for the slow event reference; it has no warm-up effects
         event_seconds, event_res, _ = _run_injected_stack(
             trace, case["local_pages"], "event", windows, case["fault_seed"])
-        mismatched = [c for c in _INJECTED_COUNTERS
-                      if getattr(hybrid_res, c) != getattr(event_res, c)]
         # stall_time is a simulated-time quantity, not an integer counter:
         # graceful-degradation waits are `recovery - sim.now`, so it drifts
         # with the clock at the sim_time tolerance, not bit-exactly
-        if event_res.stall_time > 0 and abs(
-                hybrid_res.stall_time - event_res.stall_time
-        ) > 1e-9 * event_res.stall_time:
-            mismatched.append("stall_time")
-        if mismatched:
-            raise AssertionError(
-                f"{name}: hybrid/event counter mismatch on "
-                f"{', '.join(mismatched)}"
-            )
+        _check_counters(f"{name}: hybrid/event", hybrid_res, event_res,
+                        _INJECTED_COUNTERS, sim_times=("stall_time",))
         rows[name] = {
             **case,
             "accesses": accesses,
@@ -450,13 +448,8 @@ def bench_replay_mt(total_accesses: int, tenants: int, repeats: int) -> dict:
                                                  "event")
         max_rel = 0.0
         for i in range(tenants):
-            mismatched = [c for c in _COUNTERS
-                          if getattr(batch_res[i], c) != getattr(event_res[i], c)]
-            if mismatched:
-                raise AssertionError(
-                    f"{name}: tenant {i} batch/event counter mismatch on "
-                    f"{', '.join(mismatched)}"
-                )
+            _check_counters(f"{name}: tenant {i} batch/event", batch_res[i],
+                            event_res[i], _COUNTERS)
             if event_res[i].sim_time > 0:
                 max_rel = max(max_rel, abs(batch_res[i].sim_time
                                            - event_res[i].sim_time)

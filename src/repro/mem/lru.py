@@ -13,26 +13,23 @@ Both structures also offer *batched replay* over a whole page-id array:
 * :func:`lru_replay` resolves exact LRU fully vectorized from one reuse-
   distance pass (hit iff stack distance < capacity; the k-th eviction
   pairs with the k-th access whose next reuse distance reaches capacity);
-* :meth:`ActiveInactiveLRU.replay` walks the two-generation lists in
-  epochs of ``E = min(capacity - max_active, max_active) - 1`` accesses.
-  Reclaim and demotion each pop a list head, which within an epoch is a
-  pointer into the list as it stood at the epoch start, stepping over
-  entries a touch moved away.  Every pointer step costs one access and
-  each start list is longer than ``E`` steps, so no pointer runs off its
-  start list into pages moved there within the epoch: a page touched in
-  an epoch is neither evicted nor demoted in it.  Re-touches are hits
-  resolved in bulk, and only the first touch per distinct page per epoch
-  (plus a missed page's promoting second touch) needs sequential
-  treatment.  This holds while the active list starts within its
-  ``max_active`` share; a shrinking ``resize()`` can break that, and
-  such calls take the per-access loop.  Large epochs (``E >=
-  _KERNEL_EPOCH``) run two integer pointer scans per epoch; smaller ones
-  a dict-based sweep, or the loop on tiny caches.
+* :meth:`ActiveInactiveLRU.replay` runs large caches (epochs of ``E =
+  min(capacity - max_active, max_active) - 1 >= _KERNEL_EPOCH``
+  accesses) through two integer pointer scans per epoch.  Reclaim and
+  demotion each pop a list head, which within an epoch is a pointer
+  into the list as it stood at the epoch start, stepping over entries a
+  touch moved away.  Every pointer step costs one access and each start
+  list is longer than ``E`` steps, so no pointer runs off its start list
+  into pages moved there within the epoch: a page touched in an epoch
+  is neither evicted nor demoted in it, and only first touches need
+  resolving.  This holds while the active list starts within its
+  ``max_active`` share; a shrinking ``resize()`` can break that.  Such
+  calls, and every call on a smaller cache, take the inlined per-access
+  loop.
 
-Replays are bit-identical to the per-access loops (the equivalence tests
-lock this in) but an order of magnitude cheaper on skewed traces — they
-are what the batched fault-replay engine (:mod:`repro.swap.replay`) is
-built on.
+Replays are bit-identical to the per-access methods (the equivalence
+tests lock this in); they are what the batched fault-replay engine
+(:mod:`repro.swap.replay`) is built on.
 """
 
 from __future__ import annotations
@@ -45,23 +42,18 @@ import numpy as np
 
 __all__ = ["LRUCache", "ActiveInactiveLRU", "LRUReplayLog", "lru_replay"]
 
-#: Below this epoch length the vectorized two-generation replay falls back
-#: to the per-access loop — numpy overhead beats the win on tiny caches.
-_MIN_EPOCH = 32
-
-#: Epoch sweeps stop paying off once this fraction of a warm epoch's
-#: accesses are first/second touches (each one is sequential work anyway);
-#: past it the replay hands the rest of the trace to the inline loop.
-_LOOP_DENSITY = 0.15
-
 #: From this epoch length on, replay resolves epochs with the two-pointer
-#: scan kernel instead of the sweep/loop pair.  Its fixed numpy cost per
+#: scan kernel instead of the per-access loop.  Its fixed numpy cost per
 #: epoch is O(capacity), so it only wins on large caches.  Measured
-#: crossover on 200 k-access uniform / zipf / hot-set traces (kernel speed
-#: relative to the sweep/loop pair, shared 2-core Xeon host): 0.14-0.29x
-#: at E = 63, 0.36-0.90x at 255, 0.96-1.62x at 1023, 1.03-1.37x at 2047,
-#: 1.29-1.95x at 4095, 2.2-2.6x at 8191.  4096 is the first power of two
-#: where the kernel wins on every trace shape by a margin.
+#: crossover on 200 k-access uniform / zipf-1.1 / hot-set traces (kernel
+#: speed relative to the loop, two runs of median-of-5, shared 2-core
+#: Xeon host): 0.26-0.30 / 0.19-0.21 / 0.10-0.16x at E = 63, 0.71-0.75 /
+#: 0.48-0.53 / 0.28x at 255, 1.15-1.43 / 0.80-1.42 / 0.67-0.81x at 1023,
+#: 1.40-1.73 / 1.04-1.29 / 0.80-1.01x at 2047, 1.74-1.76 / 1.29-1.57 /
+#: 0.99-1.20x at 4095, 2.04-2.07 / 1.59-1.63 / 1.17-1.32x at 8191.  4096
+#: is the first power of two where the kernel wins on uniform and zipf
+#: and at least ties on the hot-set trace, whose loop is almost all
+#: active-list hits (DESIGN §3.2 has the table).
 _KERNEL_EPOCH = 4096  # simlint: ignore[UNIT001] -- epoch length in accesses, not bytes
 
 #: Page ids below this multiple of the id count index the kernel's state
@@ -297,7 +289,7 @@ class ActiveInactiveLRU:
         """Touch every page in ``pages`` in order, batched.
 
         Bit-identical to calling :meth:`access` per element — same final
-        list contents *and order*, same counters — but the common case is
+        list contents *and order*, same counters — with large caches
         resolved in numpy epochs.  Victims are returned in the log rather
         than delivered through ``on_evict`` (which must be unset: a
         callback observes interleaved state the batch path skips over).
@@ -317,57 +309,25 @@ class ActiveInactiveLRU:
         first touch per epoch (plus the promoting second touch of a missed
         page) needs resolving.
 
-        Precondition for both epoch paths: the call starts with at most
+        Precondition for the epoch path: the call starts with at most
         ``max_active`` pages on the active list, which bounds the active
         pointer's steps and leaves the inactive list long enough.  Only a
         shrinking :meth:`resize` (or a :meth:`restore_state` of such a
-        state) breaks it; those calls take the per-access loop, which is
-        exact for any state.  Epochs of at least ``_KERNEL_EPOCH``
-        accesses go to the two-scan kernel (:meth:`_replay_kernel`);
-        shorter ones to the epoch sweep (:meth:`_replay_epochs`), or to
-        the inline loop on tiny caches and low-locality traces.
+        state) breaks it.  Calls that meet it with epochs of at least
+        ``_KERNEL_EPOCH`` accesses go to the two-scan kernel
+        (:meth:`_replay_kernel`); every other call takes the per-access
+        loop (:meth:`_replay_loop`), which is exact for any state.
         """
         if self.on_evict is not None:
             raise ValueError("replay() with an on_evict callback; victims are returned in the log")
         pages = np.ascontiguousarray(np.asarray(pages, dtype=np.int64))
-        n = int(pages.shape[0])
-        cap = self.capacity
-        max_active = max(1, int(cap * self.active_ratio))
-        epoch = min(cap - max_active, max_active) - 1
-        precondition = len(self._active) <= max_active
-        if n and precondition and epoch >= _KERNEL_EPOCH:
+        max_active = max(1, int(self.capacity * self.active_ratio))
+        epoch = min(self.capacity - max_active, max_active) - 1
+        if pages.size and len(self._active) <= max_active and epoch >= _KERNEL_EPOCH:
             return self._replay_kernel(pages, epoch, max_active)
-        hits_mask = np.zeros(n, dtype=bool)
-        ev_pos_parts: list[np.ndarray] = []
-        ev_page_parts: list[np.ndarray] = []
-        use_epochs = precondition and epoch >= _MIN_EPOCH
-        if use_epochs and len(self) == cap:
-            # Warm low-locality pre-check: with full lists the epoch path
-            # bails to the inline loop once a single epoch's first/second-
-            # touch density exceeds _LOOP_DENSITY, after paying an
-            # O(capacity) state build.  The first epoch's distinct count is
-            # a lower bound on its touch events, so when even that exceeds
-            # the threshold, skip the epoch machinery entirely.  Which path
-            # runs is a pure perf choice: both produce identical lists and
-            # counters by contract.
-            probe = pages[:min(epoch, n)]
-            use_epochs = np.unique(probe).size <= _LOOP_DENSITY * probe.size
-        if not use_epochs:
-            self._replay_loop(pages, 0, n, hits_mask, ev_pos_parts, ev_page_parts)
-        else:
-            i = self._replay_epochs(pages, 0, n, epoch, max_active,
-                                    hits_mask, ev_pos_parts, ev_page_parts)
-            if i < n:  # low-locality trace: the inline loop is cheaper
-                self._replay_loop(pages, i, n, hits_mask, ev_pos_parts, ev_page_parts)
-        if ev_pos_parts:
-            evict_pos = np.concatenate(ev_pos_parts)
-            evict_page = np.concatenate(ev_page_parts)
-        else:
-            evict_pos = np.empty(0, dtype=np.int64)
-            evict_page = np.empty(0, dtype=np.int64)
-        return LRUReplayLog(hits_mask, evict_pos, evict_page)
+        return self._replay_loop(pages)
 
-    def _replay_loop(self, pages, start, stop, hits_mask, ev_pos_parts, ev_page_parts) -> int:
+    def _replay_loop(self, pages: np.ndarray) -> LRUReplayLog:
         """Per-access path with :meth:`access` inlined and bulk bookkeeping.
 
         One insert raises the total by at most one, so reclaim never needs
@@ -391,7 +351,7 @@ class ActiveInactiveLRU:
         ev_pg_app = ev_pg.append
         nact = len(active)
         ntotal = nact + len(inactive)
-        for pos, p in enumerate(pages[start:stop].tolist(), start):
+        for pos, p in enumerate(pages.tolist()):
             if p in active:
                 a_move(p)
                 hits += 1
@@ -421,188 +381,10 @@ class ActiveInactiveLRU:
         self.promotions += promotions
         self.demotions += demotions
         self.evictions += len(ev_pos)
-        hits_mask[start:stop] = True
-        if miss_pos:
-            hits_mask[np.asarray(miss_pos, dtype=np.int64)] = False
-        if ev_pos:
-            ev_pos_parts.append(np.asarray(ev_pos, dtype=np.int64))
-            ev_page_parts.append(np.asarray(ev_pg, dtype=np.int64))
-        return stop
-
-    @staticmethod
-    def _in_sorted(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Membership mask of ``arr`` against a *sorted unique* ``table``."""
-        if table.size == 0:
-            return np.zeros(arr.shape, dtype=bool)
-        idx = np.searchsorted(table, arr)
-        idx[idx == table.size] = 0  # out-of-range probes; equality rejects
-        return table[idx] == arr
-
-    def _replay_epochs(self, pages, i, n, epoch, max_active,
-                       hits_mask, ev_pos_parts, ev_page_parts) -> int:
-        """Epoch-batched replay, including warm-up below capacity.
-
-        Per-page state packs ``(last_touch_epoch << 2) | list_code`` into
-        one int (code 1 = inactive, 2 = active, 0 = out), so "touched in
-        the current epoch" is one compare and no per-epoch reset pass is
-        needed.  Reclaim only engages once the lists reach capacity
-        (``ntotal`` tracks growth), which keeps warm-up on the same path:
-        the demotion bound never depended on full lists, and in the epoch
-        that crosses capacity the reclaim scan consumes at most
-        ``E - (capacity - start_total)`` entries — within the inactive
-        snapshot because the active share is capped at ``max_active``.
-
-        The epoch path only pays off while few accesses need sequential
-        treatment; once a warm epoch's first/second-touch density exceeds
-        ``_LOOP_DENSITY`` the method writes the lists back and returns the
-        resume position for the inline per-access loop (which beats the
-        numpy glue on low-locality traces).  Returns ``n`` when done.
-        """
-        cap = self.capacity
-        state: dict[int, int] = {}
-        for p in self._active:
-            state[p] = 2
-        for p in self._inactive:
-            state[p] = 1
-        act_order = np.fromiter(self._active, count=len(self._active), dtype=np.int64)
-        inact_order = np.fromiter(self._inactive, count=len(self._inactive), dtype=np.int64)
-        nact = int(act_order.shape[0])
-        ntotal = nact + int(inact_order.shape[0])
-        d_hits = d_misses = d_promotions = d_demotions = d_evictions = 0
-        in_sorted = self._in_sorted
-        eidx = 0
-        while i < n:
-            eidx += 1
-            tag = eidx << 2
-            was_warm = ntotal == cap
-            j = min(i + epoch, n)
-            chunk = pages[i:j]
-            m = j - i
-            # One stable sort yields per-page first/second/last positions:
-            # within a group of equal pages the permutation keeps access
-            # order, so group starts/ends map straight to touch indices.
-            order = np.argsort(chunk, kind="stable")
-            sorted_pages = chunk[order]
-            group = np.empty(m, dtype=bool)
-            group[0] = True
-            np.not_equal(sorted_pages[1:], sorted_pages[:-1], out=group[1:])
-            starts = np.flatnonzero(group)
-            ends = np.concatenate([starts[1:], [m]])
-            uniq = sorted_pages[starts]  # sorted: the membership table below
-            multi = (ends - starts) >= 2
-            first_idx = order[starts]
-            last_idx = order[ends - 1]
-            second_idx = order[starts[multi] + 1]
-            # The sweep needs each page's first touch (hit/miss resolution)
-            # *and* second touch (a missed page promotes when re-touched);
-            # third and later touches are guaranteed active-hit no-ops.
-            if second_idx.size:
-                event_idx = np.sort(np.concatenate([first_idx, second_idx]))
-            else:
-                event_idx = np.sort(first_idx)
-            # -- sequential sweep over first/second touches, in order ------
-            act_snap = act_order.tolist()
-            inact_snap = inact_order.tolist()
-            n_act_snap = len(act_snap)
-            n_inact_snap = len(inact_snap)
-            d_ptr = e_ptr = 0
-            miss_local: list[int] = []
-            app_page: list[int] = []   # inactive-tail appends (inserts + demotions)
-            demoted: list[int] = []
-            evicted: list[int] = []
-            evicted_at: list[int] = []
-            sget = state.get
-            for pos, p in zip(event_idx.tolist(), chunk[event_idx].tolist()):
-                rec = sget(p, 0)
-                code = rec & 3
-                if code == 2:
-                    if rec < tag:
-                        state[p] = tag | 2  # first active touch: mark recency
-                    continue
-                if code == 1:
-                    # hit on inactive: promote, then demote while over-share
-                    state[p] = tag | 2
-                    d_promotions += 1
-                    nact += 1
-                    while nact > max_active:
-                        while True:
-                            if d_ptr >= n_act_snap:  # unreachable: E < max_active
-                                raise RuntimeError("two-gen replay: demotion scan exhausted")
-                            v = act_snap[d_ptr]
-                            d_ptr += 1
-                            rv = sget(v, 0)
-                            if rv & 3 == 2 and rv < tag:  # untouched, still active
-                                break
-                        state[v] = tag | 1
-                        demoted.append(v)
-                        app_page.append(v)
-                        d_demotions += 1
-                        nact -= 1
-                    continue
-                # miss: insert at inactive tail, reclaim the inactive head
-                miss_local.append(pos)
-                state[p] = tag | 1
-                app_page.append(p)
-                if ntotal < cap:
-                    ntotal += 1
-                    continue
-                while True:
-                    if e_ptr >= n_inact_snap:  # unreachable: E < inactive size
-                        raise RuntimeError("two-gen replay: reclaim scan exhausted")
-                    v = inact_snap[e_ptr]
-                    e_ptr += 1
-                    if sget(v, 0) & 3 == 1:  # untouched snapshot entry, in place
-                        break
-                state[v] = 0
-                d_evictions += 1
-                evicted.append(v)
-                evicted_at.append(pos)
-            # -- bulk hit bookkeeping -------------------------------------
-            hits_mask[i:j] = True
-            if miss_local:
-                miss_arr = np.asarray(miss_local, dtype=np.int64)
-                hits_mask[i + miss_arr] = False
-                if evicted:
-                    ev_pos_parts.append(i + np.asarray(evicted_at, dtype=np.int64))
-                    ev_page_parts.append(np.asarray(evicted, dtype=np.int64))
-            d_hits += m - len(miss_local)
-            d_misses += len(miss_local)
-            # -- rebuild list order at the epoch boundary -----------------
-            # Touched pages end on active unless first-touched by a miss
-            # and never re-touched; ordered among themselves by last touch
-            # (each later touch is an active-hit move-to-end).
-            first_hit = hits_mask[i + first_idx]
-            ends_active = first_hit | multi
-            act_new_pages = uniq[ends_active]
-            act_new = act_new_pages[np.argsort(last_idx[ends_active])]
-            act_rm = in_sorted(act_order, uniq)
-            if demoted:
-                act_rm |= in_sorted(act_order, np.sort(np.asarray(demoted, dtype=np.int64)))
-            act_keep = act_order[~act_rm]
-            inact_rm = in_sorted(inact_order, uniq)
-            if evicted:
-                inact_rm |= in_sorted(inact_order, np.sort(np.asarray(evicted, dtype=np.int64)))
-            inact_keep = inact_order[~inact_rm]
-            if app_page:
-                appended = np.asarray(app_page, dtype=np.int64)
-                inact_new = appended[~in_sorted(appended, act_new_pages)]
-            else:
-                inact_new = np.empty(0, dtype=np.int64)
-            act_order = np.concatenate([act_keep, act_new])
-            inact_order = np.concatenate([inact_keep, inact_new])
-            if int(act_order.shape[0]) != nact or nact + int(inact_order.shape[0]) != ntotal:
-                raise RuntimeError("two-gen replay: list-size conservation violated")
-            i = j
-            if was_warm and event_idx.shape[0] > _LOOP_DENSITY * m:
-                break
-        self._active = OrderedDict.fromkeys(act_order.tolist())
-        self._inactive = OrderedDict.fromkeys(inact_order.tolist())
-        self.hits += d_hits
-        self.misses += d_misses
-        self.promotions += d_promotions
-        self.demotions += d_demotions
-        self.evictions += d_evictions
-        return i
+        hits_mask = np.ones(pages.shape[0], dtype=bool)
+        hits_mask[np.asarray(miss_pos, dtype=np.int64)] = False
+        return LRUReplayLog(hits_mask, np.asarray(ev_pos, dtype=np.int64),
+                            np.asarray(ev_pg, dtype=np.int64))
 
     def _replay_kernel(self, pages: np.ndarray, epoch: int, max_active: int) -> LRUReplayLog:
         """Epoch replay resolved by two pointer scans per epoch.
@@ -617,7 +399,9 @@ class ActiveInactiveLRU:
         inactive tail, out of the reclaim pointer's reach, so it runs
         first.  The demotion scan then places demotions from the
         promotions and active first touches.  List order is rebuilt at
-        each epoch boundary as :meth:`_replay_epochs` does.
+        each epoch boundary: untouched survivors keep their place, then
+        come the pages that end active, by last touch, and the misses and
+        demotions that stay inactive, by position.
 
         Per-page list membership lives in one int array indexed by dense
         page id, packing ``(index in its epoch-start list << 2) | code``

@@ -73,6 +73,7 @@ from repro.swap.replay import (
     _WINDOW,
     _fluid_phase2,
     _fluid_supported,
+    _in_sorted,
     _TenantPlan,
     classify_span,
 )
@@ -364,10 +365,7 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
             # delta) cannot express.  Admitted prefixes therefore leave
             # every stale copy untouched (clean drops keep the copy and
             # the owner), so the stale set is stable across chunks.
-            sp = anon_pages[a_pos:a1]
-            pos = np.searchsorted(stale_arr, sp)
-            in_stale = pos < stale_arr.size
-            in_stale[in_stale] = stale_arr[pos[in_stale]] == sp[in_stale]
+            in_stale = _in_sorted(anon_pages[a_pos:a1], stale_arr)
             risky = np.flatnonzero(in_stale
                                    & (anon_ops[a_pos:a1] == _STORE_OP))
             s_cut = int(risky[0]) if risky.size else span_len

@@ -91,8 +91,33 @@ _WINDOW = 4096  # simlint: ignore[UNIT001] -- access count, not bytes
 _CACHE_MIN_ANON = 4096  # simlint: ignore[UNIT001] -- access count, not bytes
 
 
+class _DerivedCounts:
+    """Counts both classification dataclasses derive from their
+    ``fault_pos``, ``evict_pos`` and ``clean`` columns."""
+
+    @property
+    def faults(self) -> int:
+        """Capacity faults (== swap-ins: every fault fetches its page)."""
+        return int(self.fault_pos.shape[0])
+
+    @property
+    def evictions(self) -> int:
+        """Victims produced by reclaim."""
+        return int(self.evict_pos.shape[0])
+
+    @property
+    def clean_drops(self) -> int:
+        """Victims freed without writeback (valid swap-cache copy)."""
+        return int(self.clean.sum())
+
+    @property
+    def swap_outs(self) -> int:
+        """Victims written back to the far backend."""
+        return self.evictions - self.clean_drops
+
+
 @dataclass
-class ReplayClassification:
+class ReplayClassification(_DerivedCounts):
     """Phase-1 output: every access and victim classified, end state known.
 
     Positions are indices into the *anonymous sub-trace* (the executor
@@ -115,29 +140,9 @@ class ReplayClassification:
     lru_promotions: int      #: two-generation promotion count
     lru_demotions: int       #: two-generation demotion count
 
-    @property
-    def faults(self) -> int:
-        """Capacity faults (== swap-ins: every fault fetches its page)."""
-        return int(self.fault_pos.shape[0])
-
-    @property
-    def evictions(self) -> int:
-        """Victims produced by reclaim."""
-        return int(self.evict_pos.shape[0])
-
-    @property
-    def clean_drops(self) -> int:
-        """Victims freed without writeback (valid swap-cache copy)."""
-        return int(self.clean.sum())
-
-    @property
-    def swap_outs(self) -> int:
-        """Victims written back to the far backend."""
-        return self.evictions - self.clean_drops
-
 
 @dataclass
-class SpanClassification:
+class SpanClassification(_DerivedCounts):
     """Phase-1 output for one *span* of a segmented run.
 
     The warm-start analogue of :class:`ReplayClassification`, produced by
@@ -158,25 +163,14 @@ class SpanClassification:
     far_end: np.ndarray      #: complete far-copy set at span end (sorted)
     new_touched: np.ndarray  #: pages first touched in this span, span order
 
-    @property
-    def faults(self) -> int:
-        """Capacity faults (== swap-ins: every fault fetches its page)."""
-        return int(self.fault_pos.shape[0])
 
-    @property
-    def evictions(self) -> int:
-        """Victims produced by reclaim."""
-        return int(self.evict_pos.shape[0])
-
-    @property
-    def clean_drops(self) -> int:
-        """Victims freed without writeback (valid swap-cache copy)."""
-        return int(self.clean.sum())
-
-    @property
-    def swap_outs(self) -> int:
-        """Victims written back to the far backend."""
-        return self.evictions - self.clean_drops
+def _in_sorted(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Membership mask of ``arr`` against a *sorted unique* ``table``."""
+    if table.size == 0:
+        return np.zeros(arr.shape, dtype=bool)
+    idx = np.searchsorted(table, arr)
+    idx[idx == table.size] = 0  # out-of-range probes; equality rejects
+    return table[idx] == arr
 
 
 def classify_span(
@@ -211,10 +205,7 @@ def classify_span(
         first = prev[miss_pos] < 0
         first_idx = miss_pos[first]
         first_pages = pages[first_idx]
-        if touched.size:
-            known = ActiveInactiveLRU._in_sorted(first_pages, touched)
-        else:
-            known = np.zeros(first_idx.shape[0], dtype=bool)
+        known = _in_sorted(first_pages, touched)
         fault_pos = miss_pos[~first]
         if known.any():
             # span-first misses of already-touched pages fault too

@@ -169,27 +169,25 @@ def test_two_list_invariants(trace, cap):
 
 
 # ------------------------------------------- batched replay == access()
-# ActiveInactiveLRU.replay has three paths: the inline per-access loop,
-# the dict-based epoch sweep, and the two-pointer scan kernel.  Each must
-# match feeding the pages one by one through access(): hits, the victim
-# stream, both lists in order, and all five counters.  The path is forced
-# by patching the epoch thresholds down (only the kernel returns the
-# previous-occurrence array it computed, which tells the paths apart).
+# ActiveInactiveLRU.replay has two paths: the inline per-access loop and
+# the two-pointer scan kernel.  Each must match feeding the pages one by
+# one through access(): hits, the victim stream, both lists in order, and
+# all five counters.  The path is forced by patching the kernel threshold
+# (only the kernel returns the previous-occurrence array it computed,
+# which tells the paths apart).
 COUNTERS = ("hits", "misses", "promotions", "demotions", "evictions")
 NEVER = sys.maxsize  # an epoch length no capacity reaches
 
-#: path -> (_MIN_EPOCH, _KERNEL_EPOCH)
-PATHS = {"loop": (NEVER, NEVER), "sweep": (1, NEVER), "kernel": (1, 1)}
+#: path -> _KERNEL_EPOCH
+PATHS = {"loop": NEVER, "kernel": 1}
 
 
 @contextmanager
 def _replay_path(path):
-    """Force a replay path; "default" keeps the real thresholds."""
+    """Force a replay path; "default" keeps the real threshold."""
     with pytest.MonkeyPatch.context() as mp:
         if path != "default":
-            min_epoch, kernel_epoch = PATHS[path]
-            mp.setattr(lru_mod, "_MIN_EPOCH", min_epoch)
-            mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
+            mp.setattr(lru_mod, "_KERNEL_EPOCH", PATHS[path])
         yield
 
 
@@ -280,7 +278,7 @@ def test_replay_matches_access_warm_restored(path, warm, pages, cap, ratio, ids,
 @settings(max_examples=60, deadline=None)
 def test_replay_matches_access_after_shrink(path, pages, cap, shrunk, ratio, cuts):
     """A shrinking resize() can leave more than max_active pages active,
-    which breaks both epoch paths' precondition."""
+    which breaks the kernel's precondition."""
     assume(shrunk < cap)
     lrus = []
     for _ in range(2):
@@ -328,13 +326,17 @@ def test_kernel_pointer_overrun_raises_runtime_error():
         lru._replay_kernel(np.arange(100, 110, dtype=np.int64), epoch=3, max_active=4)
 
 
-def test_replay_kernel_at_real_threshold():
-    """A seeded run long enough to reach the kernel unpatched."""
+@pytest.mark.parametrize("cap, kernel", [
+    pytest.param(300, False, id="loop"),  # E = 149, a `run all`-sized cache
+    pytest.param(2 * lru_mod._KERNEL_EPOCH + 4, True, id="kernel"),
+])
+def test_replay_kernel_at_real_threshold(cap, kernel):
+    """Seeded runs through the unpatched dispatch, on either side of the
+    kernel threshold (``_assert_replay_matches`` checks the path taken)."""
     rng = derive(15, "tests/mem_lru/kernel_threshold")
-    cap = 2 * lru_mod._KERNEL_EPOCH + 4
     hot = rng.integers(0, cap // 2, size=30_000)
     cold = rng.integers(0, 3 * cap, size=30_000)
     pages = np.where(rng.random(30_000) < 0.6, hot, cold)
     ref, got = ActiveInactiveLRU(cap), ActiveInactiveLRU(cap)
-    assert _epoch(ref) >= lru_mod._KERNEL_EPOCH
+    assert (_epoch(ref) >= lru_mod._KERNEL_EPOCH) == kernel
     _assert_replay_matches(ref, got, pages, cuts=(20_000,), path="default")

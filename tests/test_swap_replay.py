@@ -30,6 +30,7 @@ from repro.swap.replay import (
     REPLAY_ENV,
     ReplayClassification,
     _engine,
+    _in_sorted,
     classify_trace,
     trace_mrc,
 )
@@ -114,7 +115,7 @@ def test_batch_matches_event_store_only_and_load_only():
 
 
 def test_batch_matches_event_tiny_cache():
-    # below _MIN_EPOCH the LRU replay itself takes its loop path
+    # a tiny cache: the LRU replay takes its per-access loop path
     trace = _build_trace(6, 2000, 40, "zipf")
     _assert_equivalent(trace, capacity=5)
 
@@ -250,6 +251,23 @@ def test_content_digest_distinguishes_traces():
     b = _build_trace(14, 500, 50, "uniform")
     assert a.content_digest() != b.content_digest()
     assert a.content_digest() == a.content_digest()
+
+
+#: sorted-membership probes: negative ids, ids at and past 2**32, and
+#: ids above every table below
+_PROBE_IDS = [-(3**25), -1, 0, 5, 2**32 - 1, 2**32, 2**33 + 5, 2**62, 2**63 - 1]
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param([], id="empty"),
+    pytest.param([5], id="one"),
+    pytest.param([-(3**25), -2, 0, 2**32, 2**33 + 4], id="wide"),
+])
+def test_in_sorted_matches_isin(table):
+    table = np.asarray(table, dtype=np.int64)
+    for probes in (_PROBE_IDS, []):
+        probes = np.asarray(probes, dtype=np.int64)
+        assert _in_sorted(probes, table).tolist() == np.isin(probes, table).tolist()
 
 
 # -- Mattson MRC cross-check -------------------------------------------------

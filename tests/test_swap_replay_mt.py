@@ -137,8 +137,8 @@ def _assert_mt_equivalent(traces, kernel_epochs=(None,), **kwargs):
 def test_mt_sweep_backends_tenants_distributions(kind, n_tenants):
     """The acceptance sweep: backends × tenant counts, tenants cycling
     through all three access distributions — once on the LRU's default
-    replay path (an epoch sweep at 90 local pages) and once through its
-    two-scan kernel."""
+    replay path (the per-access loop at 90 local pages) and once through
+    its two-scan kernel."""
     traces = _tenant_traces(n_tenants, seed0=10 * n_tenants)
     _assert_mt_equivalent(traces, kernel_epochs=(None, 1), kind=kind)
 
