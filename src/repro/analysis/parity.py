@@ -4,29 +4,25 @@ The repo's headline contract is that the batched/fluid replay engines are
 *bit-identical* to the event-driven reference: every counter the event
 engine touches, the batch engine must touch too, and vice versa.  This pass
 turns that contract into a static check by diffing the **counter mutation
-surface** of each engine:
-
-* **group "result"** — the :class:`SwapExecutionResult` surface.  The event
-  engine is everything reachable from ``SwapExecutor._run_proc``; the batch
-  side is two entries, diffed one at a time: everything reachable from
-  ``replay_run_multi`` (the clean batch engine, one tenant or many), and
-  everything reachable from the segmented hybrid planner's ``hybrid_run``
-  (which reaches the fault path — retries, stalls, failover — through its
-  event segments).  A mutation is any ``res.X += / -= / =`` or
-  ``res.X.add(...)`` / ``res.X.add_repeat(...)`` whose receiver chain ends
-  in ``res`` or ``result`` (so LRU-internal stats like ``lru.hits`` don't
-  count).
-* **group "device"** — :class:`FaultyDevice`'s ``self.*`` counters
-  (attributes initialised to numeric constants in ``__init__``), diffed
-  between the per-access ``_io`` path and the batched ``_io_batch`` path.
+surface** of each engine over the :class:`SwapExecutionResult` fields.  The
+event engine is everything reachable from ``SwapExecutor._run_proc``; the
+batch side is two entries, diffed one at a time: everything reachable from
+``replay_run_multi`` (the clean batch engine, one tenant or many), and
+everything reachable from the segmented hybrid planner's ``hybrid_run``
+(which reaches the fault path — retries, stalls, failover — through its
+event segments).  A seam sub-check holds the planner's ``_batch_segment``
+booking to the clean engine's ``_apply_classification``.  A mutation is any
+``res.X += / -= / =`` or ``res.X.add(...)`` / ``res.X.add_repeat(...)``
+whose receiver chain ends in ``res`` or ``result`` (so LRU-internal stats
+like ``lru.hits`` don't count).
 
 A field mutated by one engine but not its peer is a finding anchored at the
 peer's entry-point ``def`` line.  Fields that *legitimately* exist on one
 side only are listed in :data:`_EVENT_ONLY` with the reason — empty since
 the segmented hybrid planner made the whole fault-path counter surface
 (``transient_retries``/``stall_time``/``failovers``) reachable from the
-batch side.  The pass is a no-op when a group's anchor functions are not all
-in the lint set, so linting a single file never produces phantom parity
+batch side.  The pass is a no-op when its anchor functions are not all in
+the lint set, so linting a single file never produces phantom parity
 findings.
 """
 
@@ -94,41 +90,9 @@ def _result_mutations(info: FunctionInfo) -> set[str]:
     return fields
 
 
-def _self_mutations(info: FunctionInfo, counters: frozenset[str]) -> set[str]:
-    """``self.<counter>`` mutations in this function."""
-    fields: set[str] = set()
-    for node in ast.walk(info.node):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        elif isinstance(node, ast.Assign):
-            targets = node.targets
-        for target in targets:
-            if isinstance(target, ast.Attribute) and target.attr in counters \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
-                fields.add(target.attr)
-    return fields
-
-
 def _find_entries(project: ProjectContext, suffix: str) -> list[FunctionInfo]:
     return [info for qual, info in project.functions.items()
             if qual.endswith("." + suffix)]
-
-
-def _numeric_init_attrs(project: ProjectContext, init: FunctionInfo) -> frozenset[str]:
-    """``self.x = <numeric constant>`` attributes in an ``__init__``."""
-    attrs: set[str] = set()
-    for node in ast.walk(init.node):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, (int, float)) \
-                and not isinstance(node.value.value, bool):
-            for target in node.targets:
-                if isinstance(target, ast.Attribute) \
-                        and isinstance(target.value, ast.Name) \
-                        and target.value.id == "self":
-                    attrs.add(target.attr)
-    return frozenset(attrs)
 
 
 @register
@@ -175,12 +139,6 @@ class EngineParity(Rule):
     }
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        yield from self._result_group(project)
-        yield from self._device_group(project)
-
-    # -- group "result": SwapExecutionResult across event/batch engines ----
-
-    def _result_group(self, project: ProjectContext) -> Iterator[Finding]:
         event_entries = _find_entries(project, "SwapExecutor._run_proc")
         batch_entries = (_find_entries(project, "replay_run_multi")
                          + [i for i in _find_entries(project, "hybrid_run")
@@ -188,12 +146,12 @@ class EngineParity(Rule):
         if not event_entries or not batch_entries:
             return  # one engine absent from the lint set: nothing to diff
 
-        event = self._surface(project, event_entries, _result_mutations)
+        event = self._surface(project, event_entries)
         # each batch-side entry point is a complete engine: diff every one
         # against the event surface individually, so a counter dropped
         # from one engine is caught even while its peers still mutate it
         for entry in batch_entries:
-            surface = self._surface(project, [entry], _result_mutations)
+            surface = self._surface(project, [entry])
             exempt = set(_EVENT_ONLY)
             if entry.name in _CLEAN_ENTRIES:
                 exempt |= set(_CLEAN_ONLY)
@@ -213,8 +171,8 @@ class EngineParity(Rule):
         seg_entries = _find_entries(project, "_batch_segment")
         book_entries = _find_entries(project, "_apply_classification")
         if seg_entries and book_entries:
-            seg = self._surface(project, seg_entries, _result_mutations)
-            book = self._surface(project, book_entries, _result_mutations)
+            seg = self._surface(project, seg_entries)
+            book = self._surface(project, book_entries)
             for field in sorted(book - seg):
                 yield self._missing(seg_entries[0], field,
                                     "clean batch booking", "hybrid chunk booking")
@@ -222,41 +180,12 @@ class EngineParity(Rule):
                 yield self._missing(book_entries[0], field,
                                     "hybrid chunk booking", "clean batch booking")
 
-    # -- group "device": FaultyDevice counters across _io/_io_batch --------
-
-    def _device_group(self, project: ProjectContext) -> Iterator[Finding]:
-        io_entries = [i for i in _find_entries(project, "_io") if i.cls is not None]
-        batch_entries = [i for i in _find_entries(project, "_io_batch") if i.cls is not None]
-        for io in io_entries:
-            peer = next((b for b in batch_entries
-                         if b.cls == io.cls and b.module is io.module), None)
-            if peer is None:
-                continue
-            init = project.functions.get(
-                f"{io.module.module_name}.{io.cls}.__init__")
-            if init is None:
-                continue
-            counters = _numeric_init_attrs(project, init)
-            if not counters:
-                continue
-            per_access = self._surface(
-                project, [io], lambda f: _self_mutations(f, counters))
-            batched = self._surface(
-                project, [peer], lambda f: _self_mutations(f, counters))
-            for field in sorted(per_access - batched):
-                yield self._missing(peer, field, "per-access", "batched")
-            for field in sorted(batched - per_access):
-                yield self._missing(io, field, "batched", "per-access")
-
-    # -- shared helpers ----------------------------------------------------
-
     @staticmethod
-    def _surface(project: ProjectContext, entries: list[FunctionInfo],
-                 collect) -> set[str]:
+    def _surface(project: ProjectContext, entries: list[FunctionInfo]) -> set[str]:
         reached = project.reachable([e.qualname for e in entries])
         fields: set[str] = set()
         for qual in reached:
-            fields |= collect(project.functions[qual])
+            fields |= _result_mutations(project.functions[qual])
         return fields
 
     def _missing(self, entry: FunctionInfo, field: str,

@@ -192,11 +192,11 @@ class FarMemoryDevice:
         """Serial command-phase seconds of ``count`` batched one-granule ops.
 
         Each batched op pays the full single-op serial cost, setup included
-        (one-granule requests pay setup per request).  This is the exact
-        command charge of :meth:`read_batch_gen`/:meth:`write_batch_gen`,
-        factored out so the fluid fair-share replay solver
-        (:mod:`repro.swap.replay`) prices flows with the same float
-        expression the DES path evaluates.
+        (one-granule requests pay setup per request), so this is the
+        command time ``count`` one-granule :meth:`read_gen` /
+        :meth:`write_gen` calls pay in total.  The fluid replay solver
+        (:mod:`repro.swap.replay`) prices each aggregate admission step
+        with it.
         """
         return count * (self.profile.setup_cost + self._op_cost(write, granularity))
 
@@ -219,46 +219,30 @@ class FarMemoryDevice:
     # ------------------------------------------------------------------
     # Discrete-event interface
     # ------------------------------------------------------------------
-    def read(self, nbytes: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
+    def read(self, nbytes: int, granularity: int = PAGE_SIZE):
         """DES process: read ``nbytes`` with channel + PCIe contention."""
         return self.sim.process(
-            self._io(nbytes, write=False, granularity=granularity, weight=weight),
+            self._io(nbytes, write=False, granularity=granularity),
             name=f"{self.name}:read",
         )
 
-    def write(self, nbytes: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
+    def write(self, nbytes: int, granularity: int = PAGE_SIZE):
         """DES process: write ``nbytes`` with channel + PCIe contention."""
         return self.sim.process(
-            self._io(nbytes, write=True, granularity=granularity, weight=weight),
+            self._io(nbytes, write=True, granularity=granularity),
             name=f"{self.name}:write",
         )
 
-    def read_gen(self, nbytes: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
+    def read_gen(self, nbytes: int, granularity: int = PAGE_SIZE):
         """Inline variant of :meth:`read` for ``yield from`` in a caller's
         own process — same contention and timing, no Process wrapper."""
-        return self._io(nbytes, write=False, granularity=granularity, weight=weight)
+        return self._io(nbytes, write=False, granularity=granularity)
 
-    def write_gen(self, nbytes: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
+    def write_gen(self, nbytes: int, granularity: int = PAGE_SIZE):
         """Inline variant of :meth:`write` for ``yield from``."""
-        return self._io(nbytes, write=True, granularity=granularity, weight=weight)
+        return self._io(nbytes, write=True, granularity=granularity)
 
-    def read_batch_gen(self, count: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
-        """Inline DES process for ``count`` single-granule reads as one flow.
-
-        Timing-equivalent to ``count`` sequential :meth:`read_gen` calls of
-        one granule each on an uncontended device (the command phase is
-        ``count`` full per-op costs *including* the per-request setup, and
-        the payload stages move ``count`` granules), but costs O(1) DES
-        events instead of O(count) — the epoch-batched fault replay's
-        aggregate swap-in flow.
-        """
-        return self._io_batch(count, write=False, granularity=granularity, weight=weight)
-
-    def write_batch_gen(self, count: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
-        """Inline batched variant of :meth:`write_gen`; see :meth:`read_batch_gen`."""
-        return self._io_batch(count, write=True, granularity=granularity, weight=weight)
-
-    def _serve(self, command: float, moved: float, write: bool, weight: float):  # simlint: dim[command=seconds, moved=bytes]
+    def _serve(self, command: float, moved: float, write: bool):  # simlint: dim[command=seconds, moved=bytes]
         """Serve one request inside its channel grant.
 
         The command phase is serial on the channel; the payload then
@@ -274,7 +258,7 @@ class FarMemoryDevice:
         if sim.skip(command):
             end = sim.now
             for pipe in self.stage_pipes(write):
-                done = pipe.solo_transfer(moved, weight)
+                done = pipe.solo_transfer(moved)
                 if done > end:
                     end = done
             if not sim.skip_to(end):
@@ -284,38 +268,13 @@ class FarMemoryDevice:
                 )
             return
         yield sim.timeout(command)
-        stages = [
-            pipe.transfer(moved, weight=weight)
-            for pipe in self.stage_pipes(write)
-        ]
+        stages = [pipe.transfer(moved) for pipe in self.stage_pipes(write)]
         if len(stages) == 1:
             yield stages[0]
         else:
             yield sim.all_of(stages)
 
-    def _io_batch(self, count: int, write: bool, granularity: int, weight: float):
-        if count <= 0:
-            return 0.0
-        if granularity <= 0:
-            raise ConfigurationError(f"granularity must be positive, got {granularity}")
-        start = self.sim.now
-        grant = self.channel_pool.try_acquire()
-        if grant is None:
-            grant = yield self.channel_pool.request()
-        try:
-            moved = count * granularity
-            yield from self._serve(self.batch_command_cost(count, write, granularity),
-                                   moved, write, weight)
-        finally:
-            self.channel_pool.release(grant)
-        self.ops += count
-        if write:
-            self.bytes_written += moved
-        else:
-            self.bytes_read += moved
-        return self.sim.now - start
-
-    def _io(self, nbytes: int, write: bool, granularity: int, weight: float):
+    def _io(self, nbytes: int, write: bool, granularity: int):
         if nbytes <= 0:
             return 0.0
         if granularity <= 0:
@@ -328,12 +287,12 @@ class FarMemoryDevice:
             ops = math.ceil(nbytes / granularity)
             moved = ops * granularity  # whole granules cross the wire
             command = self.profile.setup_cost + ops * self._op_cost(write, granularity)
-            yield from self._serve(command, moved, write, weight)
+            yield from self._serve(command, moved, write)
         finally:
             self.channel_pool.release(grant)
         self.ops += 1
         # credit whole granules, not the requested bytes: a partial last op
-        # still moves a full unit, and _io_batch already counts this way —
+        # still moves a full unit, and the batch engines count this way —
         # per-op and batched runs must report identical wire bytes
         if write:
             self.bytes_written += moved

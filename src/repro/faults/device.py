@@ -9,11 +9,11 @@ wrapped device exposes:
   built against the wrapper at time *t* prices the degraded device, while
   one built against ``inner`` prices the healthy profile (the health
   monitor's baseline);
-* the **DES** interface (``_io`` / ``_io_batch``) gates each admission
-  (offline windows reject, transient windows fail seeded draws) and then
-  delegates to the wrapped device's *shared* channel pool and media pipes,
-  so every byte still crosses the same sanitizer-checked accounting as a
-  healthy run — fault windows slow flows down but never lose bytes.
+* the **DES** interface (``_io``) gates each admission (offline windows
+  reject, transient windows fail seeded draws) and then delegates to the
+  wrapped device's *shared* channel pool and media pipes, so every byte
+  still crosses the same sanitizer-checked accounting as a healthy run —
+  fault windows slow flows down but never lose bytes.
 
 Degradation mechanics:
 
@@ -113,7 +113,7 @@ class FaultyDevice(FarMemoryDevice):
                 yield self.sim.timeout(stall)
 
     # -- DES interface -----------------------------------------------------
-    def _io(self, nbytes: int, write: bool, granularity: int, weight: float):
+    def _io(self, nbytes: int, write: bool, granularity: int):
         if nbytes <= 0:
             return 0.0
         if granularity <= 0:
@@ -124,20 +124,7 @@ class FaultyDevice(FarMemoryDevice):
         # consistent degradation level even if a window edge passes mid-op
         fraction = self.fault_plan.bandwidth_fraction(start)
         moved = math.ceil(nbytes / granularity) * granularity
-        yield from super()._io(nbytes, write=write, granularity=granularity, weight=weight)
-        yield from self._degradation_stall_gen(moved, write, fraction)
-        return self.sim.now - start
-
-    def _io_batch(self, count: int, write: bool, granularity: int, weight: float):
-        if count <= 0:
-            return 0.0
-        if granularity <= 0:
-            raise ConfigurationError(f"granularity must be positive, got {granularity}")
-        start = self.sim.now
-        self._gate(write)
-        fraction = self.fault_plan.bandwidth_fraction(start)
-        moved = count * granularity
-        yield from super()._io_batch(count, write=write, granularity=granularity, weight=weight)
+        yield from super()._io(nbytes, write=write, granularity=granularity)
         yield from self._degradation_stall_gen(moved, write, fraction)
         return self.sim.now - start
 

@@ -2,9 +2,9 @@
 
 Models a shared pipe (a PCIe root complex, a NIC port, an SSD's internal
 bus) through which several transfers proceed simultaneously, each receiving
-an equal share of the capacity, optionally weighted.  This is the classic
-processor-sharing fluid model: with *n* active flows of weight *w_i*, flow
-*i* drains at ``capacity * w_i / sum(w)`` bytes/second.
+an equal share of the capacity.  This is the classic processor-sharing
+fluid model: with *n* active flows, each drains at ``capacity / n``
+bytes/second.
 
 The implementation advances lazily: flow states are only updated when the
 active set changes (arrival or departure), so cost is O(active flows) per
@@ -29,12 +29,11 @@ _EPS_BYTES = 1e-6
 
 
 class _Flow:
-    __slots__ = ("event", "remaining", "weight")
+    __slots__ = ("event", "remaining")
 
-    def __init__(self, event: Event, nbytes: float, weight: float) -> None:
+    def __init__(self, event: Event, nbytes: float) -> None:
         self.event = event
         self.remaining = float(nbytes)
-        self.weight = float(weight)
 
 
 class FairShareLink:
@@ -106,27 +105,26 @@ class FairShareLink:
                 f"{self.bandwidth!r}"
             )
         for f in self._flows:
-            if not math.isfinite(f.weight) or f.weight <= 0:
-                raise SanitizerError(f"link {self.name!r}: illegal flow weight {f.weight!r}")
             if not math.isfinite(f.remaining):
                 raise SanitizerError(
                     f"link {self.name!r}: non-finite residual {f.remaining!r} bytes"
                 )
 
     # Lone-flow arithmetic, shared by the event path (_advance,
-    # _earliest_finish) and solo_transfer.  Same float expression shape as
-    # the general loops ((bw / total_w) * w) so results stay bit-identical.
-    def _lone_drain(self, remaining: float, weight: float, dt: float) -> float:  # simlint: dim[return=bytes, remaining=bytes, dt=seconds]
+    # _earliest_finish) and solo_transfer, so both take the same float
+    # steps.  A lone flow gets the whole capacity: the general loops'
+    # ``bandwidth / len(flows)`` at one flow, which is exact.
+    def _lone_drain(self, remaining: float, dt: float) -> float:  # simlint: dim[return=bytes, remaining=bytes, dt=seconds]
         """Drain a lone flow for ``dt`` busy seconds; returns its residue."""
         self.busy_time += dt
-        drained = self.bandwidth / weight * weight * dt
+        drained = self.bandwidth * dt
         remaining -= drained
         self.total_bytes += min(drained, max(0.0, remaining + drained))
         return remaining
 
-    def _lone_finish(self, remaining: float, weight: float) -> float:  # simlint: dim[return=seconds, remaining=bytes]
+    def _lone_finish(self, remaining: float) -> float:  # simlint: dim[return=seconds, remaining=bytes]
         """Seconds until a lone flow with ``remaining`` bytes drains."""
-        return remaining / (self.bandwidth / weight * weight)
+        return remaining / self.bandwidth
 
     def _advance(self) -> None:
         """Drain bytes for time elapsed since the last state change."""
@@ -141,17 +139,15 @@ class FairShareLink:
         if len(flows) == 1:
             # lone-flow fast path: the common case on per-device media pipes
             f = flows[0]
-            f.remaining = self._lone_drain(f.remaining, f.weight, dt)
+            f.remaining = self._lone_drain(f.remaining, dt)
             if f.remaining <= _EPS_BYTES:
                 del flows[0]
                 f.event.succeed(None)
             return
         self.busy_time += dt
-        total_w = sum(f.weight for f in flows)
-        rate_per_w = self.bandwidth / total_w
+        drained = self.bandwidth / len(flows) * dt  # every flow's equal share
         done: list[_Flow] = []
         for f in flows:
-            drained = rate_per_w * f.weight * dt
             f.remaining -= drained
             self.total_bytes += min(drained, max(0.0, f.remaining + drained))
             if f.remaining <= _EPS_BYTES:
@@ -176,7 +172,7 @@ class FairShareLink:
             now = self.sim._now
             if now + dt > now:
                 return dt
-            f = min(self._flows, key=lambda fl: fl.remaining / fl.weight)
+            f = min(self._flows, key=lambda fl: fl.remaining)
             self._flows.remove(f)
             f.event.succeed(None)
 
@@ -185,11 +181,9 @@ class FairShareLink:
         if not flows:
             return None
         if len(flows) == 1:
-            f = flows[0]
-            return self._lone_finish(f.remaining, f.weight)
-        total_w = sum(f.weight for f in flows)
-        rate_per_w = self.bandwidth / total_w
-        return min(f.remaining / (rate_per_w * f.weight) for f in flows)
+            return self._lone_finish(flows[0].remaining)
+        rate = self.bandwidth / len(flows)
+        return min(f.remaining / rate for f in flows)
 
     def _reschedule(self) -> None:
         # Invalidate any previously scheduled wakeup by replacing it; stale
@@ -208,32 +202,29 @@ class FairShareLink:
         self._advance()
         self._reschedule()
 
-    def _check_transfer(self, nbytes: float, weight: float) -> None:
+    def _check_transfer(self, nbytes: float) -> None:
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
-        if self.sim.sanitize and not (math.isfinite(nbytes) and math.isfinite(weight)):
-            # NaN slips past the sign checks and stalls the fluid model.
+        if self.sim.sanitize and not math.isfinite(nbytes):
+            # NaN slips past the sign check and stalls the fluid model.
             raise SanitizerError(
-                f"link {self.name!r}: non-finite transfer ({nbytes!r} bytes, "
-                f"weight {weight!r})"
+                f"link {self.name!r}: non-finite transfer ({nbytes!r} bytes)"
             )
 
     # -- public API --------------------------------------------------------
-    def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
+    def transfer(self, nbytes: float) -> Event:
         """Start moving ``nbytes`` through the link; fires on completion."""
-        self._check_transfer(nbytes, weight)
+        self._check_transfer(nbytes)
         ev = Event(self.sim)
         if nbytes == 0:
             ev.succeed(None)
             return ev
         self._advance()
-        self._flows.append(_Flow(ev, nbytes, weight))
+        self._flows.append(_Flow(ev, nbytes))
         self._reschedule()
         return ev
 
-    def solo_transfer(self, nbytes: float, weight: float = 1.0) -> float:  # simlint: dim[return=seconds]
+    def solo_transfer(self, nbytes: float) -> float:  # simlint: dim[return=seconds]
         """Completion time of a lone ``nbytes`` flow started now on this idle link.
 
         Replays what :meth:`transfer` and the event loop do when nothing
@@ -245,7 +236,7 @@ class FairShareLink:
         Schedules no event; the caller owns the clock
         (:meth:`Simulator.skip_to`).
         """
-        self._check_transfer(nbytes, weight)
+        self._check_transfer(nbytes)
         now = self.sim._now
         if nbytes == 0:
             return now
@@ -257,11 +248,10 @@ class FairShareLink:
         # transfer(): _advance() on the idle link only stamps the clock
         self._last_update = now
         remaining = float(nbytes)
-        weight = float(weight)
         while True:
             # _reschedule(): a finish delay that underflows the clock
             # force-completes the flow, else a wakeup fires at now + dt
-            dt = self._lone_finish(remaining, weight)
+            dt = self._lone_finish(remaining)
             if not now + dt > now:
                 return now
             now = now + dt
@@ -270,7 +260,7 @@ class FairShareLink:
                 self._sanitize_state()
             elapsed = now - self._last_update
             self._last_update = now
-            remaining = self._lone_drain(remaining, weight, elapsed)
+            remaining = self._lone_drain(remaining, elapsed)
             if remaining <= _EPS_BYTES:
                 return now
 
@@ -283,8 +273,8 @@ class FairShareLink:
         self._reschedule()
 
     def drain_time(self, nbytes: float, concurrent: int = 1) -> float:  # simlint: dim[return=seconds]
-        """Analytic helper: seconds to move ``nbytes`` with ``concurrent``
-        equal-weight flows sharing the link (no event machinery)."""
+        """Analytic helper: seconds to move ``nbytes`` while ``concurrent``
+        such flows share the link (no event machinery)."""
         if concurrent < 1:
             raise ValueError(f"concurrent must be >= 1, got {concurrent}")
         if self._flows:

@@ -105,14 +105,14 @@ class SwapBackendModule:
         """Whether this backend currently stores ``page``."""
         return page in self._map
 
-    def store(self, page: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
+    def store(self, page: int, granularity: int = PAGE_SIZE):
         """DES process: swap ``page`` out to this backend."""
         return self.sim.process(
-            self.store_gen(page, granularity=granularity, weight=weight),
+            self.store_gen(page, granularity=granularity),
             name=f"{self.name}:store",
         )
 
-    def store_gen(self, page: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
+    def store_gen(self, page: int, granularity: int = PAGE_SIZE):
         """Inline variant of :meth:`store` for ``yield from`` — slot
         bookkeeping and validation run eagerly, the device I/O inline in
         the caller's process (no Process wrapper)."""
@@ -123,14 +123,13 @@ class SwapBackendModule:
         self._map[page] = slot
 
         def gen():
-            yield from self.device.write_gen(granularity, granularity=granularity, weight=weight)
+            yield from self.device.write_gen(granularity, granularity=granularity)
             self.pages_stored += 1
             return slot
 
         return gen()
 
-    def load(self, page: int, granularity: int = PAGE_SIZE, weight: float = 1.0,
-             keep: bool = False):
+    def load(self, page: int, granularity: int = PAGE_SIZE, keep: bool = False):
         """DES process: swap ``page`` back in.
 
         ``keep=True`` retains the slot and copy (swap-cache semantics: a
@@ -139,12 +138,11 @@ class SwapBackendModule:
         the page is dirtied).
         """
         return self.sim.process(
-            self.load_gen(page, granularity=granularity, weight=weight, keep=keep),
+            self.load_gen(page, granularity=granularity, keep=keep),
             name=f"{self.name}:load",
         )
 
-    def load_gen(self, page: int, granularity: int = PAGE_SIZE, weight: float = 1.0,
-                 keep: bool = False):
+    def load_gen(self, page: int, granularity: int = PAGE_SIZE, keep: bool = False):
         """Inline variant of :meth:`load` for ``yield from``."""
         self._require_active()
         if page not in self._map:
@@ -154,46 +152,20 @@ class SwapBackendModule:
             self.slots.release(slot)
 
         def gen():
-            yield from self.device.read_gen(granularity, granularity=granularity, weight=weight)
+            yield from self.device.read_gen(granularity, granularity=granularity)
             self.pages_loaded += 1
             return page
 
         return gen()
 
-    def store_batch_gen(self, count: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
-        """Inline DES process: one aggregate write flow for ``count`` page
-        stores.
-
-        Timing-equivalent to ``count`` sequential :meth:`store_gen` calls
-        on an uncontended device but O(1) DES events.  No per-page slot or
-        map bookkeeping happens here — batched callers reconcile the final
-        far-resident set once via :meth:`adopt_pages` (the swap map is only
-        observable between accesses, which batch replay never is).
-        """
-        self._require_active()
-
-        def gen():
-            yield from self.device.write_batch_gen(count, granularity=granularity, weight=weight)
-            self.pages_stored += count
-            return count
-
-        return gen()
-
-    def load_batch_gen(self, count: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
-        """Inline DES process: one aggregate read flow for ``count`` page
-        loads, all with swap-cache ``keep`` semantics (no slots released).
-        """
-        self._require_active()
-
-        def gen():
-            yield from self.device.read_batch_gen(count, granularity=granularity, weight=weight)
-            self.pages_loaded += count
-            return count
-
-        return gen()
-
     def adopt_pages(self, pages) -> None:
-        """Materialize map + slots for pages stored through batched flows."""
+        """Materialize map + slots for pages stored through batched flows.
+
+        The batch engines book stores as aggregate flows with no per-page
+        slot or map bookkeeping, then reconcile the far-resident set here
+        once (the swap map is only observable between accesses, which a
+        batched replay never is).
+        """
         for page in pages:
             if page in self._map:
                 raise SwapError(f"page {page} already stored on {self.name}")

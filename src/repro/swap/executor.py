@@ -56,13 +56,6 @@ __all__ = ["RetryPolicy", "SwapExecutionResult", "SwapExecutor", "run_tenants",
 #: every this-many accesses of the event-level loop.
 _PROGRESS_STRIDE = 256
 
-#: Sentinel for :meth:`SwapExecutor._span_proc`'s ``switched0``: capture the
-#: failover switch timestamp at generator entry.  Multi-slice callers pass
-#: their span-entry value instead so a switch completing in an earlier slice
-#: still stops a later one.
-_CAPTURE = object()
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff for injected device errors.
@@ -261,7 +254,7 @@ class SwapExecutor:
         sim = self.sim
         start = sim.now
         yield from self._span_proc(
-            trace.pages.tolist(), trace.kinds.tolist(), trace.ops.tolist(), 0
+            trace.pages.tolist(), trace.kinds.tolist(), trace.ops.tolist()
         )
         if sim.sanitize:
             self.assert_page_conservation()
@@ -269,19 +262,21 @@ class SwapExecutor:
         res.sim_time = sim.now - start
         return res
 
-    def _span_proc(self, pages, kinds, ops, pos, stop_time=None,
-                   switched0=_CAPTURE):
-        """Run accesses ``[pos, len)`` through the per-access event loop.
+    def _span_proc(self, pages, kinds, ops, stop_time=None, switched0=None):
+        """Run the accesses ``pages``/``kinds``/``ops`` through the
+        per-access event loop.
 
         The exact engine, span-shaped for the hybrid planner: with a
         ``stop_time`` the loop hands back control at the first access
         boundary after the clock reaches it — or after a failover switch
-        completes, since the stop time was priced against the *pre-switch*
-        active plan — *and* the failover monitor is quiescent (see
+        completes (the controller's ``switched_at`` moves off
+        ``switched0``, the caller's span-entry value), since the stop time
+        was priced against the *pre-switch* active plan — *and* the
+        failover monitor is quiescent (see
         :meth:`FailoverController.quiescent` — a batch segment must not
-        inherit unevaluated health samples).  Returns the next unprocessed
-        index; the caller owns start/end bookkeeping (``sim_time``, final
-        progress sample, sanitizer pass).
+        inherit unevaluated health samples).  Returns the number of
+        accesses processed; the caller owns start/end bookkeeping
+        (``sim_time``, final progress sample, sanitizer pass).
         """
         res = self.result
         sim = self.sim
@@ -299,10 +294,8 @@ class SwapExecutor:
         skip = sim.skip
         sanitize = sim.sanitize
         failover = self.failover
-        if switched0 is _CAPTURE:
-            switched0 = failover.switched_at if failover is not None else None
-        i = pos
-        for page, kind, op in zip(pages[pos:], kinds[pos:], ops[pos:]):
+        i = 0
+        for page, kind, op in zip(pages, kinds, ops):
             i += 1
             res.accesses += 1
             if kind != anon:

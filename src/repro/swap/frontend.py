@@ -96,19 +96,19 @@ class SwapFrontend:
 
     # -- data path ------------------------------------------------------------
     def store_page(self, page: int, kind: PageKind = PageKind.ANON,
-                   granularity: int = PAGE_SIZE, weight: float = 1.0):
+                   granularity: int = PAGE_SIZE):
         """DES process: offload one reclaimed page.
 
         Returns a process whose value is True if the page was taken by a
         backend, False if it was skipped (file-backed).
         """
         return self.sim.process(
-            self.store_page_gen(page, kind=kind, granularity=granularity, weight=weight),
+            self.store_page_gen(page, kind=kind, granularity=granularity),
             name=f"{self.name}:store",
         )
 
     def store_page_gen(self, page: int, kind: PageKind = PageKind.ANON,
-                       granularity: int = PAGE_SIZE, weight: float = 1.0):
+                       granularity: int = PAGE_SIZE):
         """Inline variant of :meth:`store_page` for ``yield from`` in the
         caller's own process — identical timing, no Process wrappers down
         the frontend -> module -> device chain."""
@@ -122,14 +122,13 @@ class SwapFrontend:
         # module that actually took the page, not whoever is active by then
         active = self._active
         module = self._modules[active]
-        yield from module.store_gen(page, granularity=granularity, weight=weight)
+        yield from module.store_gen(page, granularity=granularity)
         self._owner[page] = active
         self.stores += 1
         self.listening_queue.put_nowait(("stored", page, active))
         return True
 
-    def load_page(self, page: int, granularity: int = PAGE_SIZE, weight: float = 1.0,
-                  keep_copy: bool = False):
+    def load_page(self, page: int, granularity: int = PAGE_SIZE, keep_copy: bool = False):
         """DES process: fault one page back in from whichever backend holds it.
 
         ``keep_copy=True`` leaves the far copy (and its slot) in place —
@@ -137,12 +136,11 @@ class SwapFrontend:
         the page then still answers True to :meth:`swapped_out`.
         """
         return self.sim.process(
-            self.load_page_gen(page, granularity=granularity, weight=weight,
-                               keep_copy=keep_copy),
+            self.load_page_gen(page, granularity=granularity, keep_copy=keep_copy),
             name=f"{self.name}:load",
         )
 
-    def load_page_gen(self, page: int, granularity: int = PAGE_SIZE, weight: float = 1.0,
+    def load_page_gen(self, page: int, granularity: int = PAGE_SIZE,
                       keep_copy: bool = False):
         """Inline variant of :meth:`load_page` for ``yield from``."""
         owner = self._owner.get(page)
@@ -151,53 +149,16 @@ class SwapFrontend:
         if not keep_copy:
             del self._owner[page]
         module = self._modules[owner]
-        yield from module.load_gen(page, granularity=granularity, weight=weight,
-                                   keep=keep_copy)
+        yield from module.load_gen(page, granularity=granularity, keep=keep_copy)
         self.loads += 1
         self.listening_queue.put_nowait(("loaded", page, owner))
         return page
 
-    def store_batch_gen(self, count: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
-        """Inline DES process: ``count`` anonymous page stores as one
-        aggregate flow to the active backend.
-
-        The epoch-batched replay engine's writeback admission: identical
-        aggregate timing and counters to ``count`` sequential
-        :meth:`store_page_gen` calls, but O(1) DES events.  Page ownership
-        is reconciled afterwards via :meth:`adopt_far_pages`.
-        """
-        if count <= 0:
-            return 0
-        if self._active is None:
-            raise BackendUnavailableError(f"{self.name}: no active backend")
-        active = self._active
-        module = self._modules[active]
-        yield from module.store_batch_gen(count, granularity=granularity, weight=weight)
-        self.stores += count
-        self.listening_queue.put_nowait(("stored_batch", count, active))
-        return count
-
-    def load_batch_gen(self, count: int, granularity: int = PAGE_SIZE, weight: float = 1.0):
-        """Inline DES process: ``count`` page faults served as one
-        aggregate flow from the active backend (swap-cache keep
-        semantics, as the executor's fault path uses).
-        """
-        if count <= 0:
-            return 0
-        if self._active is None:
-            raise BackendUnavailableError(f"{self.name}: no active backend")
-        active = self._active
-        module = self._modules[active]
-        yield from module.load_batch_gen(count, granularity=granularity, weight=weight)
-        self.loads += count
-        self.listening_queue.put_nowait(("loaded_batch", count, active))
-        return count
-
-    def adopt_far_pages(self, pages, backend: str | None = None) -> None:
-        """Record ``pages`` as far-resident on ``backend`` (default: the
-        active one), materializing backend map + slots — the batch
-        replay's end-of-run ownership sync."""
-        name = backend if backend is not None else self._active
+    def adopt_far_pages(self, pages) -> None:
+        """Record ``pages`` as far-resident on the active backend,
+        materializing backend map + slots — the batch replay's ownership
+        sync after it booked the stores as aggregate flows."""
+        name = self._active
         if name is None:
             raise BackendUnavailableError(f"{self.name}: no active backend")
         module = self.module(name)

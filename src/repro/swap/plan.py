@@ -71,6 +71,7 @@ from repro.mem.page import PageOp
 from repro.swap.pathmodel import FAULT_COST
 from repro.swap.replay import (
     _WINDOW,
+    _book_counters,
     _fluid_phase2,
     _fluid_supported,
     _in_sorted,
@@ -418,15 +419,8 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
                                 )
         # book the chunk's timing-independent facts
         full_next = int(anon_idx[a1]) if a1 < n_anon else n_full
-        n_span = a1 - a_pos
-        res.accesses += full_next - full_pos
-        res.file_skips += (full_next - full_pos) - n_span
-        res.hits += span.hits
-        res.cold_allocations += span.cold_allocations
-        res.faults += span.faults
-        res.swap_ins += span.faults
-        res.swap_outs += span.swap_outs
-        res.clean_drops += span.clean_drops
+        n_chunk = full_next - full_pos
+        _book_counters(res, n_chunk, n_chunk - (a1 - a_pos), span)
         executor._touched.update(span.new_touched.tolist())
         # reconcile far-copy ownership: the span's far_end is the complete
         # set (seam copies included), so delta against the seam set
@@ -488,8 +482,7 @@ def _event_span(executor, trace, full_pos, stop_time, end=None):
         kinds = trace.kinds[full_pos:hi].tolist()
         ops = trace.ops[full_pos:hi].tolist()
         done = sim.process(
-            executor._span_proc(pages, kinds, ops, 0, stop_time,
-                                switched0=switched0),
+            executor._span_proc(pages, kinds, ops, stop_time, switched0),
             name="exec:hybrid:event",
         )
         sim.run(until=done)

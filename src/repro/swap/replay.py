@@ -455,21 +455,32 @@ def trace_mrc(trace: PageTrace) -> MissRatioCurve:
     return MissRatioCurve(pages=trace.pages[trace.anon_mask])
 
 
-def _apply_classification(executor, cls: ReplayClassification) -> None:
-    """Book a classification's counters and end state onto ``executor``.
+def _book_counters(res, accesses: int, file_skips: int, cls) -> None:
+    """Add one classified stretch's execution counters to ``res``.
 
-    Everything timing-independent: execution counters, LRU contents and
-    statistics, the touched set.
+    ``cls`` is a :class:`ReplayClassification` or a
+    :class:`SpanClassification`; ``accesses`` and ``file_skips`` count the
+    stretch's full-trace accesses.  The clean batch engine
+    (:func:`_apply_classification`) and the hybrid planner's batch
+    segments both book here, so the two share one counter surface.
     """
-    res = executor.result
-    res.accesses += cls.n_accesses
-    res.file_skips += cls.file_skips
+    res.accesses += accesses
+    res.file_skips += file_skips
     res.hits += cls.hits
     res.cold_allocations += cls.cold_allocations
     res.faults += cls.faults
     res.swap_ins += cls.faults
     res.swap_outs += cls.swap_outs
     res.clean_drops += cls.clean_drops
+
+
+def _apply_classification(executor, cls: ReplayClassification) -> None:
+    """Book a classification's counters and end state onto ``executor``.
+
+    Everything timing-independent: execution counters, LRU contents and
+    statistics, the touched set.
+    """
+    _book_counters(executor.result, cls.n_accesses, cls.file_skips, cls)
     lru = executor.lru
     lru.restore_state(cls.final_active, cls.final_inactive)
     lru.hits += cls.hits
@@ -489,7 +500,8 @@ def _apply_classification(executor, cls: ReplayClassification) -> None:
 # arithmetic expression by expression on one merged breakpoint timeline —
 # same breakpoints, same floats, no generator machinery, which is what
 # makes 64-tenant sweeps cheap.  Its timing oracle, windowed admission
-# through the device `*_batch_gen` paths, lives in `tests/oracles.py`.
+# that serves each step through the event engine (a device channel grant
+# and `FarMemoryDevice._serve`), lives in `tests/oracles.py`.
 
 #: Fluid-solver event kinds, ordered only for readability (ties on the
 #: timeline break by sequence number, exactly like the engine heap).
@@ -607,15 +619,15 @@ def _fluid_supported(device) -> bool:
 
     The solver prices command phases and stage pipes with the base-class
     formulas.  A single :class:`FaultyDevice` wrapper is unwrapped first:
-    outside its windows its batched path is the wrapped device's (the
-    gate draws nothing, the latency factor is exactly 1.0, no stall is
-    added), and no batch admission runs inside a window.  A device that
-    overrides the batched DES path itself runs on the per-access loop.
+    outside its windows its DES path is the wrapped device's (the gate
+    draws nothing, the latency factor is exactly 1.0, no stall is added),
+    and no batch admission runs inside a window.  A device that overrides
+    the DES I/O path (``_io``) itself runs on the per-access loop.
     """
     if type(device) is FaultyDevice:
         device = device.inner
     t = type(device)
-    return (t._io_batch is FarMemoryDevice._io_batch
+    return (t._io is FarMemoryDevice._io
             and t.batch_command_cost is FarMemoryDevice.batch_command_cost
             and t.stage_pipes is FarMemoryDevice.stage_pipes)
 
@@ -629,8 +641,8 @@ def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
     pool states.  Every float expression matches the event-engine code it
     replaces (`FairShareLink._advance`/`_earliest_finish`, `Resource`
     grant/release, `Timeout` scheduling), so per-tenant completion times
-    come out equal to the DES admission reference up to round-off — with
-    all flow weights 1.0 the shared expressions are exact term for term.
+    come out equal to the windowed DES admission oracle
+    (``tests/oracles.py``): the shared expressions match term for term.
     Each fault step's mean latency, count and completion time land on
     ``plan.latencies`` (the hybrid planner replays its monitor feed from
     them).  Returns per-tenant phase-2 durations and advances the (idle)
@@ -663,7 +675,7 @@ def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
         seq += 1
         push_heap(heap, (t, seq, kind, a, b))
 
-    # -- fluid link mechanics (mirrors FairShareLink, weights all 1.0) ----
+    # -- fluid link mechanics (mirrors FairShareLink's equal shares) ------
     def link_advance(ls: _LinkState, now: float) -> None:
         dt = now - ls.last_update
         ls.last_update = now

@@ -99,9 +99,9 @@ class PCIeLink:
         """Payload bytes/second per direction."""
         return self.raw_bandwidth * self.efficiency
 
-    def transfer(self, nbytes: float, weight: float = 1.0):
+    def transfer(self, nbytes: float):
         """Begin a DMA of ``nbytes``; returns a completion event."""
-        return self._pipe.transfer(nbytes, weight=weight)
+        return self._pipe.transfer(nbytes)
 
     def drain_time(self, nbytes: float, concurrent: int = 1) -> float:
         """Analytic transfer time for ``nbytes`` (idle link)."""
@@ -152,9 +152,9 @@ class PCIeSwitch:
         self.links.append(link)
         return link
 
-    def transfer(self, nbytes: float, weight: float = 1.0):
+    def transfer(self, nbytes: float):
         """Contend for the shared upstream pipe."""
-        return self._pipe.transfer(nbytes, weight=weight)
+        return self._pipe.transfer(nbytes)
 
     def utilization(self, horizon: float | None = None) -> float:
         """Busy fraction of the shared pipe."""

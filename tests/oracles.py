@@ -15,10 +15,11 @@ path computes fast, kept here so that production holds one path:
   experiments on the grid, and they tally the console's ``TuneStats``
   (``scalar_runs`` and ``grid_runs``) once per scalar evaluation.
 * :func:`des_admission` — phase-2 batched replay admission through the
-  real event engine, one coroutine per tenant over the device-level
-  ``*_batch_gen`` paths; :func:`repro.swap.replay._fluid_phase2` must
-  match its per-tenant completion times to 1e-9.  Tests swap it in by
-  patching ``repro.swap.replay._fluid_phase2``.
+  real event engine, one coroutine per tenant that serves each aggregate
+  step under a device channel grant with ``FarMemoryDevice._serve``;
+  :func:`repro.swap.replay._fluid_phase2` must match its per-tenant
+  completion times to 1e-9.  Tests swap it in by patching
+  ``repro.swap.replay._fluid_phase2``.
 
 ``benchmarks/perf_smoke.py`` times the reuse and tuner references
 (``reuse`` and ``tune`` suites).
@@ -173,26 +174,36 @@ def des_admission(sim, plans):
     """``_fluid_phase2`` as windowed admission through the event engine.
 
     One coroutine per tenant, concurrently: each fault step pays its
-    serial kernel cost and then one aggregate ``load_batch_gen``, each
-    writeback step one ``store_batch_gen`` — O(windows) DES events per
-    tenant instead of O(accesses).  Fills ``plan.latencies`` and credits
-    the fault-latency collectors as the solver does; returns per-tenant
-    durations.
+    serial kernel cost, then every step takes a channel from the device's
+    pool and serves its aggregate command phase (``batch_command_cost``)
+    and payload through ``FarMemoryDevice._serve`` — O(windows) DES
+    events per tenant instead of O(accesses).  Books the device's ops and
+    wire bytes, fills ``plan.latencies`` and credits the fault-latency
+    collectors as the solver does; returns per-tenant durations.
     """
     t_start = sim.now
     ends = [t_start] * len(plans)
 
     def admit(i, plan):
-        frontend = plan.frontend
+        device = plan.device
+        pool = device.channel_pool
         g = plan.granularity
         add_repeat = plan.executor.result.fault_latency.add_repeat
         for st in plan.steps:
-            if st.write:
-                yield from frontend.store_batch_gen(st.count, granularity=g)
-            else:
-                t0 = sim.now
+            t0 = sim.now
+            if not st.write:
                 yield sim.timeout(st.pre)
-                yield from frontend.load_batch_gen(st.count, granularity=g)
+            grant = pool.try_acquire()
+            if grant is None:
+                grant = yield pool.request()
+            command = device.batch_command_cost(st.count, st.write, g)
+            yield from device._serve(command, st.moved, st.write)
+            pool.release(grant)
+            device.ops += st.count
+            if st.write:
+                device.bytes_written += st.moved
+            else:
+                device.bytes_read += st.moved
                 mean = (sim.now - t0) / st.count
                 plan.latencies.append((mean, st.count, sim.now))
                 add_repeat(mean, st.count)

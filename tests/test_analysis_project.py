@@ -287,44 +287,6 @@ def test_coro003_own_attribute_clean():
 # engine parity — synthetic fixtures
 # ---------------------------------------------------------------------------
 
-def test_par001_flags_device_counter_batch_misses():
-    files = {
-        "pkg/dev.py": (
-            "class Dev:\n"
-            "    def __init__(self):\n"
-            "        self.ops = 0\n"
-            "        self.stall = 0.0\n"
-            "    def _io(self, n):\n"
-            "        self.ops += 1\n"
-            "        self.stall += 2.0\n"
-            "        yield n\n"
-            "    def _io_batch(self, n):\n"
-            "        self.ops += 1\n"
-            "        yield n\n"
-        )
-    }
-    findings = run_rules(files, "PAR001")
-    assert [f.rule for f in findings] == ["PAR001"]
-    assert "stall" in findings[0].message
-
-
-def test_par001_symmetric_device_counters_clean():
-    files = {
-        "pkg/dev.py": (
-            "class Dev:\n"
-            "    def __init__(self):\n"
-            "        self.ops = 0\n"
-            "    def _io(self, n):\n"
-            "        self.ops += 1\n"
-            "        yield n\n"
-            "    def _io_batch(self, n):\n"
-            "        self.ops += 1\n"
-            "        yield n\n"
-        )
-    }
-    assert run_rules(files, "PAR001") == []
-
-
 def test_par001_no_anchors_no_findings():
     # trees without the executor/replay anchors must not produce noise
     files = {"pkg/mod.py": "def f():\n    return 1\n"}
@@ -373,30 +335,35 @@ def test_mutation_pathmodel_bytes_for_seconds_caught(real_tree):
 
 
 def test_mutation_replay_dropped_counter_caught(real_tree):
-    # `_apply_classification` books counters for the clean batch entry
-    # point and is the reference surface for the hybrid chunk booking,
-    # so dropping one counter yields a finding per broken comparison
+    # `_book_counters` books counters for both the clean batch entry point
+    # and the hybrid chunk booking, so the seam sub-check sees both sides
+    # drop the counter alike; the clean engine's diff against the event
+    # surface is the one comparison left to break
     mutated = _mutate(
         real_tree, "swap/replay.py",
         "res.clean_drops += cls.clean_drops", "pass",
     )
     findings = lint_sources(mutated, LintConfig(select=frozenset({"PAR001"})))
-    assert len(findings) == 2
-    assert all("clean_drops" in f.message for f in findings)
+    assert len(findings) == 1
+    assert "clean_drops" in findings[0].message
+    assert findings[0].path.endswith("swap/replay.py")
 
 
 def test_mutation_hybrid_dropped_counter_caught(real_tree):
-    """The segmented hybrid engine is held to the full event surface:
-    dropping a counter from its batch-segment booking is a parity break
-    even though the clean batch engines still mutate it."""
+    """The hybrid planner's batch-segment booking is held to the clean
+    batch engine's: a segment that stops booking its chunk's counters is
+    a seam-parity break for each of them, even though the hybrid entry
+    still reaches every counter through its event segments."""
     mutated = _mutate(
         real_tree, "swap/plan.py",
-        "res.clean_drops += span.clean_drops", "pass",
+        "_book_counters(res, n_chunk, n_chunk - (a1 - a_pos), span)", "pass",
     )
     findings = lint_sources(mutated, LintConfig(select=frozenset({"PAR001"})))
-    assert len(findings) == 1
-    assert "clean_drops" in findings[0].message
-    assert findings[0].path.endswith("swap/plan.py")
+    assert len(findings) == 8
+    assert all(f.path.endswith("swap/plan.py") for f in findings)
+    assert {f.message.split("`")[1] for f in findings} == {
+        "accesses", "file_skips", "hits", "cold_allocations", "faults",
+        "swap_ins", "swap_outs", "clean_drops"}
 
 
 def test_mutation_heap_key_without_tiebreaker_caught(real_tree):

@@ -151,14 +151,13 @@ def test_des_concurrent_ops_queue_on_channels(sim):
 
 
 @pytest.mark.parametrize("granularity", [0, -PAGE_SIZE])
-@pytest.mark.parametrize("entry", ["io", "io_batch", "faulty_io"])
+@pytest.mark.parametrize("entry", ["io", "faulty_io"])
 def test_des_io_rejects_non_positive_granularity(sim, entry, granularity):
     """Every DES entry point raises the same ConfigurationError before
     taking a channel."""
     ssd = NVMeSSD(sim)
     gen = {
         "io": lambda: ssd.read_gen(PAGE_SIZE, granularity=granularity),
-        "io_batch": lambda: ssd.read_batch_gen(1, granularity=granularity),
         "faulty_io": lambda: FaultyDevice(ssd, FaultPlan()).read_gen(
             PAGE_SIZE, granularity=granularity),
     }[entry]()

@@ -185,36 +185,3 @@ def test_property_work_and_byte_conservation(flows, bandwidth):
     assert link.total_bytes == pytest.approx(total, abs=(len(flows) + 1) * 1e-3)
     assert link.total_bytes <= total + 1e-9 * total + _EPS_BYTES
 
-
-@settings(max_examples=30, deadline=None)
-@given(
-    flows=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=10.0),
-            st.floats(min_value=1.0, max_value=500.0),
-            st.floats(min_value=0.25, max_value=4.0),   # weight
-        ),
-        min_size=2,
-        max_size=8,
-    ),
-)
-def test_property_weighted_fair_share_conserves_work(flows):
-    """Weighted flows redistribute rate but never change the aggregate:
-    the link still drains at capacity while busy."""
-    sim = Simulator()
-    bandwidth = 100.0
-    link = FairShareLink(sim, bandwidth=bandwidth)
-    done = []
-
-    def proc(delay, nbytes, weight):
-        yield sim.timeout(delay)
-        yield link.transfer(nbytes, weight=weight)
-        done.append(sim.now)
-
-    for delay, nbytes, weight in flows:
-        sim.process(proc(delay, nbytes, weight))
-    sim.run()
-    assert len(done) == len(flows)
-    assert link.total_bytes == pytest.approx(
-        bandwidth * link.busy_time, rel=1e-9, abs=len(flows) * _EPS_BYTES
-    )

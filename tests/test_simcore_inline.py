@@ -8,8 +8,8 @@ a simulator with an ``event_log`` always takes:
 
 * **link level** — ``solo_transfer`` vs ``transfer`` driven through the
   heap: completion time, ``busy_time``, ``total_bytes`` and
-  ``_last_update`` match bit for bit, including weights other than 1,
-  zero and sub-epsilon sizes, and clocks where finish delays underflow;
+  ``_last_update`` match bit for bit, including zero and sub-epsilon
+  sizes, and clocks where finish delays underflow;
 * **executor level** — inline vs heap-forced runs over every backend x
   fault shape x failover mode, sanitizer on and off, and through the
   hybrid planner's event spans: every result field, device and link
@@ -91,8 +91,6 @@ _SIZES = st.one_of(
     st.floats(min_value=1.0, max_value=1e10),
     st.integers(min_value=1, max_value=100_000).map(lambda n: float(n * PAGE_SIZE)),
 )
-_WEIGHTS = st.one_of(st.just(1.0), st.sampled_from([0.5, 3.0, 7.0]),
-                     st.floats(min_value=0.01, max_value=100.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,24 +98,23 @@ _WEIGHTS = st.one_of(st.just(1.0), st.sampled_from([0.5, 3.0, 7.0]),
     start=st.floats(min_value=1e-6, max_value=1e7),
     bandwidth=st.floats(min_value=1e3, max_value=1e11),
     nbytes=_SIZES,
-    weight=_WEIGHTS,
     warmup=st.sampled_from([0.0, 4096.0, 12345.678]),
 )
 # a finish delay that underflows the clock: force-completed at once
-@example(start=1e7, bandwidth=1e11, nbytes=1e-5, weight=1.0, warmup=0.0)
-@example(start=123.456, bandwidth=3e9, nbytes=5e-7, weight=1.0, warmup=4096.0)
+@example(start=1e7, bandwidth=1e11, nbytes=1e-5, warmup=0.0)
+@example(start=123.456, bandwidth=3e9, nbytes=5e-7, warmup=4096.0)
 # a residue above the completion epsilon after the first wakeup: re-woken
 @example(start=788210.3121389773, bandwidth=7862.817617817433,
-         nbytes=9803840748.612064, weight=0.5, warmup=12345.678)
+         nbytes=9803840748.612064, warmup=12345.678)
 @example(start=386045.14323517925, bandwidth=95534.52594075099,
-         nbytes=6390446389.739307, weight=1.0, warmup=4096.0)
-def test_solo_transfer_matches_heap_path(start, bandwidth, nbytes, weight, warmup):
+         nbytes=6390446389.739307, warmup=4096.0)
+def test_solo_transfer_matches_heap_path(start, bandwidth, nbytes, warmup):
     hsim, hlink = _link_at(start, bandwidth, warmup)
-    ev = hlink.transfer(nbytes, weight=weight)
+    ev = hlink.transfer(nbytes)
     hsim.run(until=ev)
 
     isim, ilink = _link_at(start, bandwidth, warmup)
-    done = ilink.solo_transfer(nbytes, weight=weight)
+    done = ilink.solo_transfer(nbytes)
 
     _assert_same(done, hsim.now, "completion time")
     for name, got, want in zip(("busy_time", "total_bytes", "_last_update"),
@@ -132,8 +129,6 @@ def test_solo_transfer_validates_like_transfer():
     link = FairShareLink(sim, 1e9)
     with pytest.raises(ValueError, match="nbytes"):
         link.solo_transfer(-1.0)
-    with pytest.raises(ValueError, match="weight"):
-        link.solo_transfer(4096.0, weight=0.0)
     link.transfer(4096.0)
     with pytest.raises(SimulationError, match="idle link"):
         link.solo_transfer(4096.0)

@@ -209,23 +209,6 @@ def test_link_short_flow_releases_share():
     assert t_done["long"] == pytest.approx(2.0)
 
 
-def test_link_weighted_sharing():
-    sim = Simulator()
-    link = FairShareLink(sim, bandwidth=90.0)
-    t_done = {}
-
-    def xfer(tag, nbytes, w):
-        yield link.transfer(nbytes, weight=w)
-        t_done[tag] = sim.now
-
-    sim.process(xfer("heavy", 60.0, 2.0))
-    sim.process(xfer("light", 30.0, 1.0))
-    sim.run()
-    # heavy gets 60 B/s, light 30 B/s: both finish at t=1.0
-    assert t_done["heavy"] == pytest.approx(1.0)
-    assert t_done["light"] == pytest.approx(1.0)
-
-
 def test_link_late_arrival():
     sim = Simulator()
     link = FairShareLink(sim, bandwidth=100.0)
@@ -298,5 +281,3 @@ def test_link_validates_arguments():
     link = FairShareLink(sim, bandwidth=1.0)
     with pytest.raises(ValueError):
         link.transfer(-5.0)
-    with pytest.raises(ValueError):
-        link.transfer(5.0, weight=0.0)

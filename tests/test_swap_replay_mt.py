@@ -274,12 +274,12 @@ def test_run_tenants_rejects_repeated_executor(mode, monkeypatch):
         run_tenants([executor, executor], traces)
 
 
-class _OwnBatchPathSSD(NVMeSSD):
-    """An SSD with its own batched DES path, which the fluid solver does
-    not model (it delegates, so its results stay comparable)."""
+class _OwnIOPathSSD(NVMeSSD):
+    """An SSD with its own DES I/O path, which the fluid solver does not
+    model (it delegates, so its results stay comparable)."""
 
-    def _io_batch(self, count, write, granularity, weight):
-        return (yield from super()._io_batch(count, write, granularity, weight))
+    def _io(self, nbytes, write, granularity):
+        return (yield from super()._io(nbytes, write, granularity))
 
 
 @pytest.mark.parametrize("n_tenants", [1, 2])
@@ -292,7 +292,7 @@ def test_unmodelled_device_runs_event_engine(n_tenants, monkeypatch):
         monkeypatch.setenv(REPLAY_ENV, mode)
         sim = Simulator()
         executors = make_contended_executors(
-            sim, _OwnBatchPathSSD(sim), BackendKind.SSD, n_tenants, local_pages=60)
+            sim, _OwnIOPathSSD(sim), BackendKind.SSD, n_tenants, local_pages=60)
         assert _engine(executors) == "event"
         runs[mode] = (run_tenants(executors, traces), executors)
     (batch, bex), (event, eex) = runs["batch"], runs["event"]
