@@ -1,6 +1,6 @@
 """Engine-parity analyzer (PAR001).
 
-The repo's headline contract is that the batched/fluid replay engines are
+The repo's headline contract is that the batched replay engines are
 *bit-identical* to the event-driven reference: every counter the event
 engine touches, the batch engine must touch too, and vice versa.  This pass
 turns that contract into a static check by diffing the **counter mutation
@@ -103,10 +103,11 @@ class EngineParity(Rule):
     title = "engines mutate the same counter surface"
     scope = "project"
     rationale = (
-        "the batch/fluid replay engines are contractually bit-identical to "
-        "the event DES; a counter incremented, renamed, or zeroed in one "
-        "engine but not the others drifts the SwapExecutionResult surface "
-        "and invalidates every cross-engine comparison"
+        "the batch and hybrid replay engines are contractually "
+        "bit-identical to the event DES; a counter incremented, renamed, "
+        "or zeroed in one engine but not the others drifts the "
+        "SwapExecutionResult surface and invalidates every cross-engine "
+        "comparison"
     )
     example_bad = {
         "swap/executor.py": (

@@ -106,10 +106,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         plan = FaultPlan.load(args.inject)
         if plan and args.engine != "event" and args.tenants > 1:
             # single-tenant injected runs take the segmented hybrid
-            # planner; the multi-tenant fluid solver has no hybrid
-            # counterpart yet, so contended injected runs fall back to
-            # concurrent event loops — say so rather than silently
-            # ignoring --engine
+            # planner; the hybrid planner runs one tenant only, so
+            # contended injected runs fall back to concurrent event
+            # loops — say so rather than silently ignoring --engine
             print("note: multi-tenant fault plan forces the per-access "
                   "event engine", file=sys.stderr)
     kind = BackendKind(args.backend)

@@ -194,9 +194,8 @@ class FarMemoryDevice:
         Each batched op pays the full single-op serial cost, setup included
         (one-granule requests pay setup per request), so this is the
         command time ``count`` one-granule :meth:`read_gen` /
-        :meth:`write_gen` calls pay in total.  The fluid replay solver
-        (:mod:`repro.swap.replay`) prices each aggregate admission step
-        with it.
+        :meth:`write_gen` calls pay in total.  Batched replay admission
+        (:mod:`repro.swap.replay`) prices each aggregate step with it.
         """
         return count * (self.profile.setup_cost + self._op_cost(write, granularity))
 
@@ -206,8 +205,8 @@ class FarMemoryDevice:
         Order matters and mirrors the DES I/O paths: media first, then the
         PCIe slot, then the shared switch.  A transfer occupies every stage
         simultaneously (DMA pipelining) and completes when the slowest one
-        drains — ``_serve`` waits on exactly these pipes, and the fluid
-        replay solver replays the same set analytically.
+        drains — ``_serve`` waits on exactly these pipes, for one op or
+        for a batched replay's aggregate step.
         """
         pipes = [self._media_write if write else self._media_read]
         if self.link is not None:

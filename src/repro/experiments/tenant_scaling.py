@@ -9,16 +9,17 @@ for the same channel pool, media pipes, and slot) and measures, through
 the contended batched replay engine (:mod:`repro.swap.replay`):
 
 * **per-tenant slowdown** — each tenant's swap time relative to running
-  its own trace alone on an otherwise-idle device (fair-share fluid
-  sharing means everyone degrades together);
+  its own trace alone on an otherwise-idle device (fair-share pipes
+  mean everyone degrades together);
 * **link utilization** — busy fraction of the device's read media pipe
   over the contended span, the saturation curve that explains *where*
   the slowdown comes from (channel-bound vs bandwidth-bound backends
   saturate differently).
 
 Event-accurate per-access replays of 64 concurrent tenants would cost
-millions of DES events per point; the fluid fair-share solver makes the
-whole sweep a few seconds, which is exactly why it exists.
+millions of DES events per point; batched replay admits one aggregate
+step per tenant window through the event engine, which makes the whole
+sweep a few seconds.
 """
 
 from __future__ import annotations

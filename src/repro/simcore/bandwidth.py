@@ -62,10 +62,10 @@ class FairShareLink:
 
         With flows still in flight, the open interval since the last state
         change counts as busy (``_last_update`` is refreshed on every
-        arrival, departure, and capacity change, and the flow set was
-        non-empty throughout it).  A ``horizon`` earlier than the time
-        busy-time has already been accrued to would overstate utilization;
-        the result is clamped to 1.0 either way.
+        arrival and departure, and the flow set was non-empty throughout
+        it).  A ``horizon`` earlier than the time busy-time has already
+        been accrued to would overstate utilization; the result is clamped
+        to 1.0 either way.
         """
         elapsed = horizon if horizon is not None else self.sim.now
         if elapsed <= 0:
@@ -78,11 +78,10 @@ class FairShareLink:
     def account_external(self, nbytes: float, busy: float) -> None:
         """Credit traffic resolved outside the event loop.
 
-        The fluid fair-share replay solver (:mod:`repro.swap.replay`)
-        computes this link's exact piecewise-linear schedule analytically;
-        it reports the delivered bytes and busy seconds here so
+        The rack fabric (:mod:`repro.topology.rack`) credits the lease
+        traffic its per-node runs measured onto each donor's link here, so
         ``total_bytes``/``busy_time``/:meth:`utilization` agree with what
-        an event-level run would have recorded.
+        a fleet-wide event run would have recorded.
         """
         if nbytes < 0 or busy < 0:
             raise ValueError(
@@ -263,23 +262,6 @@ class FairShareLink:
             remaining = self._lone_drain(remaining, elapsed)
             if remaining <= _EPS_BYTES:
                 return now
-
-    def set_bandwidth(self, bandwidth: float) -> None:
-        """Change capacity mid-flight (e.g. PCIe lane reconfiguration)."""
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        self._advance()
-        self.bandwidth = float(bandwidth)
-        self._reschedule()
-
-    def drain_time(self, nbytes: float, concurrent: int = 1) -> float:  # simlint: dim[return=seconds]
-        """Analytic helper: seconds to move ``nbytes`` while ``concurrent``
-        such flows share the link (no event machinery)."""
-        if concurrent < 1:
-            raise ValueError(f"concurrent must be >= 1, got {concurrent}")
-        if self._flows:
-            raise SimulationError("drain_time() is only valid on an idle link")
-        return nbytes * concurrent / self.bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FairShareLink {self.name or id(self)} bw={self.bandwidth:.3g} flows={len(self._flows)}>"

@@ -216,7 +216,7 @@ class SwapExecutor:
         :func:`~repro.swap.replay._engine` picks the engine: ``batch``
         runs the one-tenant case of
         :func:`~repro.swap.replay.replay_run_multi` (classification plus
-        fluid admission); ``hybrid`` the segmented planner of
+        windowed admission); ``hybrid`` the segmented planner of
         :mod:`repro.swap.plan` (batch outside hazard spans, the exact loop
         inside them); ``event`` the exact per-access loop, the reference
         the equivalence tests compare against.  ``classify`` is the batch
@@ -537,9 +537,9 @@ def run_tenants(executors, traces, classify=None) -> list[SwapExecutionResult]:
     The multi-tenant counterpart of :meth:`SwapExecutor.run`, dispatched
     by the same :func:`~repro.swap.replay._engine`: ``batch`` routes the
     group through :func:`~repro.swap.replay.replay_run_multi`
-    (vectorized classification per tenant, then one fluid fair-share
-    solve), ``event`` runs every per-access loop concurrently through the
-    event engine.  A single tenant delegates to :meth:`SwapExecutor.run`,
+    (vectorized classification per tenant, then windowed admission
+    through the event engine), ``event`` runs every per-access loop
+    concurrently.  A single tenant delegates to :meth:`SwapExecutor.run`,
     so injected or failover-managed runs take the segmented hybrid
     planner (:mod:`repro.swap.plan`) rather than the bare event loop.
     The group is checked (non-empty, one trace per executor, distinct

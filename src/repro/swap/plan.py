@@ -14,9 +14,8 @@ active backend's plan:
 
 * **outside** every hazard span, chunks of the trace are classified
   against the live seam state (:func:`~repro.swap.replay.classify_span`)
-  and admitted as aggregate per-``_WINDOW`` steps by the same one-tenant
-  fluid solve the batch engine runs
-  (:func:`~repro.swap.replay._fluid_phase2`);
+  and admitted as aggregate per-``_WINDOW`` steps by the same windowed
+  admission the batch engine runs (:func:`~repro.swap.replay._admit`);
 * **inside** a hazard span (and on its approach, once batching to the
   window start would risk overshooting), the exact per-access event loop
   runs (:meth:`SwapExecutor._span_proc`), faithfully resolving retries,
@@ -71,9 +70,9 @@ from repro.mem.page import PageOp
 from repro.swap.pathmodel import FAULT_COST
 from repro.swap.replay import (
     _WINDOW,
+    _admit,
+    _batch_supported,
     _book_counters,
-    _fluid_phase2,
-    _fluid_supported,
     _in_sorted,
     _TenantPlan,
     classify_span,
@@ -231,7 +230,7 @@ def _seam_arrays(executor):
 def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
                    a_pos, full_pos, limit, rate):
     """Admit batch chunks from ``a_pos`` until the trace ends or ``limit``
-    nears; returns the new ``(a_pos, full_pos, blocked)``.  ``rate`` is the
+    nears; returns the new ``(full_pos, blocked)``.  ``rate`` is the
     run's recent-weighted ``[serial_cost, anon_accesses]`` density estimate,
     carried across segments so later segments size their first chunk from
     the observed cost rate instead of re-walking the discovery ladder.
@@ -392,7 +391,7 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
                                 anon_ops[a_pos:a1], touched_arr, far_arr)
         admission = _TenantPlan(executor, span, a1 - a_pos)
         if admission.steps:
-            _fluid_phase2(sim, [admission])
+            _admit(sim, [admission])
             if limit is not None and sim.now > limit:
                 raise SimulationError(
                     f"hybrid replay: batch segment overshot the hazard at "
@@ -445,7 +444,7 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
         if partial:
             break
         chunk = min(chunk * 2, _CHUNK_MAX)
-    return a_pos, full_pos, blocked
+    return full_pos, blocked
 
 
 #: Accesses materialized per python-list slice handed to the event loop.
@@ -509,31 +508,44 @@ def _event_span(executor, trace, full_pos, stop_time, end=None):
 _EVENT_STEP = _WINDOW // 16  # simlint: ignore[UNIT001] -- access count, not bytes
 
 
-def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
-                      n_full, full_pos):
-    """Resume batch admission after a completed failover switch.
+def hybrid_run(executor, trace):
+    """Execute ``trace`` on the segmented hybrid engine.
 
-    Lazy migration makes some post-switch outcomes owner-dependent: a
-    fault on a page whose far copy still lives on the switched-away
-    backend is served by *that* device (its timing, its live windows, its
-    transient dice rolls) and then invalidated, and a store to such a page
-    re-homes it — none of which the vectorized classification models.
-    Everything else is owner-independent, so the tail planner batches
-    chunks up to the first stale fault/store (:func:`_batch_segment`'s
-    stale cut), walks the blocking access — and, while cuts keep coming,
-    exponentially longer stretches — on the exact event loop, and returns
-    to batch once the monitor is quiescent again.  The stale set only
-    shrinks (new far copies always land on the active backend), so long
-    tails converge back to pure batch admission.
+    The planner's entry point, called by :meth:`SwapExecutor.run` when
+    :func:`~repro.swap.replay._engine` picks ``hybrid``: a cold run with
+    live fault windows or an attached failover controller, on a device
+    batched admission models.  Bit-identical counters and end state to
+    the per-access event engine; ``sim_time`` equal to float round-off.
+    The as-executed schedule lands on ``executor.execution_plan``.
+
+    One loop alternates batch segments (:func:`_batch_segment`) with
+    exact event spans: a hazard's approach and window, any stretch whose
+    failover monitor holds unevaluated samples, and — after a completed
+    switch — each access a stale cut blocks (see the module docstring),
+    walked in exponentially longer stretches while cuts keep coming.
     """
     sim = executor.sim
+    res = executor.result
     failover = executor.failover
-    rate = [0.0, 0.0]  # the switched-to device prices differently: restart
-    event_len = _EVENT_STEP
     frontend = executor.frontend
+    start = sim.now
+    plan = ExecutionPlan()
+    executor.execution_plan = plan
+    n_full = int(trace.pages.shape[0])
+    anon_mask = trace.anon_mask
+    anon_pages = np.ascontiguousarray(trace.pages[anon_mask])
+    anon_ops = np.ascontiguousarray(trace.ops[anon_mask])
+    anon_idx = np.flatnonzero(anon_mask)
+    full_pos = 0
+    rate = [0.0, 0.0]  # recent-weighted [serial cost, anon accesses] density
+    switched = False
+    event_len = _EVENT_STEP
     while full_pos < n_full:
-        if not _fluid_supported(frontend.module(frontend.active_backend).device):
-            # the switched-to device is one the fluid solver does not model
+        if not switched and failover is not None and failover.switched_at is not None:
+            switched = True
+            rate = [0.0, 0.0]  # the switched-to device prices differently
+        if not _batch_supported(frontend.module(frontend.active_backend).device):
+            # a switched-to device batched admission does not model
             t0, p0 = sim.now, full_pos
             full_pos = _event_span(executor, trace, full_pos, None)
             plan.add("event", p0, full_pos, t0, sim.now)
@@ -546,7 +558,7 @@ def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
             continue
         hazards = _active_hazards(executor)
         if hazards and sim.now >= hazards[0][0]:
-            # inside a live window of the new active backend: run exactly
+            # inside a live window of the active backend: run exactly
             t0, p0 = sim.now, full_pos
             full_pos = _event_span(executor, trace, full_pos, hazards[0][1])
             plan.add("event", p0, full_pos, t0, sim.now)
@@ -554,7 +566,7 @@ def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
         limit = hazards[0][0] if hazards else None
         a_pos = int(np.searchsorted(anon_idx, full_pos))
         t0, p0 = sim.now, full_pos
-        a_pos, full_pos, blocked = _batch_segment(
+        full_pos, blocked = _batch_segment(
             executor, anon_pages, anon_ops, anon_idx, n_full,
             a_pos, full_pos, limit, rate,
         )
@@ -576,60 +588,6 @@ def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
             t0, p0 = sim.now, full_pos
             full_pos = _event_span(executor, trace, full_pos, stop_time)
             plan.add("event", p0, full_pos, t0, sim.now)
-    return full_pos
-
-
-def hybrid_run(executor, trace):
-    """Execute ``trace`` on the segmented hybrid engine.
-
-    The planner's entry point, called by :meth:`SwapExecutor.run` when
-    :func:`~repro.swap.replay._engine` picks ``hybrid``: a cold run with
-    live fault windows or an attached failover controller, on a device
-    the fluid solver models.  Bit-identical counters and end state to the
-    per-access event engine; ``sim_time`` equal to float round-off.  The
-    as-executed schedule lands on ``executor.execution_plan``.
-    """
-    sim = executor.sim
-    res = executor.result
-    start = sim.now
-    plan = ExecutionPlan()
-    executor.execution_plan = plan
-    n_full = int(trace.pages.shape[0])
-    anon_mask = trace.anon_mask
-    anon_pages = np.ascontiguousarray(trace.pages[anon_mask])
-    anon_ops = np.ascontiguousarray(trace.ops[anon_mask])
-    anon_idx = np.flatnonzero(anon_mask)
-    full_pos = 0
-    a_pos = 0
-    rate = [0.0, 0.0]  # recent-weighted [serial cost, anon accesses] density
-    while full_pos < n_full:
-        failover = executor.failover
-        if failover is not None and failover.switched_at is not None:
-            # post-switch: the owner-aware tail planner resumes batch
-            # admission between stale-copy accesses
-            full_pos = _post_switch_tail(
-                executor, trace, plan, anon_pages, anon_ops, anon_idx,
-                n_full, full_pos,
-            )
-            break
-        hazards = _active_hazards(executor)
-        if not hazards or sim.now < hazards[0][0]:
-            limit = hazards[0][0] if hazards else None
-            t0, p0 = sim.now, full_pos
-            a_pos, full_pos, _ = _batch_segment(
-                executor, anon_pages, anon_ops, anon_idx, n_full,
-                a_pos, full_pos, limit, rate,
-            )
-            plan.add("batch", p0, full_pos, t0, sim.now)
-            if full_pos >= n_full:
-                break
-            hazards = _active_hazards(executor)
-        # approach + hazard cluster (and its quiescence tail) run exactly
-        stop_time = hazards[0][1] if hazards else None
-        t0, p0 = sim.now, full_pos
-        full_pos = _event_span(executor, trace, full_pos, stop_time)
-        plan.add("event", p0, full_pos, t0, sim.now)
-        a_pos = int(np.searchsorted(anon_idx, full_pos))
     if sim.sanitize:
         executor.assert_page_conservation()
     executor.progress.record(sim.now, float(res.accesses))

@@ -19,20 +19,20 @@ count for **every** capacity from one Mattson reuse pass
 (:func:`trace_mrc`), so capacity sweeps cost one classification, not one
 replay per point.
 
-**Phase 2 — fluid admission** (:func:`replay_run_multi`).  Each tenant's
-faults and writebacks become one aggregate admission step per fixed
-window of ``_WINDOW`` accesses, and an exact **progressive-filling fluid
-solve** (:func:`_fluid_phase2`) schedules every tenant's steps over the
-shared links and channel pools: fair-share rates only change at flow
-arrival/completion breakpoints, so the piecewise-linear schedule is
-solved on one merged breakpoint timeline with no DES events at all.  A
+**Phase 2 — windowed admission** (:func:`replay_run_multi`).  Each
+tenant's faults and writebacks become one aggregate admission step per
+fixed window of ``_WINDOW`` accesses, and :func:`_admit` serves every
+tenant's steps concurrently through the event engine — a device channel
+grant, then :meth:`~repro.devices.base.FarMemoryDevice._serve` over the
+shared stage pipes — so a million-access trace costs a few hundred
+steps, and a tenant running alone resolves each step inline.  A
 single-tenant run is the N = 1 case, and the hybrid planner
-(:mod:`repro.swap.plan`) hands each admitted chunk to the same solver.
+(:mod:`repro.swap.plan`) hands each admitted chunk to the same function.
 Counters come out bit-identical to the event loop — classification is
 timing-independent, so contention reorders I/O completions but never
 which accesses hit, fault, or evict — and ``sim_time`` matches the
-per-access loop to 1e-9 at one tenant and the windowed DES admission
-reference (``tests/oracles.py``) to 1e-9 at any tenant count.
+per-access loop to 1e-9 at one tenant; under contention the window is
+the admission quantum (DESIGN.md §3.2).
 
 Phase 2 takes phase 1 through a ``classify`` hook; a co-tenant sweep that
 replays the same tenant slices over and over passes one
@@ -46,19 +46,17 @@ replays the same tenant slices over and over passes one
 
 from __future__ import annotations
 
-import heapq  # simlint: ignore[SIM001] -- fluid solver's breakpoint timeline mirrors the engine heap
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.devices.base import FarMemoryDevice
-from repro.errors import ConfigurationError, SanitizerError
+from repro.errors import ConfigurationError
 from repro.faults.device import FaultyDevice
 from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page import PageOp
 from repro.mem.reuse import MissRatioCurve, _prev_occurrence
-from repro.simcore.bandwidth import _EPS_BYTES
 from repro.swap.pathmodel import FAULT_COST
 from repro.trace.schema import PageTrace
 
@@ -75,7 +73,7 @@ REPLAY_ENV = "REPRO_REPLAY"
 
 #: Accesses per aggregate admission window in phase 2.  Small enough that
 #: per-window latency attribution stays meaningful, large enough that a
-#: million-access trace needs only a few hundred DES events.
+#: million-access trace needs only a few hundred admission steps.
 _WINDOW = 4096  # simlint: ignore[UNIT001] -- access count, not bytes
 
 #: Classifications of traces with at least this many anonymous accesses
@@ -492,25 +490,8 @@ def _apply_classification(executor, cls: ReplayClassification) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase 2: fluid admission
+# Phase 2: windowed admission through the event engine
 # ---------------------------------------------------------------------------
-#
-# Tenants' aggregate flows share device channel pools, media pipes, PCIe
-# slots and switches.  `_fluid_phase2` replicates `FairShareLink`'s float
-# arithmetic expression by expression on one merged breakpoint timeline —
-# same breakpoints, same floats, no generator machinery, which is what
-# makes 64-tenant sweeps cheap.  Its timing oracle, windowed admission
-# that serves each step through the event engine (a device channel grant
-# and `FarMemoryDevice._serve`), lives in `tests/oracles.py`.
-
-#: Fluid-solver event kinds, ordered only for readability (ties on the
-#: timeline break by sequence number, exactly like the engine heap).
-_EV_WAKE = 0    #: a link's earliest-finish breakpoint (a=link, b=version)
-_EV_CHAN = 1    #: a tenant's pre-delay elapsed; request a channel (a=tenant)
-_EV_XFER = 2    #: a tenant's command phase elapsed; start stage flows
-_EV_DONE = 3    #: one stage flow of a tenant completed
-_EV_FINISH = 4  #: all stage flows completed (the ``all_of`` gate hop)
-_EV_GRANT = 5   #: a queued channel request granted
 
 
 @dataclass
@@ -524,49 +505,8 @@ class _AdmissionStep:
     write: bool     #: writeback (write) vs fault fill (read)
 
 
-class _FluidFlow:
-    __slots__ = ("remaining", "tenant")
-
-    def __init__(self, nbytes: float, tenant: int) -> None:
-        self.remaining = nbytes
-        self.tenant = tenant
-
-
-class _LinkState:
-    """Fluid-side mirror of one :class:`FairShareLink`'s flow set."""
-
-    __slots__ = ("pipe", "bw", "flows", "last_update", "version", "busy",
-                 "delivered", "demand", "n_flows", "index")
-
-    def __init__(self, pipe, index: int, t_start: float) -> None:
-        self.pipe = pipe
-        self.bw = pipe.bandwidth
-        self.flows: list[_FluidFlow] = []
-        self.last_update = t_start
-        self.version = 0
-        self.busy = 0.0
-        self.delivered = 0.0
-        self.demand = 0.0
-        self.n_flows = 0
-        self.index = index
-
-
-class _PoolState:
-    """Fluid-side mirror of one device's FCFS channel pool."""
-
-    __slots__ = ("pool", "cap", "in_use", "queue", "grants", "wait")
-
-    def __init__(self, pool) -> None:
-        self.pool = pool
-        self.cap = pool.capacity
-        self.in_use = 0
-        self.queue: list[tuple[int, float]] = []
-        self.grants = 0
-        self.wait = 0.0
-
-
 class _TenantPlan:
-    """One tenant's phase-2 schedule plus its share of the shared topology.
+    """One tenant's phase-2 admission steps.
 
     ``cls`` is a :class:`ReplayClassification` (a whole cold run) or a
     :class:`SpanClassification` (one hybrid batch chunk) covering
@@ -574,9 +514,8 @@ class _TenantPlan:
     the executor's active backend.
     """
 
-    __slots__ = ("executor", "frontend", "module", "device", "granularity",
-                 "steps", "stages_read", "stages_write", "next", "pending",
-                 "t0", "end", "latencies", "pool")
+    __slots__ = ("executor", "frontend", "module", "device", "steps",
+                 "latencies")
 
     def __init__(self, executor, cls, n_anon: int) -> None:
         self.executor = executor
@@ -584,8 +523,7 @@ class _TenantPlan:
         name = self.frontend.active_backend
         self.module = self.frontend.module(name)
         self.device = self.module.device
-        self.granularity = executor.config.granularity
-        g = self.granularity
+        g = executor.config.granularity
         self.steps: list[_AdmissionStep] = []
         if cls.faults or cls.swap_outs:
             n_windows = (n_anon + _WINDOW - 1) // _WINDOW
@@ -603,26 +541,21 @@ class _TenantPlan:
                         pre=0.0,
                         command=self.device.batch_command_cost(k_wb, True, g),
                         moved=k_wb * g, count=k_wb, write=True))
-        self.next = 0
-        self.pending = 0
-        self.t0 = 0.0
-        self.end = 0.0
         #: per fault step: (mean latency, fault count, completion time)
         self.latencies: list[tuple[float, int, float]] = []
-        self.stages_read: list[_LinkState] = []
-        self.stages_write: list[_LinkState] = []
-        self.pool: _PoolState | None = None
 
 
-def _fluid_supported(device) -> bool:
-    """Whether the fluid solver's device model matches this device.
+def _batch_supported(device) -> bool:
+    """Whether batched admission serves this device as its DES path would.
 
-    The solver prices command phases and stage pipes with the base-class
-    formulas.  A single :class:`FaultyDevice` wrapper is unwrapped first:
-    outside its windows its DES path is the wrapped device's (the gate
-    draws nothing, the latency factor is exactly 1.0, no stall is added),
-    and no batch admission runs inside a window.  A device that overrides
-    the DES I/O path (``_io``) itself runs on the per-access loop.
+    Admission prices each step's command phase with the base-class
+    :meth:`~FarMemoryDevice.batch_command_cost` and serves it through the
+    base-class stage pipes.  A single :class:`FaultyDevice` wrapper is
+    unwrapped first: outside its windows its DES path is the wrapped
+    device's (the gate draws nothing, the latency factor is exactly 1.0,
+    no stall is added), and no batch admission runs inside a window.  A
+    device that overrides the DES I/O path (``_io``) itself runs on the
+    per-access loop.
     """
     if type(device) is FaultyDevice:
         device = device.inner
@@ -632,242 +565,57 @@ def _fluid_supported(device) -> bool:
             and t.stage_pipes is FarMemoryDevice.stage_pipes)
 
 
-def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
-    """Solve the contended phase-2 schedule analytically.
+def _admit(sim, plans: list[_TenantPlan]) -> list[float]:
+    """Admit every tenant's steps concurrently through the event engine.
 
-    A compact flow-level simulator over the merged breakpoint timeline:
-    per-tenant serial state machines (pre-delay -> channel FCFS -> command
-    -> concurrent stage flows) exchange events through mirrored link and
-    pool states.  Every float expression matches the event-engine code it
-    replaces (`FairShareLink._advance`/`_earliest_finish`, `Resource`
-    grant/release, `Timeout` scheduling), so per-tenant completion times
-    come out equal to the windowed DES admission oracle
-    (``tests/oracles.py``): the shared expressions match term for term.
-    Each fault step's mean latency, count and completion time land on
-    ``plan.latencies`` (the hybrid planner replays its monitor feed from
-    them).  Returns per-tenant phase-2 durations and advances the (idle)
-    engine clock to the schedule's end.
+    One coroutine per tenant: a fault step pays its serial kernel cost,
+    then every step takes a channel from the device's pool and serves its
+    aggregate command phase and payload through
+    :meth:`FarMemoryDevice._serve` — O(windows) DES events per tenant
+    instead of O(accesses), and a tenant running alone resolves each step
+    inline (:meth:`Simulator.skip`).  Each step books the device's ops
+    and wire bytes, the module and frontend counts and one aggregate
+    listening-queue entry; each fault step also books its mean latency,
+    count and completion time on ``plan.latencies`` (the hybrid planner
+    replays its monitor feed from them) and in the fault-latency stats.
+    Returns per-tenant durations.
     """
     t_start = sim.now
-    links: dict[int, _LinkState] = {}
-    pools: dict[int, _PoolState] = {}
-    link_list: list[_LinkState] = []
-    for plan in plans:
-        key = id(plan.device.channel_pool)
-        if key not in pools:
-            pools[key] = _PoolState(plan.device.channel_pool)
-        plan.pool = pools[key]
-        for write, out in ((False, plan.stages_read), (True, plan.stages_write)):
-            for pipe in plan.device.stage_pipes(write):
-                ls = links.get(id(pipe))
-                if ls is None:
-                    ls = _LinkState(pipe, len(link_list), t_start)
-                    links[id(pipe)] = ls
-                    link_list.append(ls)
-                out.append(ls)
+    ends = [t_start] * len(plans)
 
-    heap: list[tuple[float, int, int, int, int]] = []
-    seq = 0
-    push_heap = heapq.heappush
-
-    def push(t: float, kind: int, a: int, b: int = 0) -> None:
-        nonlocal seq
-        seq += 1
-        push_heap(heap, (t, seq, kind, a, b))
-
-    # -- fluid link mechanics (mirrors FairShareLink's equal shares) ------
-    def link_advance(ls: _LinkState, now: float) -> None:
-        dt = now - ls.last_update
-        ls.last_update = now
-        flows = ls.flows
-        if dt <= 0 or not flows:
-            return
-        ls.busy += dt
-        if len(flows) == 1:
-            f = flows[0]
-            drained = ls.bw * dt
-            f.remaining -= drained
-            ls.delivered += min(drained, max(0.0, f.remaining + drained))
-            if f.remaining <= _EPS_BYTES:
-                del flows[0]
-                push(now, _EV_DONE, f.tenant)
-            return
-        rate = ls.bw / float(len(flows))
-        done: list[_FluidFlow] = []
-        for f in flows:
-            drained = rate * dt
-            f.remaining -= drained
-            ls.delivered += min(drained, max(0.0, f.remaining + drained))
-            if f.remaining <= _EPS_BYTES:
-                done.append(f)
-        for f in done:
-            flows.remove(f)
-            push(now, _EV_DONE, f.tenant)
-
-    def link_earliest(ls: _LinkState) -> float | None:
-        flows = ls.flows
-        if not flows:
-            return None
-        if len(flows) == 1:
-            return flows[0].remaining / ls.bw
-        rate = ls.bw / float(len(flows))
-        return min(f.remaining / rate for f in flows)
-
-    def link_reschedule(ls: _LinkState, now: float) -> None:
-        # force-complete flows whose finish delay underflows the clock,
-        # exactly like FairShareLink._complete_underflowed
-        while True:
-            dt = link_earliest(ls)
-            if dt is None or now + dt > now:
-                break
-            f = min(ls.flows, key=lambda fl: fl.remaining)
-            ls.flows.remove(f)
-            push(now, _EV_DONE, f.tenant)
-        ls.version += 1
-        if dt is not None:
-            push(now + (dt if dt > 0.0 else 0.0), _EV_WAKE, ls.index, ls.version)
-
-    # -- tenant state machine ---------------------------------------------
-    def start_step(i: int, now: float) -> None:
-        plan = plans[i]
-        if plan.next >= len(plan.steps):
-            plan.end = now
-            return
-        st = plan.steps[plan.next]
-        if st.write:
-            # writebacks follow the previous step synchronously
-            request_channel(i, now)
-        else:
-            # faults pay the serial kernel cost first (a DES timeout hop)
-            plan.t0 = now
-            push(now + st.pre, _EV_CHAN, i)
-
-    def request_channel(i: int, now: float) -> None:
-        ps = plans[i].pool
-        if ps.in_use < ps.cap and not ps.queue:
-            # Resource.try_acquire: synchronous, same engine step
-            ps.in_use += 1
-            ps.grants += 1
-            begin_command(i, now)
-        else:
-            ps.queue.append((i, now))
-
-    def begin_command(i: int, now: float) -> None:
-        plan = plans[i]
-        push(now + plan.steps[plan.next].command, _EV_XFER, i)
-
-    def start_transfers(i: int, now: float) -> None:
-        plan = plans[i]
-        st = plan.steps[plan.next]
-        stages = plan.stages_write if st.write else plan.stages_read
-        plan.pending = len(stages)
-        nbytes = float(st.moved)
-        for ls in stages:
-            link_advance(ls, now)
-            ls.flows.append(_FluidFlow(nbytes, i))
-            ls.demand += nbytes
-            ls.n_flows += 1
-            link_reschedule(ls, now)
-
-    def stage_done(i: int, now: float) -> None:
-        plan = plans[i]
-        plan.pending -= 1
-        if plan.pending:
-            return
-        if len(plan.stages_read) == 1:
-            # single stage: the process resumes at the flow event itself
-            finish_step(i, now)
-        else:
-            # multiple stages: the all_of gate is one more same-time event
-            push(now, _EV_FINISH, i)
-
-    def finish_step(i: int, now: float) -> None:
-        plan = plans[i]
-        st = plan.steps[plan.next]
-        release_channel(plan.pool, now)
-        if not st.write:
-            plan.latencies.append(((now - plan.t0) / st.count, st.count, now))
-        plan.next += 1
-        start_step(i, now)
-
-    def release_channel(ps: _PoolState, now: float) -> None:
-        ps.in_use -= 1
-        if ps.queue:
-            j, t_enq = ps.queue.pop(0)
-            ps.in_use += 1
-            ps.grants += 1
-            ps.wait += now - t_enq
-            push(now, _EV_GRANT, j)
-
-    for i in range(len(plans)):
-        start_step(i, t_start)
-
-    pop_heap = heapq.heappop
-    while heap:
-        now, _s, kind, a, b = pop_heap(heap)
-        if kind == _EV_WAKE:
-            ls = link_list[a]
-            if b == ls.version:
-                link_advance(ls, now)
-                link_reschedule(ls, now)
-        elif kind == _EV_CHAN:
-            request_channel(a, now)
-        elif kind == _EV_XFER:
-            start_transfers(a, now)
-        elif kind == _EV_DONE:
-            stage_done(a, now)
-        elif kind == _EV_FINISH:
-            finish_step(a, now)
-        else:
-            begin_command(a, now)
-
-    if sim.sanitize:
-        for ls in link_list:
-            if ls.flows:
-                raise SanitizerError(
-                    f"fluid replay: link {ls.pipe.name!r} finished with "
-                    f"{len(ls.flows)} active flow(s)"
-                )
-            lost = ls.demand - ls.delivered
-            if lost > 1e-3 * max(1, ls.n_flows) or lost < -1e-6:
-                raise SanitizerError(
-                    f"fluid replay: link {ls.pipe.name!r} delivered "
-                    f"{ls.delivered} of {ls.demand} demanded bytes"
-                )
-        for ps in pools.values():
-            if ps.in_use or ps.queue:
-                raise SanitizerError(
-                    f"fluid replay: channel pool {ps.pool.name!r} finished "
-                    f"with {ps.in_use} held / {len(ps.queue)} queued"
-                )
-
-    # credit the shared topology with the schedule it would have carried
-    for ls in link_list:
-        ls.pipe.account_external(ls.delivered, ls.busy)
-    for ps in pools.values():
-        ps.pool.total_grants += ps.grants
-        ps.pool.total_wait += ps.wait
-    for plan in plans:
-        dev, mod, fe = plan.device, plan.module, plan.frontend
+    def admit(i, plan):
+        device, mod, fe = plan.device, plan.module, plan.frontend
+        pool = device.channel_pool
+        add_repeat = plan.executor.result.fault_latency.add_repeat
         for st in plan.steps:
+            t0 = sim.now
+            if not st.write and not sim.skip(st.pre):
+                yield sim.timeout(st.pre)
+            grant = pool.try_acquire()
+            if grant is None:
+                grant = yield pool.request()
+            yield from device._serve(st.command, st.moved, st.write)
+            pool.release(grant)
+            device.ops += st.count
             if st.write:
-                dev.bytes_written += st.moved
+                device.bytes_written += st.moved
                 mod.pages_stored += st.count
                 fe.stores += st.count
                 fe.listening_queue.put_nowait(("stored_batch", st.count, fe.active_backend))
             else:
-                dev.bytes_read += st.moved
+                device.bytes_read += st.moved
                 mod.pages_loaded += st.count
                 fe.loads += st.count
                 fe.listening_queue.put_nowait(("loaded_batch", st.count, fe.active_backend))
-            dev.ops += st.count
-        add_repeat = plan.executor.result.fault_latency.add_repeat
-        for mean, count, _ in plan.latencies:
-            add_repeat(mean, count)
-    end = max(plan.end for plan in plans)
-    if end > sim.now:
-        sim.run(until=end)
-    return [plan.end - t_start for plan in plans]
+                mean = (sim.now - t0) / st.count
+                plan.latencies.append((mean, st.count, sim.now))
+                add_repeat(mean, st.count)
+        ends[i] = sim.now
+
+    procs = [sim.process(admit(i, plan), name=f"exec:replay:{i}")
+             for i, plan in enumerate(plans)]
+    sim.run(until=sim.all_of(procs))
+    return [end - t_start for end in ends]
 
 
 def _tenant_group(executors, traces) -> tuple[list, list]:
@@ -896,7 +644,7 @@ def _engine(executors, mode: str | None = None) -> str:
     and :func:`~repro.swap.executor.run_tenants`, and the only parser of
     ``REPRO_REPLAY`` (``mode`` overrides it).  ``event`` when the mode
     says so, when any tenant's stack is warm or its simulator busy, or
-    when any tenant's active device fails :func:`_fluid_supported`.
+    when any tenant's active device fails :func:`_batch_supported`.
     Otherwise ``batch`` when no tenant has a failover controller or live
     fault windows; with such hazards, ``hybrid`` for one tenant and
     ``event`` for a contended group.
@@ -909,7 +657,7 @@ def _engine(executors, mode: str | None = None) -> str:
         )
     if mode == "event" or not all(
         ex._cold_idle()
-        and _fluid_supported(ex.frontend.module(ex.frontend.active_backend).device)
+        and _batch_supported(ex.frontend.module(ex.frontend.active_backend).device)
         for ex in executors
     ):
         return "event"
@@ -924,9 +672,10 @@ def replay_run_multi(executors, traces, classify=None):
     Equivalent to running every executor's per-access event loop
     *concurrently* on the shared simulator: per-tenant counters and end
     state are bit-identical (phase-1 facts — LRU decisions never read the
-    clock), and per-tenant ``sim_time`` matches the windowed DES admission
-    oracle to 1e-9 (at one tenant, the per-access loop itself; under
-    contention the window is the admission quantum, see DESIGN.md §3.2).
+    clock).  Per-tenant ``sim_time`` comes from windowed admission
+    through the event engine (:func:`_admit`): at one tenant it matches
+    the per-access loop to 1e-9; under contention the window is the
+    admission quantum (DESIGN.md §3.2).
 
     The group must be one :func:`_engine` sends to ``batch``.  ``classify``
     produces each tenant's phase 1 with :func:`classify_trace`'s signature
@@ -938,8 +687,8 @@ def replay_run_multi(executors, traces, classify=None):
     if _engine(executors, "batch") != "batch":
         raise ConfigurationError(
             "replay_run_multi needs cold executors on an idle simulator, "
-            "without failover or live fault windows, on devices the fluid "
-            "solver models"
+            "without failover or live fault windows, on devices batched "
+            "admission models"
         )
     sim = executors[0].sim
     if classify is None:
@@ -952,7 +701,7 @@ def replay_run_multi(executors, traces, classify=None):
     for ex, cls in zip(executors, classifications):
         _apply_classification(ex, cls)
         plans.append(_TenantPlan(ex, cls, cls.n_accesses - cls.file_skips))
-    durations = _fluid_phase2(sim, plans)
+    durations = _admit(sim, plans)
     for ex, cls, duration in zip(executors, classifications, durations):
         if cls.far_end.size:
             ex.frontend.adopt_far_pages(cls.far_end.tolist())

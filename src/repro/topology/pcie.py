@@ -103,10 +103,6 @@ class PCIeLink:
         """Begin a DMA of ``nbytes``; returns a completion event."""
         return self._pipe.transfer(nbytes)
 
-    def drain_time(self, nbytes: float, concurrent: int = 1) -> float:
-        """Analytic transfer time for ``nbytes`` (idle link)."""
-        return self._pipe.drain_time(nbytes, concurrent=concurrent)
-
     def utilization(self, horizon: float | None = None) -> float:
         """Busy fraction of this link since t=0 (or ``horizon``)."""
         return self._pipe.utilization(horizon)

@@ -14,12 +14,6 @@ path computes fast, kept here so that production holds one path:
   :class:`~repro.core.console.SmartConsole`'s methods and run whole
   experiments on the grid, and they tally the console's ``TuneStats``
   (``scalar_runs`` and ``grid_runs``) once per scalar evaluation.
-* :func:`des_admission` — phase-2 batched replay admission through the
-  real event engine, one coroutine per tenant that serves each aggregate
-  step under a device channel grant with ``FarMemoryDevice._serve``;
-  :func:`repro.swap.replay._fluid_phase2` must match its per-tenant
-  completion times to 1e-9.  Tests swap it in by patching
-  ``repro.swap.replay._fluid_phase2``.
 
 ``benchmarks/perf_smoke.py`` times the reuse and tuner references
 (``reuse`` and ``tune`` suites).
@@ -35,8 +29,7 @@ from repro.errors import ConfigurationError
 from repro.mem.reuse import COLD
 from repro.swap.pathmodel import SwapPathModel
 
-__all__ = ["reuse_distances_fenwick", "grid_configure", "grid_max_offload_under_slo",
-           "des_admission"]
+__all__ = ["reuse_distances_fenwick", "grid_configure", "grid_max_offload_under_slo"]
 
 
 def reuse_distances_fenwick(pages: np.ndarray) -> np.ndarray:
@@ -169,47 +162,3 @@ def grid_max_offload_under_slo(
         return 0.0, None
     return lo_ok
 
-
-def des_admission(sim, plans):
-    """``_fluid_phase2`` as windowed admission through the event engine.
-
-    One coroutine per tenant, concurrently: each fault step pays its
-    serial kernel cost, then every step takes a channel from the device's
-    pool and serves its aggregate command phase (``batch_command_cost``)
-    and payload through ``FarMemoryDevice._serve`` — O(windows) DES
-    events per tenant instead of O(accesses).  Books the device's ops and
-    wire bytes, fills ``plan.latencies`` and credits the fault-latency
-    collectors as the solver does; returns per-tenant durations.
-    """
-    t_start = sim.now
-    ends = [t_start] * len(plans)
-
-    def admit(i, plan):
-        device = plan.device
-        pool = device.channel_pool
-        g = plan.granularity
-        add_repeat = plan.executor.result.fault_latency.add_repeat
-        for st in plan.steps:
-            t0 = sim.now
-            if not st.write:
-                yield sim.timeout(st.pre)
-            grant = pool.try_acquire()
-            if grant is None:
-                grant = yield pool.request()
-            command = device.batch_command_cost(st.count, st.write, g)
-            yield from device._serve(command, st.moved, st.write)
-            pool.release(grant)
-            device.ops += st.count
-            if st.write:
-                device.bytes_written += st.moved
-            else:
-                device.bytes_read += st.moved
-                mean = (sim.now - t0) / st.count
-                plan.latencies.append((mean, st.count, sim.now))
-                add_repeat(mean, st.count)
-        ends[i] = sim.now
-
-    procs = [sim.process(admit(i, plan), name=f"exec:replay:{i}")
-             for i, plan in enumerate(plans)]
-    sim.run(until=sim.all_of(procs))
-    return [e - t_start for e in ends]

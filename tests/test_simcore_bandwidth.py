@@ -1,8 +1,9 @@
-"""Invariant tests for :class:`FairShareLink` — the fluid solver's ground truth.
+"""Invariant tests for :class:`FairShareLink` — the shared-pipe model.
 
-The multi-tenant batched replay engine resolves fair-share schedules
-analytically by replicating this link's arithmetic, so the event-side
-model itself must honor the processor-sharing invariants it encodes:
+Every device stage pipe, PCIe slot and switch is one of these links, and
+the batched replay engines admit their aggregate steps through the same
+links as the per-access loop, so the model must honor the
+processor-sharing invariants it encodes:
 
 * **work conservation** — while at least one flow is active, the link
   delivers at exactly its capacity: ``total_bytes == bandwidth *
@@ -13,7 +14,7 @@ model itself must honor the processor-sharing invariants it encodes:
   up to the completion epsilon.
 
 Plus the in-flight ``utilization()`` edge cases and the external-credit
-hook the fluid solver uses.
+hook the rack fabric uses.
 """
 
 import pytest

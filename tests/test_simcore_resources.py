@@ -240,26 +240,6 @@ def test_link_zero_bytes_completes_instantly():
     assert sim.now == pytest.approx(0.0)
 
 
-def test_link_set_bandwidth_midflight():
-    sim = Simulator()
-    link = FairShareLink(sim, bandwidth=100.0)
-    t_done = {}
-
-    def xfer():
-        yield link.transfer(200.0)
-        t_done["x"] = sim.now
-
-    def upgrade():
-        yield sim.timeout(1.0)
-        link.set_bandwidth(200.0)
-
-    sim.process(xfer())
-    sim.process(upgrade())
-    sim.run()
-    # 100 B in first second, remaining 100 B at 200 B/s -> 1.5 s total
-    assert t_done["x"] == pytest.approx(1.5)
-
-
 def test_link_utilization_tracks_busy_time():
     sim = Simulator()
     link = FairShareLink(sim, bandwidth=100.0)

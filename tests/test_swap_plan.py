@@ -43,7 +43,7 @@ from repro.mem.page import PageKind, PageOp
 from repro.simcore import Simulator
 from repro.swap import SwapConfig, SwapExecutor
 from repro.swap.plan import ExecutionPlan
-from repro.swap.replay import REPLAY_ENV, _engine, _fluid_supported, classify_span
+from repro.swap.replay import REPLAY_ENV, _batch_supported, _engine, classify_span
 from repro.trace import fuse
 from repro.trace.schema import make_trace
 
@@ -368,7 +368,7 @@ def test_live_windows_force_hybrid_eligibility():
         [LatencyFault(start=1e3, duration=1.0, factor=2.0)], trace)
     assert executor._fault_injected()
     assert _engine([executor], "batch") == "hybrid"
-    assert _fluid_supported(executor.frontend.module("ssd").device)
+    assert _batch_supported(executor.frontend.module("ssd").device)
 
 
 # --------------------------------------------------- seam-state handoff (hyp)

@@ -6,17 +6,15 @@ The contract has two independently checked sides (DESIGN.md §3.2):
   event loop, for any tenant count: classification is timing-independent,
   so contention can reorder I/O but never change which accesses hit,
   fault, or evict;
-* **timing** — the fluid fair-share solver's per-tenant ``sim_time``
-  equals the windowed DES admission oracle
-  (:func:`tests.oracles.des_admission`) to float round-off at every
-  tenant count, and at one tenant the solver matches the per-access loop
-  to round-off.  :func:`_des_reference` swaps the oracle in by patching
-  ``repro.swap.replay._fluid_phase2``.
+* **timing and bookings** — phase 2 admits each window's aggregate step
+  through the event engine itself, so at one tenant ``sim_time`` matches
+  the per-access loop to round-off, and under contention the device's
+  ops and wire bytes equal the concurrent event loops'.
 
 The sweep covers backends × tenant counts × access distributions, shared
-PCIe-switch topologies, engine routing (warm tenants, devices the solver
-does not model, fault-wrapped devices with no live window), and a
-hypothesis property test.
+PCIe-switch topologies, engine routing (warm tenants, devices batched
+admission does not model, fault-wrapped devices with no live window),
+and a hypothesis property test.
 """
 
 import os
@@ -38,12 +36,11 @@ from repro.swap.executor import SwapExecutor, make_contended_executors, run_tena
 from repro.swap.replay import REPLAY_ENV, ClassificationMemo, _engine, replay_run_multi
 from repro.topology.pcie import PCIeSwitch
 from repro.trace.schema import make_trace
-from tests.oracles import des_admission
 
 COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
             "swap_outs", "clean_drops", "file_skips")
 
-#: fluid-vs-DES per-tenant completion time tolerance (measured: bit-equal)
+#: one-tenant batch-vs-per-access-loop ``sim_time`` tolerance
 TIME_RTOL = 1e-9
 
 DISTS = ("uniform", "zipf", "sequential")
@@ -68,15 +65,7 @@ def _tenant_traces(n_tenants, seed0=0, n=4000, distinct=300):
     ]
 
 
-def _des_reference(executors, traces):
-    """Phase 2 through the windowed DES admission oracle instead of the
-    fluid solve."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(replay_mod, "_fluid_phase2", des_admission)
-        return replay_run_multi(executors, traces)
-
-
-def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, des=False,
+def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90,
             sanitize=False, switch=False, classify=None):
     saved = os.environ.get(REPLAY_ENV)
     os.environ[REPLAY_ENV] = mode
@@ -87,11 +76,7 @@ def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, des=False,
         executors = make_contended_executors(
             sim, device, kind, len(traces), local_pages=local_pages
         )
-        if des:
-            results = _des_reference(executors, traces)
-        else:
-            results = run_tenants(executors, traces, classify)
-        return results, executors
+        return run_tenants(executors, traces, classify), executors
     finally:
         if saved is None:
             os.environ.pop(REPLAY_ENV, None)
@@ -100,7 +85,8 @@ def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, des=False,
 
 
 def _assert_mt_equivalent(traces, kernel_epochs=(None,), **kwargs):
-    """The three-way check: fluid vs event counters, fluid vs DES timing.
+    """Batch vs concurrent event loops: counters, LRU end state, touched
+    set, far-copy owners and frontend counts.
 
     The batch runs repeat per entry of ``kernel_epochs``: None keeps the
     LRU's real two-scan kernel threshold, a number patches it down.  They
@@ -113,23 +99,21 @@ def _assert_mt_equivalent(traces, kernel_epochs=(None,), **kwargs):
             mp.setenv("REPRO_CACHE", "0")
             if kernel_epoch is not None:
                 mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
-            fluid, fex = _run_mt(traces, "batch", **kwargs)
-            des, _ = _run_mt(traces, "batch", des=True, **kwargs)
+            batch, bex = _run_mt(traces, "batch", **kwargs)
         for i in range(len(traces)):
             for counter in COUNTERS:
-                assert getattr(fluid[i], counter) == getattr(event[i], counter), \
+                assert getattr(batch[i], counter) == getattr(event[i], counter), \
                     (i, counter)
-            assert fluid[i].sim_time == pytest.approx(des[i].sim_time, rel=TIME_RTOL)
-            assert fluid[i].fault_latency.n == event[i].fault_latency.n
-            b_act, b_inact = fex[i].lru.state_arrays()
+            assert batch[i].fault_latency.n == event[i].fault_latency.n
+            b_act, b_inact = bex[i].lru.state_arrays()
             e_act, e_inact = eex[i].lru.state_arrays()
             assert b_act.tolist() == e_act.tolist()
             assert b_inact.tolist() == e_inact.tolist()
-            assert fex[i]._touched == eex[i]._touched
-            assert fex[i].frontend._owner == eex[i].frontend._owner
-            assert fex[i].frontend.stores == eex[i].frontend.stores
-            assert fex[i].frontend.loads == eex[i].frontend.loads
-    return fluid, event, des
+            assert bex[i]._touched == eex[i]._touched
+            assert bex[i].frontend._owner == eex[i].frontend._owner
+            assert bex[i].frontend.stores == eex[i].frontend.stores
+            assert bex[i].frontend.loads == eex[i].frontend.loads
+    return batch, event
 
 
 @pytest.mark.parametrize("kind", [BackendKind.SSD, BackendKind.RDMA])
@@ -143,22 +127,21 @@ def test_mt_sweep_backends_tenants_distributions(kind, n_tenants):
     _assert_mt_equivalent(traces, kernel_epochs=(None, 1), kind=kind)
 
 
-def test_single_tenant_fluid_matches_per_access_loop():
-    """At N=1 the window is degenerate: the fluid solver must match the
-    *per-access* event loop to round-off, not just the DES reference."""
+def test_single_tenant_batch_matches_per_access_loop():
+    """At N=1 the window is degenerate: windowed admission must match the
+    *per-access* event loop to round-off."""
     for dist in DISTS:
         traces = [_build_trace(42, 4000, 300, dist)]
-        fluid, fex = _run_mt(traces, "batch")
+        batch, _ = _run_mt(traces, "batch")
         event, _ = _run_mt(traces, "event")
-        assert fluid[0].sim_time == pytest.approx(event[0].sim_time, rel=TIME_RTOL)
+        assert batch[0].sim_time == pytest.approx(event[0].sim_time, rel=TIME_RTOL)
 
 
 def test_mt_single_channel_backend_queueing():
-    """HDD has one channel: phase 2 is FCFS-queue dominated, the hardest
-    ordering case for the fluid solver's grant replication."""
+    """HDD has one channel: phase 2 is FCFS-queue dominated."""
     traces = _tenant_traces(4, seed0=77, n=2500, distinct=250)
-    fluid, event, des = _assert_mt_equivalent(traces, kind=BackendKind.HDD)
-    assert any(r.faults for r in fluid)
+    batch, _ = _assert_mt_equivalent(traces, kind=BackendKind.HDD)
+    assert any(r.faults for r in batch)
 
 
 def test_mt_shared_switch_three_stage_path():
@@ -174,7 +157,7 @@ def test_mt_cross_device_contention_on_switch():
     saved = os.environ.get(REPLAY_ENV)
     results = {}
     try:
-        for mode, des in (("batch", False), ("batch", True), ("event", False)):
+        for mode in ("batch", "event"):
             os.environ[REPLAY_ENV] = mode
             sim = Simulator()
             sw = PCIeSwitch(sim)
@@ -184,23 +167,16 @@ def test_mt_cross_device_contention_on_switch():
                 make_contended_executors(sim, d_ssd, BackendKind.SSD, 2, local_pages=80)
                 + make_contended_executors(sim, d_rdma, BackendKind.RDMA, 2, local_pages=80)
             )
-            traces = _tenant_traces(4, seed0=55)
-            if des:
-                results[(mode, des)] = _des_reference(executors, traces)
-            else:
-                results[(mode, des)] = run_tenants(executors, traces)
+            results[mode] = run_tenants(executors, _tenant_traces(4, seed0=55))
     finally:
         if saved is None:
             os.environ.pop(REPLAY_ENV, None)
         else:
             os.environ[REPLAY_ENV] = saved
-    fluid = results[("batch", False)]
-    des = results[("batch", True)]
-    event = results[("event", False)]
+    batch, event = results["batch"], results["event"]
     for i in range(4):
         for counter in COUNTERS:
-            assert getattr(fluid[i], counter) == getattr(event[i], counter), (i, counter)
-        assert fluid[i].sim_time == pytest.approx(des[i].sim_time, rel=TIME_RTOL)
+            assert getattr(batch[i], counter) == getattr(event[i], counter), (i, counter)
 
 
 def test_mt_event_engine_forced():
@@ -275,7 +251,7 @@ def test_run_tenants_rejects_repeated_executor(mode, monkeypatch):
 
 
 class _OwnIOPathSSD(NVMeSSD):
-    """An SSD with its own DES I/O path, which the fluid solver does not
+    """An SSD with its own DES I/O path, which batched admission does not
     model (it delegates, so its results stay comparable)."""
 
     def _io(self, nbytes, write, granularity):
@@ -284,8 +260,8 @@ class _OwnIOPathSSD(NVMeSSD):
 
 @pytest.mark.parametrize("n_tenants", [1, 2])
 def test_unmodelled_device_runs_event_engine(n_tenants, monkeypatch):
-    """A device the fluid solver does not model takes the per-access loop
-    under ``REPRO_REPLAY=batch``, solo or contended."""
+    """A device batched admission does not model takes the per-access
+    loop under ``REPRO_REPLAY=batch``, solo or contended."""
     traces = _tenant_traces(n_tenants, seed0=95, n=2000, distinct=200)
     runs = {}
     for mode in ("batch", "event"):
@@ -305,8 +281,8 @@ def test_unmodelled_device_runs_event_engine(n_tenants, monkeypatch):
 
 def test_shared_faulty_device_without_live_window_batches(monkeypatch):
     """Two tenants on one fault-wrapped device with an empty plan take the
-    batch engine: the fluid solver unwraps the wrapper, counters equal
-    the concurrent event loops and timing equals the DES oracle."""
+    batch engine: admission unwraps the wrapper, and counters equal the
+    concurrent event loops."""
     traces = _tenant_traces(2, seed0=97)
 
     def build():
@@ -316,21 +292,19 @@ def test_shared_faulty_device_without_live_window_batches(monkeypatch):
                                         local_pages=90)
 
     monkeypatch.setenv(REPLAY_ENV, "batch")
-    fex = build()
-    assert _engine(fex) == "batch"
-    fluid = run_tenants(fex, traces)
+    bex = build()
+    assert _engine(bex) == "batch"
+    batch = run_tenants(bex, traces)
     # batched admission posts aggregate listening-queue entries
-    assert fex[0].frontend.listening_queue._items[0][0].endswith("_batch")
-    des = _des_reference(build(), traces)
+    assert bex[0].frontend.listening_queue._items[0][0].endswith("_batch")
     monkeypatch.setenv(REPLAY_ENV, "event")
     eex = build()
     event = run_tenants(eex, traces)
     for i in range(2):
-        assert fluid[i].faults
+        assert batch[i].faults
         for counter in COUNTERS:
-            assert getattr(fluid[i], counter) == getattr(event[i], counter), (i, counter)
-        assert fluid[i].sim_time == pytest.approx(des[i].sim_time, rel=TIME_RTOL)  # simlint: ignore[UNIT002] -- an epsilon comparison
-        assert fex[i].frontend._owner == eex[i].frontend._owner
+            assert getattr(batch[i], counter) == getattr(event[i], counter), (i, counter)
+        assert bex[i].frontend._owner == eex[i].frontend._owner
 
 
 def test_mt_all_hit_tenant_finishes_instantly():
@@ -338,54 +312,46 @@ def test_mt_all_hit_tenant_finishes_instantly():
     sim_time is zero while co-tenants still pay for their faults."""
     quiet = make_trace(np.tile(np.arange(10), 100))
     noisy = _build_trace(5, 3000, 300, "uniform")
-    fluid, _ = _run_mt([quiet, noisy], "batch", local_pages=64)
+    batch, _ = _run_mt([quiet, noisy], "batch", local_pages=64)
     event, _ = _run_mt([quiet, noisy], "event", local_pages=64)
-    assert fluid[0].faults == 0 and fluid[0].sim_time == 0.0
+    assert batch[0].faults == 0 and batch[0].sim_time == 0.0
     for counter in COUNTERS:
-        assert getattr(fluid[1], counter) == getattr(event[1], counter)
+        assert getattr(batch[1], counter) == getattr(event[1], counter)
 
 
-def test_mt_pool_and_link_metrics_match_des():
-    """The fluid solver credits the shared topology (link bytes/busy,
-    channel grants/waits, device ops) identically to the DES reference."""
+def test_mt_batch_bookings_match_event_loop(monkeypatch):
+    """Four tenants on one single-channel HDD: batched admission books the
+    device's ops and wire bytes exactly as the concurrent per-access loops
+    do, and moves the same payload through the media pipes."""
     traces = _tenant_traces(4, seed0=21, n=3000)
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = "batch"
-    try:
-        stats = {}
-        for solver, run in (("fluid", replay_run_multi), ("des", _des_reference)):
-            sim = Simulator()
-            device = make_device(sim, BackendKind.HDD)
-            executors = make_contended_executors(
-                sim, device, BackendKind.HDD, 4, local_pages=90
-            )
-            run(executors, traces)
-            stats[solver] = (
-                device.ops, device.bytes_read, device.bytes_written,
-                device.channel_pool.total_grants,
-                device.channel_pool.total_wait,
-                device._media_read.total_bytes,
-                device._media_read.busy_time,
-                device._media_read.utilization(),
-            )
-        f, d = stats["fluid"], stats["des"]
-        assert f[:4] == d[:4]
-        for a, b in zip(f[4:], d[4:]):
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
+    stats = {}
+    for mode in ("batch", "event"):
+        monkeypatch.setenv(REPLAY_ENV, mode)
+        sim = Simulator()
+        device = make_device(sim, BackendKind.HDD)
+        executors = make_contended_executors(
+            sim, device, BackendKind.HDD, 4, local_pages=90
+        )
+        run_tenants(executors, traces)
+        stats[mode] = (
+            (device.ops, device.bytes_read, device.bytes_written),
+            (device._media_read.total_bytes, device._media_write.total_bytes),
+        )
+    (b_dev, b_pipes), (e_dev, e_pipes) = stats["batch"], stats["event"]
+    assert b_dev == e_dev
+    assert b_dev[0] > 0 and b_dev[2] > 0
+    for b, e in zip(b_pipes, e_pipes):
+        assert b == pytest.approx(e, rel=1e-9)
 
 
 @pytest.mark.sanitize
-def test_mt_fluid_passes_sanitizer():
-    """Sanitize mode runs the solver's own invariants (drained links,
-    empty channel queues, byte conservation) plus page conservation."""
+def test_mt_batch_passes_sanitizer():
+    """Sanitize mode checks the event engine's link, channel-pool and
+    event invariants while the batch steps are admitted, plus page
+    conservation."""
     traces = _tenant_traces(4, seed0=17)
-    fluid, executors = _run_mt(traces, "batch", sanitize=True, switch=True)
-    assert any(r.faults for r in fluid)
+    batch, executors = _run_mt(traces, "batch", sanitize=True, switch=True)
+    assert any(r.faults for r in batch)
     for ex in executors:
         ex.assert_page_conservation()
 
@@ -486,16 +452,16 @@ def test_hybrid_engine_never_calls_hook(monkeypatch):
     local_pages=st.integers(min_value=8, max_value=60),
 )
 def test_property_mt_fluid_equals_event_and_des(seeds, n, distinct, local_pages):
+    """Batch counters and far-copy owners equal the concurrent event
+    loops' on random tenant groups."""
     traces = [
         _build_trace(seed, n, distinct, DISTS[i % len(DISTS)])
         for i, seed in enumerate(seeds)
     ]
-    fluid, fex = _run_mt(traces, "batch", local_pages=local_pages)
+    batch, bex = _run_mt(traces, "batch", local_pages=local_pages)
     event, eex = _run_mt(traces, "event", local_pages=local_pages)
-    des, _ = _run_mt(traces, "batch", des=True, local_pages=local_pages)
     for i in range(len(traces)):
         for counter in COUNTERS:
-            assert getattr(fluid[i], counter) == getattr(event[i], counter), \
+            assert getattr(batch[i], counter) == getattr(event[i], counter), \
                 (i, counter)
-        assert fluid[i].sim_time == pytest.approx(des[i].sim_time, rel=TIME_RTOL)
-        assert fex[i].frontend._owner == eex[i].frontend._owner
+        assert bex[i].frontend._owner == eex[i].frontend._owner
