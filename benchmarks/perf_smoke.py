@@ -14,26 +14,18 @@ Suites, selected with ``--suite``:
     end through the swap stack (LRU + frontend + backend + device) at
     1 M accesses.  The headline is the fault-heavy uniform workload —
     the regime the event loop chokes on and batching exists for — with a
-    skewed zipf line alongside, plus the ``injected`` row (see below).
+    skewed zipf line alongside, plus the ``injected`` row: the segmented
+    hybrid planner vs the event executor on the uniform workload under a
+    sparse fault plan (three absolute-time windows — latency, transient,
+    bandwidth — covering a few percent of the simulated span), which
+    eligibility routes through :func:`repro.swap.plan.hybrid_run`.
     Writes ``BENCH_replay.json`` and verifies the engines agree on every
-    counter while timing them.  ``--check`` re-runs the suite and fails
-    (exit 1) if any engine row — batch/hybrid and the per-access event
-    reference alike — lost more than 25 % of its throughput against the
-    checked-in baseline instead of overwriting it: the CI guard for the
-    replay fast path and for the event engine's inline clock advance.
-
-``injected``
-    The segmented hybrid planner vs the per-access event executor on the
-    uniform workload under a sparse fault plan (three absolute-time
-    windows — latency, transient, bandwidth — covering a few percent of
-    the simulated span).  Eligibility routes the ``batch``-mode run
-    through :func:`repro.swap.plan.hybrid_run`; counters (fault trio
-    included) and ``stall_time`` must match the event reference exactly.
-    Rows land in ``BENCH_replay.json`` next to the clean rows so the
-    ``replay`` suite of the ``perf-gates`` CI job guards them too;
-    ``--suite replay`` also regenerates them.  ``--suite injected``
-    alone refreshes just the injected rows, merging into the existing
-    report.
+    counter (the injected row's fault trio and ``stall_time`` included)
+    while timing them.  ``--check`` re-runs the suite and fails (exit 1)
+    if any engine row — batch/hybrid and the per-access event reference
+    alike — lost more than 25 % of its throughput against the checked-in
+    baseline instead of overwriting it: the CI guard for the replay fast
+    path, the hybrid planner and the event engine's inline clock advance.
 
 ``replay-mt``
     Contended multi-tenant replay: ``--tenants`` cold tenants (default 4)
@@ -871,8 +863,8 @@ def check_sim_time_bound(report: dict) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite",
-                        choices=("reuse", "replay", "injected", "replay-mt",
-                                 "lint", "tune", "cluster"),
+                        choices=("reuse", "replay", "replay-mt", "lint",
+                                 "tune", "cluster"),
                         default="reuse")
     parser.add_argument("--out", default=None,
                         help="report path (default BENCH_<suite>.json)")
@@ -892,34 +884,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="replay suite: compare against the checked-in "
                              "baseline instead of overwriting it")
     args = parser.parse_args(argv)
-    # injected rows live inside the replay report so one CI gate covers both
-    default_out = ("BENCH_replay.json" if args.suite == "injected"
-                   else f"BENCH_{args.suite.replace('-', '_')}.json")
-    out = args.out or default_out
+    out = args.out or f"BENCH_{args.suite.replace('-', '_')}.json"
 
     if args.suite == "replay":
+        # the injected rows live inside the replay report: one gate covers both
         report = bench_replay(args.accesses, args.repeats)
         report["workloads"].update(bench_injected(args.accesses, args.repeats))
         if args.check:
             return check_replay_regression(report, out, args.suite)
-    elif args.suite == "injected":
-        rows = bench_injected(args.accesses, args.repeats)
-        report = {**_report_meta("replay"), "headline": "uniform",
-                  "workloads": rows}
-        if args.check:
-            return check_replay_regression(report, out, "replay")
-        # merge into the existing replay report rather than dropping its
-        # clean rows; fall back to an injected-only report when absent
-        try:
-            with open(out) as fh:
-                existing = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            existing = None
-        if existing and existing.get("schema") == BENCH_SCHEMA \
-                and existing.get("suite") == "replay":
-            existing["workloads"].update(rows)
-            existing["generated"] = report["generated"]
-            report = existing
     elif args.suite == "replay-mt":
         report = bench_replay_mt(args.accesses, args.tenants, args.repeats)
         if args.check:

@@ -65,15 +65,17 @@ class DeviceProfile:
     occupancy_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
+        # negated comparisons, so a NaN fails them too
+        if not (self.read_bandwidth > 0 and self.write_bandwidth > 0):
             raise ConfigurationError(f"{self.tech}: bandwidths must be positive")
-        if min(self.read_op_cost, self.write_op_cost, self.setup_cost) < 0:
+        if not (self.read_op_cost >= 0 and self.write_op_cost >= 0
+                and self.setup_cost >= 0):
             raise ConfigurationError(f"{self.tech}: op costs must be non-negative")
         if self.channels < 1:
             raise ConfigurationError(f"{self.tech}: channels must be >= 1")
         if self.capacity <= 0:
             raise ConfigurationError(f"{self.tech}: capacity must be positive")
-        if self.cost_factor <= 0:
+        if not self.cost_factor > 0:
             raise ConfigurationError(f"{self.tech}: cost_factor must be positive")
         if not 0.0 < self.occupancy_fraction <= 1.0:
             raise ConfigurationError(f"{self.tech}: occupancy_fraction must be in (0, 1]")
@@ -193,8 +195,8 @@ class FarMemoryDevice:
 
         Each batched op pays the full single-op serial cost, setup included
         (one-granule requests pay setup per request), so this is the
-        command time ``count`` one-granule :meth:`read_gen` /
-        :meth:`write_gen` calls pay in total.  Batched replay admission
+        command time ``count`` one-granule :meth:`read` /
+        :meth:`write` calls pay in total.  Batched replay admission
         (:mod:`repro.swap.replay`) prices each aggregate step with it.
         """
         return count * (self.profile.setup_cost + self._op_cost(write, granularity))
@@ -219,26 +221,15 @@ class FarMemoryDevice:
     # Discrete-event interface
     # ------------------------------------------------------------------
     def read(self, nbytes: int, granularity: int = PAGE_SIZE):
-        """DES process: read ``nbytes`` with channel + PCIe contention."""
-        return self.sim.process(
-            self._io(nbytes, write=False, granularity=granularity),
-            name=f"{self.name}:read",
-        )
+        """Read ``nbytes`` with channel + PCIe contention.
 
-    def write(self, nbytes: int, granularity: int = PAGE_SIZE):
-        """DES process: write ``nbytes`` with channel + PCIe contention."""
-        return self.sim.process(
-            self._io(nbytes, write=True, granularity=granularity),
-            name=f"{self.name}:write",
-        )
-
-    def read_gen(self, nbytes: int, granularity: int = PAGE_SIZE):
-        """Inline variant of :meth:`read` for ``yield from`` in a caller's
-        own process — same contention and timing, no Process wrapper."""
+        A generator: the caller's own process drives it with ``yield
+        from``.  Returns the seconds the request took.
+        """
         return self._io(nbytes, write=False, granularity=granularity)
 
-    def write_gen(self, nbytes: int, granularity: int = PAGE_SIZE):
-        """Inline variant of :meth:`write` for ``yield from``."""
+    def write(self, nbytes: int, granularity: int = PAGE_SIZE):
+        """Write ``nbytes``, as :meth:`read` reads them."""
         return self._io(nbytes, write=True, granularity=granularity)
 
     def _serve(self, command: float, moved: float, write: bool):  # simlint: dim[command=seconds, moved=bytes]

@@ -13,8 +13,9 @@ one-pass Mattson sweep against an exact-LRU replay:
 * **time** — the batched aggregate flows must reproduce the event loop's
   simulated seconds to relative round-off;
 * **MRC** — :func:`~repro.swap.replay.trace_mrc` miss counts at sampled
-  capacities must equal replaying the trace through an exact
-  :class:`~repro.mem.lru.LRUCache` of that capacity.
+  capacities must equal an exact-LRU replay of the trace at that capacity
+  (:func:`~repro.mem.lru.lru_replay`, which the tests hold to the
+  per-access ``tests.oracles.LRUCache``).
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ def _saturate(kind: BackendKind) -> tuple[float, float, float]:
 
     def stream():
         for _ in range(_ROUNDS):
-            yield dev.read(_CHUNK, granularity=_CHUNK)
+            yield from dev.read(_CHUNK, granularity=_CHUNK)
 
     procs = [sim.process(stream(), name=f"s{i}") for i in range(_STREAMS)]
     sim.run(until=sim.all_of(procs))

@@ -13,7 +13,7 @@ Two layers cooperate here:
 """
 
 from repro.mem.page import PAGE_SIZE, PageKind, PageOp
-from repro.mem.lru import ActiveInactiveLRU, LRUCache
+from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.reuse import MissRatioCurve, reuse_distances
 from repro.mem.allocator import CgroupMemoryLimiter, LocalMemoryAllocator
 from repro.mem.thp import THPPolicy, effective_page_size
@@ -23,7 +23,6 @@ __all__ = [
     "PAGE_SIZE",
     "PageKind",
     "PageOp",
-    "LRUCache",
     "ActiveInactiveLRU",
     "reuse_distances",
     "MissRatioCurve",

@@ -1,14 +1,13 @@
 """Exact LRU structures mirroring the kernel's reclaim lists.
 
-:class:`LRUCache` is a plain exact-LRU set with eviction callbacks — the
-workhorse for event-level fault simulation.  :class:`ActiveInactiveLRU`
-models Linux's two-generation scheme: pages enter the inactive list, are
-promoted on a second touch, and reclaim scans inactive before active —
-which is what gives co-located workloads on a *shared* swap channel their
-mutual interference (a burst from one tenant flushes the other's inactive
-list; the paper's Fig 17 quantifies the resulting latency).
+:class:`ActiveInactiveLRU` models Linux's two-generation scheme: pages
+enter the inactive list, are promoted on a second touch, and reclaim
+scans inactive before active — which is what gives co-located workloads
+on a *shared* swap channel their mutual interference (a burst from one
+tenant flushes the other's inactive list; the paper's Fig 17 quantifies
+the resulting latency).
 
-Both structures also offer *batched replay* over a whole page-id array:
+Two *batched replays* resolve a whole page-id array at once:
 
 * :func:`lru_replay` resolves exact LRU fully vectorized from one reuse-
   distance pass (hit iff stack distance < capacity; the k-th eviction
@@ -27,8 +26,10 @@ Both structures also offer *batched replay* over a whole page-id array:
   calls, and every call on a smaller cache, take the inlined per-access
   loop.
 
-Replays are bit-identical to the per-access methods (the equivalence
-tests lock this in); they are what the batched fault-replay engine
+Replays are bit-identical to per-access replay — ``ActiveInactiveLRU``'s
+own :meth:`~ActiveInactiveLRU.access`, and for :func:`lru_replay` the
+per-access exact LRU ``tests.oracles.LRUCache`` (the equivalence tests
+lock both in); they are what the batched fault-replay engine
 (:mod:`repro.swap.replay`) is built on.
 """
 
@@ -40,7 +41,7 @@ from typing import Hashable
 
 import numpy as np
 
-__all__ = ["LRUCache", "ActiveInactiveLRU", "LRUReplayLog", "lru_replay"]
+__all__ = ["ActiveInactiveLRU", "LRUReplayLog", "lru_replay"]
 
 #: From this epoch length on, replay resolves epochs with the two-pointer
 #: scan kernel instead of the per-access loop.  Its fixed numpy cost per
@@ -95,13 +96,14 @@ class LRUReplayLog:
 def lru_replay(pages: np.ndarray, capacity: int) -> LRUReplayLog:
     """Replay ``pages`` through an exact LRU of ``capacity``, vectorized.
 
-    Equivalent to feeding every page to :meth:`LRUCache.access` and
-    recording hits and eviction victims, but resolved from one reuse-
-    distance pass (Mattson): an access hits iff its stack distance is
-    below ``capacity``; evictions start at the ``capacity+1``-th miss and
-    the k-th eviction removes the page of the k-th access whose *next*
-    reuse distance is >= ``capacity`` (or that is never re-accessed) —
-    under exact LRU victims leave in the order of their last touch.
+    Equivalent to feeding every page to the per-access test oracle
+    ``tests.oracles.LRUCache`` and recording hits and eviction victims,
+    but resolved from one reuse-distance pass (Mattson): an access hits
+    iff its stack distance is below ``capacity``; evictions start at the
+    ``capacity+1``-th miss and the k-th eviction removes the page of the
+    k-th access whose *next* reuse distance is >= ``capacity`` (or that is
+    never re-accessed) — under exact LRU victims leave in the order of
+    their last touch.
     """
     from repro.mem.reuse import COLD, _prev_occurrence, reuse_distances
 
@@ -123,76 +125,6 @@ def lru_replay(pages: np.ndarray, capacity: int) -> LRUReplayLog:
     candidates = np.flatnonzero(next_dist >= capacity)
     evict_page = np.ascontiguousarray(pages[candidates[: evict_pos.size]])
     return LRUReplayLog(hits, evict_pos, evict_page)
-
-
-class LRUCache:
-    """An exact LRU over hashable keys with a fixed capacity (in entries)."""
-
-    def __init__(
-        self,
-        capacity: int,
-        on_evict: Callable[[Hashable], None] | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.on_evict = on_evict
-        self._od: OrderedDict[Hashable, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._od)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._od
-
-    def access(self, key: Hashable) -> bool:
-        """Touch ``key``; returns True on hit, False on miss (key inserted)."""
-        if key in self._od:
-            self._od.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._od[key] = None
-        if len(self._od) > self.capacity:
-            victim, _ = self._od.popitem(last=False)
-            self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(victim)
-        return False
-
-    def discard(self, key: Hashable) -> bool:
-        """Drop ``key`` without counting an eviction; True if present."""
-        if key in self._od:
-            del self._od[key]
-            return True
-        return False
-
-    def resize(self, capacity: int) -> list[Hashable]:
-        """Change capacity; returns victims evicted by a shrink (LRU first)."""
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        victims = []
-        while len(self._od) > self.capacity:
-            victim, _ = self._od.popitem(last=False)
-            self.evictions += 1
-            victims.append(victim)
-            if self.on_evict is not None:
-                self.on_evict(victim)
-        return victims
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits / accesses so far (0.0 before any access)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def keys(self) -> list[Hashable]:
-        """Keys from least- to most-recently used."""
-        return list(self._od.keys())
 
 
 class ActiveInactiveLRU:

@@ -8,8 +8,6 @@ of the xDM reproduction:
   processes (``yield sim.timeout(dt)``, ``yield resource.request()``, …).
 * :class:`~repro.simcore.resources.Resource` — FCFS multi-server resource
   (models I/O channels, RDMA queue pairs, CPU cores).
-* :class:`~repro.simcore.resources.Store` — FIFO message store (models the
-  swap frontend's listening queue).
 * :class:`~repro.simcore.bandwidth.FairShareLink` — fluid-flow fair-share
   link (models a PCIe root complex shared by several far-memory backends).
 * :class:`~repro.simcore.stats.OnlineStats`/:class:`~repro.simcore.stats.Histogram`
@@ -19,7 +17,7 @@ of the xDM reproduction:
 """
 
 from repro.simcore.engine import Event, Process, Simulator, Timeout
-from repro.simcore.resources import Resource, Store
+from repro.simcore.resources import Resource
 from repro.simcore.bandwidth import FairShareLink
 from repro.simcore.sanitize import REPRO_SANITIZE_VAR, sanitizer_enabled
 from repro.simcore.stats import Histogram, OnlineStats, TimeSeries
@@ -30,7 +28,6 @@ __all__ = [
     "Simulator",
     "Timeout",
     "Resource",
-    "Store",
     "FairShareLink",
     "OnlineStats",
     "Histogram",

@@ -40,7 +40,7 @@ class FairShareLink:
     """A capacity-``bandwidth`` link shared fairly among active transfers."""
 
     def __init__(self, sim: Simulator, bandwidth: float, name: str = "") -> None:
-        if bandwidth <= 0:
+        if not bandwidth > 0:  # negated so a NaN bandwidth fails too
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self.sim = sim
         self.bandwidth = float(bandwidth)

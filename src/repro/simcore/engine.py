@@ -134,7 +134,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # negated so a NaN delay fails too
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
         # Inlined Event.__init__ — timeouts are the most-created object in
         # any replay and the extra super() frame is measurable.
@@ -259,7 +259,7 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
@@ -295,13 +295,13 @@ class Simulator:
         The clock lands on ``self._now + delay``, the float ``_schedule``
         would have pushed.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
         return self.skip_to(self._now + delay)
 
     def skip_to(self, when: float) -> bool:  # simlint: dim[when=seconds]
         """Move the clock to ``when`` inline; same guards as :meth:`skip`."""
-        if when < self._now:
+        if not when >= self._now:
             cls = SanitizerError if self.sanitize else SimulationError
             raise cls(f"time ran backwards: {when} < {self._now}")
         until = self._until

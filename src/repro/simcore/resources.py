@@ -1,23 +1,18 @@
-"""FCFS resources and FIFO stores for the event engine.
+"""FCFS resources for the event engine.
 
 :class:`Resource` models a pool of identical servers (disk I/O channels,
 RDMA queue pairs, CPU cores): requests queue first-come-first-served and
 each grant occupies one server until released.
-
-:class:`Store` models an unbounded (or bounded) FIFO of messages — used for
-the swap frontend's listening queue that synchronizes the page cache with
-far-memory backends.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
 
 from repro.errors import SanitizerError, SimulationError
 from repro.simcore.engine import Event, Simulator
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -152,82 +147,3 @@ class Resource:
             f"<Resource {self.name or id(self):} cap={self.capacity} "
             f"busy={self._in_use} queued={len(self._queue)}>"
         )
-
-
-class Store:
-    """A FIFO store of items with blocking ``get`` and optional capacity."""
-
-    def __init__(self, sim: Simulator, capacity: int | None = None, name: str = "") -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-        self.total_puts = 0
-        self.total_gets = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; fires immediately unless the store is full."""
-        ev = Event(self.sim)
-        if self._getters:
-            # Hand straight to a waiting getter, bypassing the buffer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            self.total_puts += 1
-            self.total_gets += 1
-            ev.succeed(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            self.total_puts += 1
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-        if self.sim.sanitize and self.capacity is not None and len(self._items) > self.capacity:
-            raise SanitizerError(
-                f"store {self.name!r}: occupancy {len(self._items)} exceeds "
-                f"capacity {self.capacity}"
-            )
-        return ev
-
-    def put_nowait(self, item: Any) -> None:
-        """Insert ``item`` synchronously; raises if the store is full.
-
-        Behaves like a :meth:`put` that would fire immediately, without
-        creating (or scheduling) a completion event — the fast path for
-        unbounded notification queues on hot code paths.
-        """
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            self.total_puts += 1
-            self.total_gets += 1
-            return
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            raise SimulationError(f"put_nowait on full store {self.name!r}")
-        self._items.append(item)
-        self.total_puts += 1
-
-    def get(self) -> Event:
-        """Remove and return the oldest item; blocks while empty."""
-        ev = Event(self.sim)
-        if self._items:
-            item = self._items.popleft()
-            self.total_gets += 1
-            ev.succeed(item)
-            if self._putters:
-                put_ev, pending = self._putters.popleft()
-                self._items.append(pending)
-                self.total_puts += 1
-                put_ev.succeed(None)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Store {self.name or id(self)} len={len(self._items)}>"

@@ -22,7 +22,7 @@ Analytic pieces (used for parameter sweeps and the big tables):
 
 from repro.swap.slots import SwapSlotAllocator
 from repro.swap.backend import SwapBackendModule, build_backend_module
-from repro.swap.channel import ChannelMode, SwapChannel
+from repro.swap.channel import ChannelMode
 from repro.swap.frontend import SwapFrontend
 from repro.swap.executor import (
     SwapExecutionResult,
@@ -44,7 +44,6 @@ __all__ = [
     "SwapBackendModule",
     "build_backend_module",
     "ChannelMode",
-    "SwapChannel",
     "SwapFrontend",
     "SwapExecutor",
     "SwapExecutionResult",

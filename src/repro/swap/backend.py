@@ -106,16 +106,12 @@ class SwapBackendModule:
         return page in self._map
 
     def store(self, page: int, granularity: int = PAGE_SIZE):
-        """DES process: swap ``page`` out to this backend."""
-        return self.sim.process(
-            self.store_gen(page, granularity=granularity),
-            name=f"{self.name}:store",
-        )
+        """Swap ``page`` out to this backend.
 
-    def store_gen(self, page: int, granularity: int = PAGE_SIZE):
-        """Inline variant of :meth:`store` for ``yield from`` — slot
-        bookkeeping and validation run eagerly, the device I/O inline in
-        the caller's process (no Process wrapper)."""
+        Slot bookkeeping and validation run eagerly, at the call; the
+        returned generator runs the device write when the caller's
+        process ``yield from``s it and returns the slot.
+        """
         self._require_active()
         if page in self._map:
             raise SwapError(f"page {page} already stored on {self.name}")
@@ -123,27 +119,20 @@ class SwapBackendModule:
         self._map[page] = slot
 
         def gen():
-            yield from self.device.write_gen(granularity, granularity=granularity)
+            yield from self.device.write(granularity, granularity=granularity)
             self.pages_stored += 1
             return slot
 
         return gen()
 
     def load(self, page: int, granularity: int = PAGE_SIZE, keep: bool = False):
-        """DES process: swap ``page`` back in.
+        """Swap ``page`` back in; validated eagerly like :meth:`store`.
 
         ``keep=True`` retains the slot and copy (swap-cache semantics: a
         clean page can later be reclaimed again without a rewrite);
         ``keep=False`` frees the slot (the default kernel fast path once
         the page is dirtied).
         """
-        return self.sim.process(
-            self.load_gen(page, granularity=granularity, keep=keep),
-            name=f"{self.name}:load",
-        )
-
-    def load_gen(self, page: int, granularity: int = PAGE_SIZE, keep: bool = False):
-        """Inline variant of :meth:`load` for ``yield from``."""
         self._require_active()
         if page not in self._map:
             raise SwapError(f"page {page} not present on {self.name}")
@@ -152,7 +141,7 @@ class SwapBackendModule:
             self.slots.release(slot)
 
         def gen():
-            yield from self.device.read_gen(granularity, granularity=granularity)
+            yield from self.device.read(granularity, granularity=granularity)
             self.pages_loaded += 1
             return page
 
@@ -172,9 +161,9 @@ class SwapBackendModule:
             self._map[int(page)] = self.slots.allocate()
 
     def abort_store(self, page: int) -> None:
-        """Roll back an in-flight :meth:`store_gen` whose device I/O failed.
+        """Roll back an in-flight :meth:`store` whose device I/O failed.
 
-        ``store_gen`` claims the slot and map entry eagerly, before the
+        ``store`` claims the slot and map entry eagerly, before the
         device write; a caller that catches an injected device error
         mid-store must release them before re-submitting, or the retry
         would see the page as already stored.
@@ -201,21 +190,6 @@ class SwapBackendModule:
             if page not in swap_map:
                 raise SwapError(f"page {page} not present on {self.name}")
             release(swap_map.pop(page))
-
-    def drain_to(self, other: "SwapBackendModule"):
-        """DES process: migrate all resident pages to ``other`` (used when
-        switching backends under load)."""
-        self._require_active()
-        other._require_active()
-
-        def proc():
-            pages = list(self._map.keys())
-            for page in pages:
-                yield self.load(page)
-                yield other.store(page)
-            return len(pages)
-
-        return self.sim.process(proc(), name=f"{self.name}:drain")
 
     @property
     def resident_pages(self) -> int:

@@ -9,19 +9,16 @@
   backend pair (SR-IOV VF / dedicated SSD partition), giving isolation at a
   small virtualization tax.
 
-:class:`SwapChannel` is the DES object: a queue (``Resource``) sized by the
-channel's I/O width; shared channels are one object referenced by many
-tenants, isolated channels are per-tenant.
+:class:`~repro.swap.pathmodel.SwapPathModel` prices each mode: it applies
+:data:`VM_ISOLATION_TAX` and :data:`SHARED_LRU_INTERFERENCE` (plus a
+per-co-tenant queueing factor on shared channels) to the template terms.
 """
 
 from __future__ import annotations
 
 import enum
 
-from repro.errors import ConfigurationError
-from repro.simcore import Resource, Simulator
-
-__all__ = ["ChannelMode", "SwapChannel"]
+__all__ = ["ChannelMode"]
 
 
 class ChannelMode(str, enum.Enum):
@@ -42,54 +39,3 @@ VM_ISOLATION_TAX = 0.06
 #: inflates the victim's fault count by this fraction (their reclaim scans
 #: evict each other's warm pages).
 SHARED_LRU_INTERFERENCE = 0.18
-
-
-class SwapChannel:
-    """One swap path's queue, plus the mode-dependent cost adjustments."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        mode: ChannelMode,
-        io_width: int = 1,
-        name: str = "",
-    ) -> None:
-        if io_width < 1:
-            raise ConfigurationError(f"io_width must be >= 1, got {io_width}")
-        self.sim = sim
-        self.mode = mode
-        self.name = name or str(mode)
-        self.queue = Resource(sim, capacity=io_width, name=f"swapch:{self.name}")
-        self.tenants: list[str] = []
-
-    def attach(self, tenant: str) -> None:
-        """Register a co-located task on this channel."""
-        self.tenants.append(tenant)
-
-    def detach(self, tenant: str) -> None:
-        """Remove a task from this channel."""
-        self.tenants.remove(tenant)
-
-    @property
-    def co_tenants(self) -> int:
-        """Tasks sharing this channel beyond the first."""
-        return max(0, len(self.tenants) - 1)
-
-    def op_cost_factor(self) -> float:
-        """Multiplier on per-op device cost from the channel mode."""
-        if self.mode is ChannelMode.VM_ISOLATED:
-            return 1.0 + VM_ISOLATION_TAX
-        return 1.0
-
-    def fault_inflation(self) -> float:
-        """Multiplier on fault count from cross-tenant LRU interference.
-
-        Only shared channels suffer this: isolated and VM-isolated designs
-        give each task a private LRU/reclaim domain.
-        """
-        if self.mode is ChannelMode.SHARED:
-            return 1.0 + SHARED_LRU_INTERFERENCE * self.co_tenants
-        return 1.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SwapChannel {self.name} mode={self.mode} tenants={len(self.tenants)}>"

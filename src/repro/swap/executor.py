@@ -410,7 +410,7 @@ class SwapExecutor:
         attempt = 0
         while True:
             try:
-                yield from self.frontend.load_page_gen(
+                yield from self.frontend.load_page(
                     page, granularity=granularity, keep_copy=True
                 )
                 return
@@ -439,7 +439,7 @@ class SwapExecutor:
         attempt = 0
         while True:
             try:
-                yield from self.frontend.store_page_gen(victim, granularity=granularity)
+                yield from self.frontend.store_page(victim, granularity=granularity)
                 return
             except TransientDeviceError:
                 self.frontend.abort_store(victim)

@@ -12,16 +12,19 @@ The frontend sits between page reclaim and the backend modules:
 * **switching** ((3)-(4), ``switch_to_SSD`` / ``switch_to_RDMA``): new
   stores go to the new backend immediately; the old module stays up while
   it still holds pages.
-* a **listening queue** synchronizes page-cache entries with backends —
-  store completions are posted there and consumed by the writeback
-  bookkeeping process.
+
+The page -> backend view that the paper's listening queue keeps in sync
+is ``_owner``, updated in the same step as each store, load and
+invalidation.  Each data-path method is a generator that the caller's
+process drives with ``yield from``: a page crosses frontend, backend
+module and device as one generator chain.
 """
 
 from __future__ import annotations
 
 from repro.errors import BackendUnavailableError, SwitchInProgressError
 from repro.mem.page import PageKind
-from repro.simcore import Simulator, Store
+from repro.simcore import Simulator
 from repro.swap.backend import SwapBackendModule
 from repro.units import PAGE_SIZE
 
@@ -39,7 +42,6 @@ class SwapFrontend:
         self._switching = False
         #: page -> backend-name that holds it
         self._owner: dict[int, str] = {}
-        self.listening_queue: Store = Store(sim, name=f"{name}:lq")
         self.stores = 0
         self.loads = 0
         self.skipped_file_backed = 0
@@ -97,21 +99,11 @@ class SwapFrontend:
     # -- data path ------------------------------------------------------------
     def store_page(self, page: int, kind: PageKind = PageKind.ANON,
                    granularity: int = PAGE_SIZE):
-        """DES process: offload one reclaimed page.
+        """Offload one reclaimed page.
 
-        Returns a process whose value is True if the page was taken by a
-        backend, False if it was skipped (file-backed).
+        Returns True if the page was taken by a backend, False if it was
+        skipped (file-backed).
         """
-        return self.sim.process(
-            self.store_page_gen(page, kind=kind, granularity=granularity),
-            name=f"{self.name}:store",
-        )
-
-    def store_page_gen(self, page: int, kind: PageKind = PageKind.ANON,
-                       granularity: int = PAGE_SIZE):
-        """Inline variant of :meth:`store_page` for ``yield from`` in the
-        caller's own process — identical timing, no Process wrappers down
-        the frontend -> module -> device chain."""
         if kind != PageKind.ANON:
             self.skipped_file_backed += 1
             return False
@@ -122,36 +114,26 @@ class SwapFrontend:
         # module that actually took the page, not whoever is active by then
         active = self._active
         module = self._modules[active]
-        yield from module.store_gen(page, granularity=granularity)
+        yield from module.store(page, granularity=granularity)
         self._owner[page] = active
         self.stores += 1
-        self.listening_queue.put_nowait(("stored", page, active))
         return True
 
     def load_page(self, page: int, granularity: int = PAGE_SIZE, keep_copy: bool = False):
-        """DES process: fault one page back in from whichever backend holds it.
+        """Fault one page back in from whichever backend holds it.
 
         ``keep_copy=True`` leaves the far copy (and its slot) in place —
         swap-cache semantics, so a clean reclaim later needs no rewrite;
         the page then still answers True to :meth:`swapped_out`.
         """
-        return self.sim.process(
-            self.load_page_gen(page, granularity=granularity, keep_copy=keep_copy),
-            name=f"{self.name}:load",
-        )
-
-    def load_page_gen(self, page: int, granularity: int = PAGE_SIZE,
-                      keep_copy: bool = False):
-        """Inline variant of :meth:`load_page` for ``yield from``."""
         owner = self._owner.get(page)
         if owner is None:
             raise BackendUnavailableError(f"{self.name}: page {page} not swapped out")
         if not keep_copy:
             del self._owner[page]
         module = self._modules[owner]
-        yield from module.load_gen(page, granularity=granularity, keep=keep_copy)
+        yield from module.load(page, granularity=granularity, keep=keep_copy)
         self.loads += 1
-        self.listening_queue.put_nowait(("loaded", page, owner))
         return page
 
     def adopt_far_pages(self, pages) -> None:
@@ -170,7 +152,7 @@ class SwapFrontend:
         """Roll back a failed in-flight store before ownership was recorded.
 
         Called by retry loops that caught a device error out of
-        :meth:`store_page_gen`: the eager slot/map bookkeeping is undone so
+        :meth:`store_page`: the eager slot/map bookkeeping is undone so
         the store can be re-submitted (to this backend or, after a
         failover, another).  The entry is looked up across modules rather
         than on the active one — a switch may have completed while the

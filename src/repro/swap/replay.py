@@ -216,8 +216,7 @@ def classify_span(
         cold = 0
         new_touched = np.empty(0, dtype=np.int64)
     clean, far_end = _classify_evictions(
-        pages, ops, log.evict_pos, log.evict_page, n_anon,
-        far0=far0 if far0.size else None,
+        pages, ops, log.evict_pos, log.evict_page, n_anon, far0
     )
     return SpanClassification(
         n_anon=n_anon,
@@ -238,7 +237,7 @@ def _classify_evictions(
     evict_pos: np.ndarray,
     evict_page: np.ndarray,
     n: int,
-    far0: np.ndarray | None = None,
+    far0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the victim stream into writebacks vs clean drops; find the
     pages still holding a valid far copy at end of run.
@@ -255,14 +254,14 @@ def _classify_evictions(
     valid far copy at end of run iff it was ever evicted and its last
     STORE does not postdate its last eviction.
 
-    ``far0`` (sorted, unique) carries seam state for the segmented hybrid
-    engine: pages holding a valid far copy *before* the span.  Each is a
-    *virtual eviction* preceding every real event — real positions shift
-    by +1 and the virtual rows sit at pseudo-position 0, so a seam copy
-    behaves exactly like a copy acquired by an eviction at position -1:
-    the first span STORE invalidates it, an eviction before any STORE is
-    a clean drop.  The returned ``far_end`` is then the *complete* far
-    set at span end, carried copies included.
+    ``far0`` (sorted, unique, possibly empty) carries seam state for the
+    segmented hybrid engine: pages holding a valid far copy *before* the
+    span.  Each is a *virtual eviction* preceding every real event — real
+    positions shift by +1 and the virtual rows sit at pseudo-position 0,
+    so a seam copy behaves exactly like a copy acquired by an eviction at
+    position -1: the first span STORE invalidates it, an eviction before
+    any STORE is a clean drop.  The returned ``far_end`` is then the
+    *complete* far set at span end, carried copies included.
 
     Resolved as one segmented scan: merge per-page STORE-access events and
     eviction events, sort by ``(page, position, store-before-evict)``, and
@@ -270,26 +269,19 @@ def _classify_evictions(
     offset so groups cannot bleed into each other.
     """
     n_e = int(evict_pos.shape[0])
-    n_f = 0 if far0 is None else int(far0.shape[0])
+    n_f = int(far0.shape[0])
     if n_e == 0 and n_f == 0:
         return np.zeros(0, dtype=bool), np.empty(0, dtype=np.int64)
     s_pos = np.flatnonzero(ops == int(PageOp.STORE))
     s_page = pages[s_pos]
     n_s = int(s_pos.shape[0])
-    if n_f:
-        ev_page = np.concatenate([s_page, far0, evict_page])
-        ev_pos = np.concatenate(
-            [s_pos + 1, np.zeros(n_f, dtype=np.int64), evict_pos + 1]
-        )
-        ev_kind = np.concatenate(
-            [np.zeros(n_s, dtype=np.int8), np.ones(n_f + n_e, dtype=np.int8)]
-        )
-    else:
-        ev_page = np.concatenate([s_page, evict_page])
-        ev_pos = np.concatenate([s_pos + 1, evict_pos + 1])
-        ev_kind = np.concatenate(
-            [np.zeros(n_s, dtype=np.int8), np.ones(n_e, dtype=np.int8)]
-        )
+    ev_page = np.concatenate([s_page, far0, evict_page])
+    ev_pos = np.concatenate(
+        [s_pos + 1, np.zeros(n_f, dtype=np.int64), evict_pos + 1]
+    )
+    ev_kind = np.concatenate(
+        [np.zeros(n_s, dtype=np.int8), np.ones(n_f + n_e, dtype=np.int8)]
+    )
     # stores sort before evictions at the same (page, position): the
     # running store-max at an eviction row then already includes the
     # self-eviction STORE.  Keys are unique per event, so when they pack
@@ -333,11 +325,8 @@ def _classify_evictions(
     # virtual seam rows, which export no victim)
     clean = np.empty(n_e, dtype=bool)
     orig = order[evict_rows]
-    if n_f:
-        real = orig >= n_s + n_f
-        clean[orig[real] - (n_s + n_f)] = clean_sorted[real]
-    else:
-        clean[orig - n_s] = clean_sorted
+    real = orig >= n_s + n_f
+    clean[orig[real] - (n_s + n_f)] = clean_sorted[real]
     # end-of-run far set, read off each group's last row
     gend = np.flatnonzero(np.concatenate([newg[1:], [True]]))
     far_mask = (run_evict[gend] >= 0) & (run_store[gend] <= run_evict[gend])
@@ -447,8 +436,9 @@ def trace_mrc(trace: PageTrace) -> MissRatioCurve:
 
     Mattson's sweep over the anonymous sub-trace: the curve's
     :meth:`~repro.mem.reuse.MissRatioCurve.misses_at` answers any
-    capacity in O(1), and matches an exact :class:`~repro.mem.lru.LRUCache`
-    replay miss-for-miss (the cross-check test pins this).
+    capacity in O(1), and matches a per-access exact-LRU replay
+    (``tests.oracles.LRUCache``) miss-for-miss (the cross-check test pins
+    this).
     """
     return MissRatioCurve(pages=trace.pages[trace.anon_mask])
 
@@ -574,11 +564,10 @@ def _admit(sim, plans: list[_TenantPlan]) -> list[float]:
     :meth:`FarMemoryDevice._serve` — O(windows) DES events per tenant
     instead of O(accesses), and a tenant running alone resolves each step
     inline (:meth:`Simulator.skip`).  Each step books the device's ops
-    and wire bytes, the module and frontend counts and one aggregate
-    listening-queue entry; each fault step also books its mean latency,
-    count and completion time on ``plan.latencies`` (the hybrid planner
-    replays its monitor feed from them) and in the fault-latency stats.
-    Returns per-tenant durations.
+    and wire bytes and the module and frontend counts; each fault step
+    also books its mean latency, count and completion time on
+    ``plan.latencies`` (the hybrid planner replays its monitor feed from
+    them) and in the fault-latency stats.  Returns per-tenant durations.
     """
     t_start = sim.now
     ends = [t_start] * len(plans)
@@ -601,12 +590,10 @@ def _admit(sim, plans: list[_TenantPlan]) -> list[float]:
                 device.bytes_written += st.moved
                 mod.pages_stored += st.count
                 fe.stores += st.count
-                fe.listening_queue.put_nowait(("stored_batch", st.count, fe.active_backend))
             else:
                 device.bytes_read += st.moved
                 mod.pages_loaded += st.count
                 fe.loads += st.count
-                fe.listening_queue.put_nowait(("loaded_batch", st.count, fe.active_backend))
                 mean = (sim.now - t0) / st.count
                 plan.latencies.append((mean, st.count, sim.now))
                 add_repeat(mean, st.count)

@@ -42,7 +42,7 @@ class ServerSpec:
         # dram_bytes == 0 is legal: an FM-only expander blade
         for name in ("dram_bytes", "dram_bandwidth", "ssd_bytes", "ssd_bandwidth",
                      "hdd_bytes", "hdd_bandwidth", "rdma_port_bandwidth"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # negated so NaN fails too
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
         # numa_domain() divides by sockets, a fleet lease device by rdma_ports
         for name in ("sockets", "rdma_ports"):

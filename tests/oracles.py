@@ -6,6 +6,9 @@ path computes fast, kept here so that production holds one path:
 * :func:`reuse_distances_fenwick` — the classic per-access Fenwick-tree
   loop; :mod:`repro.mem.reuse`'s vectorized kernel must match it bit for
   bit.
+* :class:`LRUCache` — a plain exact LRU over hashable keys, one
+  ``OrderedDict`` move per access; :func:`repro.mem.lru.lru_replay` and
+  the miss-ratio curves must match its hits, misses and victims.
 * :func:`grid_configure` / :func:`grid_max_offload_under_slo` — the
   exhaustive scalar sweeps the tuner replaced: one
   ``SwapPathModel.cost`` call per lattice point, and a 12-step scalar
@@ -21,6 +24,10 @@ path computes fast, kept here so that production holds one path:
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from collections.abc import Callable
+from typing import Hashable
+
 import numpy as np
 
 from repro.core.config import xdm_config
@@ -29,7 +36,8 @@ from repro.errors import ConfigurationError
 from repro.mem.reuse import COLD
 from repro.swap.pathmodel import SwapPathModel
 
-__all__ = ["reuse_distances_fenwick", "grid_configure", "grid_max_offload_under_slo"]
+__all__ = ["reuse_distances_fenwick", "LRUCache", "grid_configure",
+           "grid_max_offload_under_slo"]
 
 
 def reuse_distances_fenwick(pages: np.ndarray) -> np.ndarray:
@@ -80,6 +88,76 @@ def reuse_distances_fenwick(pages: np.ndarray) -> np.ndarray:
     out[:] = out_list
     out[out == -1] = COLD
     return out
+
+
+class LRUCache:
+    """An exact LRU over hashable keys with a fixed capacity (in entries)."""
+
+    def __init__(
+        self,
+        capacity: int,
+        on_evict: Callable[[Hashable], None] | None = None,
+    ) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.on_evict = on_evict
+        self._od: OrderedDict[Hashable, None] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._od)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._od
+
+    def access(self, key: Hashable) -> bool:
+        """Touch ``key``; returns True on hit, False on miss (key inserted)."""
+        if key in self._od:
+            self._od.move_to_end(key)
+            self.hits += 1
+            return True
+        self.misses += 1
+        self._od[key] = None
+        if len(self._od) > self.capacity:
+            victim, _ = self._od.popitem(last=False)
+            self.evictions += 1
+            if self.on_evict is not None:
+                self.on_evict(victim)
+        return False
+
+    def discard(self, key: Hashable) -> bool:
+        """Drop ``key`` without counting an eviction; True if present."""
+        if key in self._od:
+            del self._od[key]
+            return True
+        return False
+
+    def resize(self, capacity: int) -> list[Hashable]:
+        """Change capacity; returns victims evicted by a shrink (LRU first)."""
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        victims = []
+        while len(self._od) > self.capacity:
+            victim, _ = self._od.popitem(last=False)
+            self.evictions += 1
+            victims.append(victim)
+            if self.on_evict is not None:
+                self.on_evict(victim)
+        return victims
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits / accesses so far (0.0 before any access)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def keys(self) -> list[Hashable]:
+        """Keys from least- to most-recently used."""
+        return list(self._od.keys())
 
 
 def grid_configure(

@@ -9,6 +9,8 @@ The paper-level facts these pin down:
 * I/O width helps until the media/link pipe binds.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.devices import (
@@ -130,7 +132,7 @@ def test_rdma_virtual_function_shares_slot(sim):
 
 def test_des_read_accounts_bytes(sim):
     ssd = NVMeSSD(sim)
-    done = ssd.read(mib(1))
+    done = sim.process(ssd.read(mib(1)))
     sim.run(until=done)
     assert ssd.bytes_read == mib(1)
     assert ssd.ops == 1
@@ -141,7 +143,7 @@ def test_des_concurrent_ops_queue_on_channels(sim):
     t_done = []
 
     def op():
-        yield ssd.read(PAGE_SIZE)
+        yield from ssd.read(PAGE_SIZE)
         t_done.append(sim.now)
 
     sim.process(op())
@@ -157,8 +159,8 @@ def test_des_io_rejects_non_positive_granularity(sim, entry, granularity):
     taking a channel."""
     ssd = NVMeSSD(sim)
     gen = {
-        "io": lambda: ssd.read_gen(PAGE_SIZE, granularity=granularity),
-        "faulty_io": lambda: FaultyDevice(ssd, FaultPlan()).read_gen(
+        "io": lambda: ssd.read(PAGE_SIZE, granularity=granularity),
+        "faulty_io": lambda: FaultyDevice(ssd, FaultPlan()).read(
             PAGE_SIZE, granularity=granularity),
     }[entry]()
     proc = sim.process(gen)
@@ -208,3 +210,8 @@ def test_profile_validation(sim):
         DeviceProfile("bad", 1.0, 1.0, 0, 0, 0, 0, 1)
     with pytest.raises(ConfigurationError):
         DeviceProfile("bad", 1.0, 1.0, 0, 0, 0, 1, 1, cost_factor=0.0)
+    good = DeviceProfile("ok", 1.0, 1.0, 0, 0, 0, 1, 1)
+    for name in ("read_bandwidth", "write_bandwidth", "read_op_cost",
+                 "write_op_cost", "setup_cost", "cost_factor"):
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(good, **{name: float("nan")})

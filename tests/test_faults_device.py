@@ -20,9 +20,10 @@ from repro.units import PAGE_SIZE
 pytestmark = pytest.mark.faults
 
 
-def _timed(sim, proc):
+def _timed(sim, op):
+    """Run the device operation ``op`` as its own process; return its span."""
     t0 = sim.now
-    sim.run(until=proc)
+    sim.run(until=sim.process(op))
     return sim.now - t0
 
 
@@ -91,7 +92,7 @@ def test_transient_window_raises_seeded_errors():
     )
     sim = Simulator()
     faulty = FaultyDevice(NVMeSSD(sim), plan)
-    proc = faulty.read(PAGE_SIZE)
+    proc = sim.process(faulty.read(PAGE_SIZE))
     with pytest.raises(TransientDeviceError):
         sim.run(until=proc)
     assert faulty.transient_errors == 1
@@ -103,9 +104,9 @@ def test_offline_window_rejects_everything():
     sim = Simulator()
     faulty = FaultyDevice(NVMeSSD(sim), plan)
     with pytest.raises(DeviceOfflineError):
-        sim.run(until=faulty.read(PAGE_SIZE))
+        sim.run(until=sim.process(faulty.read(PAGE_SIZE)))
     with pytest.raises(DeviceOfflineError):
-        sim.run(until=faulty.write(PAGE_SIZE))
+        sim.run(until=sim.process(faulty.write(PAGE_SIZE)))
     assert faulty.offline_rejections == 2
 
 
@@ -128,7 +129,7 @@ def test_wrapper_shares_inner_contention_state():
     assert faulty.channel_pool is inner.channel_pool
     assert faulty._media_read is inner._media_read
     assert faulty._media_write is inner._media_write
-    sim.run(until=faulty.read(8 * PAGE_SIZE))
+    sim.run(until=sim.process(faulty.read(8 * PAGE_SIZE)))
 
 
 def test_analytic_surface_tracks_window_edges():

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.mem.lru as lru_mod
-from repro.mem import ActiveInactiveLRU, LRUCache
+from repro.mem import ActiveInactiveLRU
 from repro.rng import derive
+from tests.oracles import LRUCache
 
 
 # ------------------------------------------------------------- LRUCache

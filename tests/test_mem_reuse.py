@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.mem import LRUCache, MissRatioCurve, reuse_distances
+from repro.mem import MissRatioCurve, reuse_distances
 from repro.mem.reuse import COLD
+from tests.oracles import LRUCache
 
 
 def test_distances_simple_sequence():

@@ -22,6 +22,8 @@ def test_timeout_rejects_negative_delay():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1.0)
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
 
 
 def test_run_until_time_stops_clock_exactly():

@@ -138,17 +138,27 @@ def test_solo_transfer_validates_like_transfer():
 
 def test_skip_rejects_negative_delay_like_timeout():
     sim = Simulator()
+    for delay in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="timeout delay must be >= 0"):
+            sim.timeout(delay)
+        with pytest.raises(ValueError, match="timeout delay must be >= 0"):
+            sim.skip(delay)
+
+    def proc():
+        sim.skip(math.nan)  # inside a run, where a skip would go inline
+        yield sim.timeout(1.0)
+
     with pytest.raises(ValueError, match="timeout delay must be >= 0"):
-        sim.timeout(-1.0)
-    with pytest.raises(ValueError, match="timeout delay must be >= 0"):
-        sim.skip(-1.0)
+        sim.run(until=sim.process(proc()))
+    assert not math.isnan(sim.now)
 
 
 def test_skip_to_rejects_time_running_backwards():
     sim = Simulator()
     sim.run(until=2.0)
-    with pytest.raises(SimulationError, match="time ran backwards"):
-        sim.skip_to(1.0)
+    for when in (1.0, math.nan):
+        with pytest.raises(SimulationError, match="time ran backwards"):
+            sim.skip_to(when)
 
 
 def _ticker(sim, n, flags, delay=1.0):

@@ -1,9 +1,9 @@
-"""Unit tests for Resource, Store, and FairShareLink."""
+"""Unit tests for Resource and FairShareLink."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore import FairShareLink, Resource, Simulator, Store
+from repro.simcore import FairShareLink, Resource, Simulator
 
 
 # ---------------------------------------------------------------- Resource
@@ -95,75 +95,6 @@ def test_resource_rejects_bad_capacity():
     res = Resource(sim, capacity=1)
     with pytest.raises(ValueError):
         res.resize(0)
-
-
-# ------------------------------------------------------------------ Store
-def test_store_fifo_ordering():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for i in range(3):
-            yield store.put(i)
-            yield sim.timeout(1.0)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == [0, 1, 2]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    when = []
-
-    def consumer():
-        item = yield store.get()
-        when.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(5.0)
-        yield store.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert when == [("late", pytest.approx(5.0))]
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    timeline = []
-
-    def producer():
-        yield store.put("a")
-        timeline.append(("put-a", sim.now))
-        yield store.put("b")  # blocks until 'a' consumed
-        timeline.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(2.0)
-        item = yield store.get()
-        timeline.append((f"got-{item}", sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put-b", pytest.approx(2.0)) in [(t, pytest.approx(w)) for t, w in timeline]
-
-
-def test_store_rejects_bad_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
 
 
 # ---------------------------------------------------------- FairShareLink
@@ -258,6 +189,8 @@ def test_link_validates_arguments():
     sim = Simulator()
     with pytest.raises(ValueError):
         FairShareLink(sim, bandwidth=0.0)
+    with pytest.raises(ValueError):
+        FairShareLink(sim, bandwidth=float("nan"))
     link = FairShareLink(sim, bandwidth=1.0)
     with pytest.raises(ValueError):
         link.transfer(-5.0)

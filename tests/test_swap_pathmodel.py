@@ -102,6 +102,14 @@ def test_shared_channel_interference_and_queueing(sim):
     assert crowded.misses > alone.misses          # LRU interference
     assert crowded.per_op_latency > alone.per_op_latency  # queueing
     assert crowded.sys_time > alone.sys_time
+    # an isolated channel neither shares its LRU nor queues behind
+    # tenants: its whole cost (misses, sys_time, ...) ignores co_tenants
+    iso_alone, iso_crowded = (
+        m.cost(256, SwapConfig(channel=ChannelMode.ISOLATED, co_tenants=k))
+        for k in (0, 3)
+    )
+    assert iso_crowded.misses == iso_alone.misses
+    assert iso_crowded == iso_alone
 
 
 def test_vm_isolated_small_tax_vs_isolated(sim):

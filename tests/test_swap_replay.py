@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.devices import BackendKind, NVMeSSD, RDMANic
 from repro.errors import ConfigurationError
 from repro.mem import lru as lru_mod
-from repro.mem.lru import LRUCache, lru_replay
+from repro.mem.lru import lru_replay
 from repro.mem.page import PageKind, PageOp
 from repro.rng import derive
 from repro.simcore import Simulator
@@ -36,6 +36,7 @@ from repro.swap.replay import (
 )
 from repro.trace.schema import make_trace
 from repro.units import PAGE_SIZE
+from tests.oracles import LRUCache
 
 COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
             "swap_outs", "clean_drops", "file_skips")

@@ -183,10 +183,9 @@ def test_mt_event_engine_forced():
     """REPRO_REPLAY=event must bypass batching even for eligible tenants."""
     traces = _tenant_traces(2, seed0=91)
     _, executors = _run_mt(traces, "event")
-    # the per-access loop populates per-page listening-queue entries;
-    # batched admission would post aggregate tuples instead
-    item = executors[0].frontend.listening_queue._items[0]
-    assert item[0] in ("stored", "loaded")
+    # the per-access loop samples progress every 256 accesses; batched
+    # admission records no progress samples
+    assert len(executors[0].progress) > 0
 
 
 def test_mt_warm_tenant_falls_back_to_event_loop():
@@ -295,8 +294,8 @@ def test_shared_faulty_device_without_live_window_batches(monkeypatch):
     bex = build()
     assert _engine(bex) == "batch"
     batch = run_tenants(bex, traces)
-    # batched admission posts aggregate listening-queue entries
-    assert bex[0].frontend.listening_queue._items[0][0].endswith("_batch")
+    # batched admission records no progress samples
+    assert len(bex[0].progress) == 0
     monkeypatch.setenv(REPLAY_ENV, "event")
     eex = build()
     event = run_tenants(eex, traces)
@@ -451,7 +450,7 @@ def test_hybrid_engine_never_calls_hook(monkeypatch):
     distinct=st.integers(min_value=20, max_value=120),
     local_pages=st.integers(min_value=8, max_value=60),
 )
-def test_property_mt_fluid_equals_event_and_des(seeds, n, distinct, local_pages):
+def test_property_mt_batch_equals_event(seeds, n, distinct, local_pages):
     """Batch counters and far-copy owners equal the concurrent event
     loops' on random tenant groups."""
     traces = [

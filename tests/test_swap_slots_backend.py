@@ -1,4 +1,4 @@
-"""Unit tests for swap slots, backend modules, channels, and the frontend."""
+"""Unit tests for swap slots, backend modules, and the frontend."""
 
 import pytest
 
@@ -11,14 +11,13 @@ from repro.errors import (
 )
 from repro.mem.page import PageKind
 from repro.simcore import Simulator
-from repro.swap import (
-    ChannelMode,
-    SwapChannel,
-    SwapFrontend,
-    SwapSlotAllocator,
-    build_backend_module,
-)
+from repro.swap import SwapFrontend, SwapSlotAllocator, build_backend_module
 from repro.units import PAGE_SIZE, mib
+
+
+def _run(sim, op):
+    """Drive one data-path operation as its own process; return its value."""
+    return sim.run(until=sim.process(op))
 
 
 # ------------------------------------------------------------------ slots
@@ -68,35 +67,6 @@ def test_slots_accounting():
     assert a.used == 0 and not a.holds(s)
 
 
-# ---------------------------------------------------------------- channel
-def test_channel_modes_cost_factors():
-    sim = Simulator()
-    shared = SwapChannel(sim, ChannelMode.SHARED)
-    vmiso = SwapChannel(sim, ChannelMode.VM_ISOLATED)
-    iso = SwapChannel(sim, ChannelMode.ISOLATED)
-    assert vmiso.op_cost_factor() > 1.0
-    assert shared.op_cost_factor() == 1.0 and iso.op_cost_factor() == 1.0
-
-
-def test_channel_fault_inflation_only_when_shared():
-    sim = Simulator()
-    shared = SwapChannel(sim, ChannelMode.SHARED)
-    iso = SwapChannel(sim, ChannelMode.ISOLATED)
-    for ch in (shared, iso):
-        ch.attach("a")
-        ch.attach("b")
-    assert shared.fault_inflation() > 1.0
-    assert iso.fault_inflation() == 1.0
-    shared.detach("b")
-    assert shared.fault_inflation() == 1.0
-
-
-def test_channel_validates():
-    sim = Simulator()
-    with pytest.raises(Exception):
-        SwapChannel(sim, ChannelMode.SHARED, io_width=0)
-
-
 # ---------------------------------------------------------------- backend
 def test_backend_module_lifecycle():
     sim = Simulator()
@@ -115,10 +85,10 @@ def test_backend_store_load_roundtrip():
     ssd = NVMeSSD(sim)
     mod = build_backend_module(sim, BackendKind.SSD, ssd)
     sim.run(until=mod.start())
-    sim.run(until=mod.store(42))
+    _run(sim, mod.store(42))
     assert mod.holds(42)
     assert mod.resident_pages == 1
-    sim.run(until=mod.load(42))
+    _run(sim, mod.load(42))
     assert not mod.holds(42)
     assert mod.pages_stored == 1 and mod.pages_loaded == 1
 
@@ -134,7 +104,7 @@ def test_backend_rejects_double_store_and_missing_load():
     sim = Simulator()
     mod = build_backend_module(sim, BackendKind.SSD, NVMeSSD(sim))
     sim.run(until=mod.start())
-    sim.run(until=mod.store(1))
+    _run(sim, mod.store(1))
     with pytest.raises(SwapError):
         mod.store(1)
     with pytest.raises(SwapError):
@@ -145,23 +115,9 @@ def test_backend_stop_refuses_with_resident_pages():
     sim = Simulator()
     mod = build_backend_module(sim, BackendKind.SSD, NVMeSSD(sim))
     sim.run(until=mod.start())
-    sim.run(until=mod.store(7))
+    _run(sim, mod.store(7))
     with pytest.raises(SwapError):
         sim.run(until=mod.stop())
-
-
-def test_backend_drain_migrates_pages():
-    sim = Simulator()
-    ssd_mod = build_backend_module(sim, BackendKind.SSD, NVMeSSD(sim))
-    rdma_mod = build_backend_module(sim, BackendKind.RDMA, RDMANic(sim))
-    sim.run(until=ssd_mod.start())
-    sim.run(until=rdma_mod.start())
-    for p in range(5):
-        sim.run(until=ssd_mod.store(p))
-    moved = sim.run(until=ssd_mod.drain_to(rdma_mod))
-    assert moved == 5
-    assert ssd_mod.resident_pages == 0
-    assert rdma_mod.resident_pages == 5
 
 
 def test_dram_module_slowest_to_start():
@@ -196,7 +152,7 @@ def test_frontend_switch_and_store():
     assert fe.active_backend is None
     sim.run(until=fe.switch_to("ssd"))
     assert fe.active_backend == "ssd"
-    assert sim.run(until=fe.store_page(1)) is True
+    assert _run(sim, fe.store_page(1)) is True
     assert fe.swapped_out(1)
 
 
@@ -205,7 +161,7 @@ def test_frontend_skips_file_backed_pages():
     sim = Simulator()
     fe = _frontend_with_two_backends(sim)
     sim.run(until=fe.switch_to("ssd"))
-    taken = sim.run(until=fe.store_page(9, kind=PageKind.FILE))
+    taken = _run(sim, fe.store_page(9, kind=PageKind.FILE))
     assert taken is False
     assert fe.skipped_file_backed == 1
     assert not fe.swapped_out(9)
@@ -216,12 +172,12 @@ def test_frontend_lazy_migration_across_switch():
     sim = Simulator()
     fe = _frontend_with_two_backends(sim)
     sim.run(until=fe.switch_to("ssd"))
-    sim.run(until=fe.store_page(1))
+    _run(sim, fe.store_page(1))
     sim.run(until=fe.switch_to("rdma"))
-    sim.run(until=fe.store_page(2))
+    _run(sim, fe.store_page(2))
     assert fe.module("ssd").holds(1)
     assert fe.module("rdma").holds(2)
-    sim.run(until=fe.load_page(1))  # served by the old backend
+    _run(sim, fe.load_page(1))  # served by the old backend
     assert not fe.swapped_out(1)
     assert fe.loads == 1
 
@@ -230,7 +186,7 @@ def test_frontend_switch_without_store_raises():
     sim = Simulator()
     fe = _frontend_with_two_backends(sim)
     with pytest.raises(BackendUnavailableError):
-        sim.run(until=fe.store_page(1))
+        _run(sim, fe.store_page(1))
 
 
 def test_frontend_unknown_backend():
@@ -247,20 +203,9 @@ def test_frontend_duplicate_registration():
         fe.register(fe.module("ssd"))
 
 
-def test_frontend_listening_queue_records_events():
-    sim = Simulator()
-    fe = _frontend_with_two_backends(sim)
-    sim.run(until=fe.switch_to("ssd"))
-    sim.run(until=fe.store_page(5))
-    sim.run(until=fe.load_page(5))
-    assert len(fe.listening_queue) == 2
-    kind, page, backend = sim.run(until=fe.listening_queue.get())
-    assert (kind, page, backend) == ("stored", 5, "ssd")
-
-
 def test_frontend_load_unknown_page_raises():
     sim = Simulator()
     fe = _frontend_with_two_backends(sim)
     sim.run(until=fe.switch_to("ssd"))
     with pytest.raises(BackendUnavailableError):
-        sim.run(until=fe.load_page(404))
+        _run(sim, fe.load_page(404))

@@ -1,6 +1,6 @@
 """Stateful property tests of the swap machinery (hypothesis RuleBasedStateMachine).
 
-Random interleavings of store / load / switch / drain against a model of
+Random interleavings of store / load / switch against a model of
 what the frontend *must* guarantee:
 
 * a page is never stored twice nor loaded when absent;
@@ -10,7 +10,7 @@ what the frontend *must* guarantee:
 """
 
 from hypothesis import settings
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 from repro.devices import BackendKind, NVMeSSD, RDMANic
@@ -46,7 +46,7 @@ class SwapFrontendMachine(RuleBasedStateMachine):
     def store(self, page):
         if page in self.model_out:
             return  # model: page already in far memory; reclaim won't resend
-        taken = self.sim.run(until=self.fe.store_page(page))
+        taken = self.sim.run(until=self.sim.process(self.fe.store_page(page)))
         assert taken is True
         self.model_out[page] = self.fe.active_backend
 
@@ -56,23 +56,8 @@ class SwapFrontendMachine(RuleBasedStateMachine):
             return
         owner = self.model_out.pop(page)
         assert self.fe.module(owner).holds(page)
-        self.sim.run(until=self.fe.load_page(page))
+        self.sim.run(until=self.sim.process(self.fe.load_page(page)))
         assert not self.fe.module(owner).holds(page)
-
-    @precondition(lambda self: self.fe.active_backend == "rdma")
-    @rule()
-    def drain_ssd_to_rdma(self):
-        ssd, rdma = self.fe.module("ssd"), self.fe.module("rdma")
-        if not (ssd.active and rdma.active and ssd.resident_pages):
-            return
-        self.sim.run(until=ssd.drain_to(rdma))
-        # reflect migration in frontend ownership + reference model
-        for page, owner in list(self.fe._owner.items()):
-            if owner == "ssd":
-                self.fe._owner[page] = "rdma"
-        for page, owner in list(self.model_out.items()):
-            if owner == "ssd":
-                self.model_out[page] = "rdma"
 
     # ------------------------------------------------------------ invariants
     @invariant()

@@ -194,6 +194,8 @@ def test_server_numa_domain_splits_memory():
     ("ssd_bandwidth", -0.5), ("hdd_bytes", -1), ("hdd_bandwidth", -1.0),
     ("rdma_port_bandwidth", -1.0), ("sockets", 0), ("sockets", -2),
     ("rdma_ports", 0), ("rdma_ports", -1),
+    ("dram_bandwidth", float("nan")), ("ssd_bandwidth", float("nan")),
+    ("hdd_bandwidth", float("nan")), ("rdma_port_bandwidth", float("nan")),
 ])
 def test_server_spec_rejects_negative_capacity(field, value):
     """Negative capacities and bandwidths, and fewer than one socket or

@@ -54,7 +54,7 @@ def test_zswap_registered_as_backend_kind(sim):
     assert isinstance(dev, ZswapPool)
     module = build_backend_module(sim, BackendKind.ZSWAP, dev)
     sim.run(until=module.start())
-    sim.run(until=module.store(1))
+    sim.run(until=sim.process(module.store(1)))
     assert module.holds(1)
 
 
