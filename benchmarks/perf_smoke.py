@@ -41,9 +41,9 @@ Suites, selected with ``--suite``:
     Wall time of a full-tree simlint run (``src`` + ``tests`` +
     ``benchmarks`` + ``examples``) with every pass enabled, including the
     project-wide dataflow passes (dims / coro / parity).  Writes
-    ``BENCH_lint.json``.  ``--check`` fails (exit 1) if the run exceeds
-    :data:`LINT_BUDGET_SECONDS` — the lint must stay cheap enough to sit
-    in every CI pipeline and pre-commit hook.
+    ``BENCH_lint.json``.  ``--check`` writes nothing and fails (exit 1)
+    if the run exceeds :data:`LINT_BUDGET_SECONDS` — the lint must stay
+    cheap enough to sit in every CI pipeline and pre-commit hook.
 
 ``cluster``
     The fleet-scale sweep: a 1000-node fleet (two utilization epochs)
@@ -900,9 +900,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.suite == "lint":
         report = bench_lint(args.repeats)
         if args.check:
-            rc = check_lint_budget(report)
-            if rc:
-                return rc
+            return check_lint_budget(report)
     elif args.suite == "tune":
         report = bench_tune(args.repeats)
         if args.check:

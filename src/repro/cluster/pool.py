@@ -124,10 +124,6 @@ class RemoteMemoryPool:
             raise ConfigurationError("n_machines must be >= 1")
         return 2.0 * self.total_leased / n_machines
 
-    def donors_of(self, borrower: int) -> list[int]:
-        """Which machines back ``borrower``'s remote memory."""
-        return [l.donor for l in self.leases if l.borrower == borrower]
-
     def apply(self, utilization: np.ndarray) -> np.ndarray:
         """Post-balance utilizations (donors rise, borrowers fall)."""
         u = np.asarray(utilization, dtype=np.float64).copy().ravel()

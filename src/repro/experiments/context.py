@@ -137,18 +137,6 @@ class ExperimentContext:
         cost = model.cost(decision.local_pages, config)
         return EvaluatedRun(cost=cost, compute_time=self.compute_time(name))
 
-    def run_xdm_variant(self, name: str, variant: str, fm_ratio: float = 0.5) -> EvaluatedRun:
-        """Evaluate an xDM multi-backend variant (traffic split across paths)."""
-        w = self.workload(name)
-        features = self.features(name)
-        mp = self.variant(variant).multipath(
-            features, fault_parallelism=w.spec.fault_parallelism,
-            console=self.console, fm_ratio=fm_ratio,
-        )
-        local = max(1, int(features.mrc.n_pages * (1.0 - fm_ratio)))
-        cost = mp.cost(local)
-        return EvaluatedRun(cost=cost, compute_time=self.compute_time(name))
-
     # -- common fixed configs --------------------------------------------------
     @staticmethod
     def baseline_for(kind: BackendKind) -> BaselineSystem:

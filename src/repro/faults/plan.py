@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -157,13 +156,12 @@ class BandwidthFault(FaultWindow):
 class TransientFault(FaultWindow):
     """Each op fails independently with ``error_rate`` while active.
 
-    ``retry_budget`` advertises how many re-submissions the window's
-    author considers sufficient (the executor's retry loop reads it);
-    failures are drawn from the plan's seeded stream, never fresh entropy.
+    Failures are drawn from the plan's seeded stream, never fresh
+    entropy; how often a failed op is retried is the executor's
+    :class:`~repro.swap.executor.RetryPolicy`, not the plan's.
     """
 
     error_rate: float = 0.5
-    retry_budget: int = 4
     KIND = "transient"
 
     def __post_init__(self) -> None:
@@ -173,13 +171,9 @@ class TransientFault(FaultWindow):
             raise ConfigurationError(
                 f"error_rate must be in (0, 1], got {self.error_rate}"
             )
-        if not _is_int(self.retry_budget) or self.retry_budget < 1:
-            raise ConfigurationError(
-                f"retry_budget must be an integer >= 1, got {self.retry_budget!r}"
-            )
 
     def _extra(self) -> dict:
-        return {"error_rate": self.error_rate, "retry_budget": self.retry_budget}
+        return {"error_rate": self.error_rate}
 
 
 @dataclass(frozen=True)
@@ -265,11 +259,6 @@ class FaultPlan:
             return False
         return bool(self._transient_rng.random() < w.error_rate)
 
-    def retry_budget(self, t: float) -> int | None:
-        """The active transient window's advertised retry budget, if any."""
-        w = self.transient(t)
-        return w.retry_budget if w is not None else None
-
     def next_recovery(self, t: float) -> float | None:
         """Earliest end of any window active at ``t`` (None when healthy).
 
@@ -279,10 +268,6 @@ class FaultPlan:
         ends = [w.end for w in self.windows if w.active(t)]
         return min(ends) if ends else None
 
-    def horizon(self) -> float:
-        """Last instant any window is active (0.0 for an empty plan)."""
-        return max((w.end for w in self.windows), default=0.0)
-
     def live_spans(self, t: float) -> list[tuple[float, float]]:
         """Merged hazard spans of windows still live at ``t`` (``end > t``).
 
@@ -291,37 +276,6 @@ class FaultPlan:
         whose every window the run has already outlived.
         """
         return merge_spans((w.start, w.end) for w in self.windows if w.end > t)
-
-    def segments(self, n_accesses: int, times) -> "list[tuple[int, int, tuple[float, float] | None]]":
-        """Map fault windows onto trace positions.
-
-        ``times`` assigns each of the ``n_accesses`` accesses a
-        non-decreasing simulated admission time (a projection — the
-        planner refines it as the run unfolds).  Returns ``(lo, hi,
-        span)`` triples covering ``[0, n_accesses)`` in order: ``span``
-        is the merged hazard span the positions land inside, or ``None``
-        for a healthy stretch.  Empty stretches are omitted.
-        """
-        out: list[tuple[int, int, tuple[float, float] | None]] = []
-        pos = 0
-        for span in merge_spans((w.start, w.end) for w in self.windows):
-            start, end = span
-            lo = bisect_left(times, start, pos, n_accesses)
-            hi = bisect_left(times, end, lo, n_accesses)
-            if lo > pos:
-                out.append((pos, lo, None))
-            if hi > lo:
-                out.append((lo, hi, span))
-            pos = hi
-            if pos >= n_accesses:
-                break
-        if pos < n_accesses:
-            out.append((pos, n_accesses, None))
-        return out
-
-    def onset(self) -> float | None:
-        """Earliest window start (None for an empty plan)."""
-        return min((w.start for w in self.windows), default=None)
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:

@@ -89,11 +89,6 @@ class CgroupMemoryLimiter:
         """The high watermark in pages."""
         return self.limit_bytes // self.page_size
 
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes currently resident under this cgroup."""
-        return self.resident_pages * self.page_size
-
     def charge_page(self) -> int:
         """Charge one page; returns pages reclaimed to stay under the limit."""
         self.resident_pages += 1

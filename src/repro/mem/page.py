@@ -6,16 +6,19 @@ file-backed pages are written back to their files instead (Section IV-A1:
 "the frontend skips file-backed page operations directly").  The
 anonymous/file distinction is therefore load-bearing for the switching
 strategy (Fig 8) and is carried on every trace record.
+
+Per-page state lives with its users: residency in the executor's LRU,
+and which backend holds a page's far copy in the swap frontend's owner
+record (:class:`repro.swap.frontend.SwapFrontend`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from repro.units import PAGE_SIZE
 
-__all__ = ["PAGE_SIZE", "PageKind", "PageOp", "PageDescriptor"]
+__all__ = ["PAGE_SIZE", "PageKind", "PageOp"]
 
 
 class PageKind(enum.IntEnum):
@@ -30,33 +33,3 @@ class PageOp(enum.IntEnum):
 
     LOAD = 0
     STORE = 1
-
-
-@dataclass
-class PageDescriptor:
-    """Mutable per-page state tracked by the event-level LRU/swap machinery."""
-
-    pfn: int
-    kind: PageKind = PageKind.ANON
-    dirty: bool = False
-    referenced: bool = False
-    #: swap slot index when swapped out, else None
-    swap_slot: int | None = None
-    #: which backend currently holds the page (backend name), else None
-    backend: str | None = None
-    #: NUMA node the page resides on while resident
-    numa_node: int = 0
-    #: access counter for hot-data estimation
-    accesses: int = field(default=0)
-
-    @property
-    def resident(self) -> bool:
-        """True while the page occupies local DRAM."""
-        return self.swap_slot is None
-
-    def touch(self, op: PageOp) -> None:
-        """Record one access (sets referenced, dirties on store)."""
-        self.referenced = True
-        self.accesses += 1
-        if op == PageOp.STORE:
-            self.dirty = True

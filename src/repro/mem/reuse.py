@@ -300,12 +300,6 @@ class MissRatioCurve:
         """Vectorized :meth:`misses` over an array of capacities."""
         return self.n_accesses - self.hits_at(cache_pages)
 
-    def miss_ratio_at(self, cache_pages: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`miss_ratio` over an array of capacities."""
-        if self.n_accesses == 0:
-            return np.zeros(np.asarray(cache_pages).shape, dtype=np.float64)
-        return self.misses_at(cache_pages) / float(self.n_accesses)
-
     def capacity_misses(self, cache_pages: int) -> int:
         """Misses excluding compulsory (first-touch) ones."""
         return self.misses(cache_pages) - self.cold_misses

@@ -2,12 +2,13 @@
 
 Event-level pieces (used where contention/interleaving matters):
 
-* :class:`~repro.swap.slots.SwapSlotAllocator` — swap-map slot management;
 * :class:`~repro.swap.backend.SwapBackendModule` — a pre-assembled backend
-  "patch" binding a far-memory device to swap read/write functions;
+  "patch" binding a far-memory device and its swap area to swap read/write
+  functions;
 * :class:`~repro.swap.frontend.SwapFrontend` — the frontswap-style frontend
   xDM modifies: dispatches anonymous-page store/load to the active backend,
-  skips file-backed pages, and supports live backend switching;
+  skips file-backed pages, supports live backend switching, and records
+  which backend holds each far page;
 * :class:`~repro.swap.channel.ChannelMode` — shared vs isolated vs
   VM-isolated swap channels (Fig 17's three contenders).
 
@@ -20,7 +21,6 @@ Analytic pieces (used for parameter sweeps and the big tables):
   several simultaneous far-memory paths (the multi-backend case).
 """
 
-from repro.swap.slots import SwapSlotAllocator
 from repro.swap.backend import SwapBackendModule, build_backend_module
 from repro.swap.channel import ChannelMode
 from repro.swap.frontend import SwapFrontend
@@ -40,7 +40,6 @@ from repro.swap.pathmodel import (
 )
 
 __all__ = [
-    "SwapSlotAllocator",
     "SwapBackendModule",
     "build_backend_module",
     "ChannelMode",

@@ -8,17 +8,19 @@ this process and minimize compilation time, we proactively assemble FM
 backend modules as backups for low-overhead switching."
 
 A :class:`SwapBackendModule` binds one far-memory device to swap store/load
-functions and a slot allocator, and carries the start/stop costs that the
-switching-overhead study (Fig 18-b) measures.
+functions over a swap area of ``n_slots`` pages, and carries the start/stop
+costs that the switching-overhead study (Fig 18-b) measures.  Which backend
+owns a page is the frontend's record; a module keeps only the set of pages
+it holds (or is storing), which its own capacity and double-store checks
+need.
 """
 
 from __future__ import annotations
 
 from repro.devices.base import FarMemoryDevice
 from repro.devices.registry import BackendKind
-from repro.errors import BackendUnavailableError, SwapError
+from repro.errors import BackendUnavailableError, SlotExhaustedError, SwapError
 from repro.simcore import Simulator
-from repro.swap.slots import SwapSlotAllocator
 from repro.units import PAGE_SIZE, msec
 
 __all__ = ["SwapBackendModule", "build_backend_module", "MODULE_START_COST", "MODULE_STOP_COST"]
@@ -47,7 +49,7 @@ MODULE_STOP_COST: dict[BackendKind, float] = {
 
 
 class SwapBackendModule:
-    """One switchable backend: device + slots + lifecycle."""
+    """One switchable backend: device + swap area + lifecycle."""
 
     def __init__(
         self,
@@ -61,11 +63,14 @@ class SwapBackendModule:
         self.kind = kind
         self.device = device
         area = swap_bytes if swap_bytes is not None else device.profile.capacity
-        self.slots = SwapSlotAllocator.for_bytes(area)
+        if area < PAGE_SIZE:
+            raise ValueError(f"swap area of {area} bytes holds no {PAGE_SIZE}-byte slot")
+        #: page slots in the swap area
+        self.n_slots = area // PAGE_SIZE
         self.name = name or f"{kind}:{device.name}"
         self.active = False
-        #: page -> slot, the swap map
-        self._map: dict[int, int] = {}
+        #: pages this backend holds or is storing
+        self._pages: set[int] = set()
         self.pages_stored = 0
         self.pages_loaded = 0
 
@@ -90,8 +95,8 @@ class SwapBackendModule:
     def stop(self):
         """DES process: deactivate (must hold no pages)."""
         def proc():
-            if self._map:
-                raise SwapError(f"{self.name}: stop with {len(self._map)} pages resident")
+            if self._pages:
+                raise SwapError(f"{self.name}: stop with {len(self._pages)} pages resident")
             yield self.sim.timeout(self.stop_cost)
             self.active = False
         return self.sim.process(proc(), name=f"{self.name}:stop")
@@ -103,42 +108,39 @@ class SwapBackendModule:
 
     def holds(self, page: int) -> bool:
         """Whether this backend currently stores ``page``."""
-        return page in self._map
+        return page in self._pages
 
     def store(self, page: int, granularity: int = PAGE_SIZE):
         """Swap ``page`` out to this backend.
 
-        Slot bookkeeping and validation run eagerly, at the call; the
-        returned generator runs the device write when the caller's
-        process ``yield from``s it and returns the slot.
+        Validation and the page's slot claim run eagerly, at the call;
+        the returned generator runs the device write when the caller's
+        process ``yield from``s it.  A caller whose write failed releases
+        the claim with :meth:`invalidate`.
         """
         self._require_active()
-        if page in self._map:
+        if page in self._pages:
             raise SwapError(f"page {page} already stored on {self.name}")
-        slot = self.slots.allocate()
-        self._map[page] = slot
+        if len(self._pages) >= self.n_slots:
+            raise SlotExhaustedError(f"all {self.n_slots} swap slots of {self.name} in use")
+        self._pages.add(page)
 
         def gen():
             yield from self.device.write(granularity, granularity=granularity)
             self.pages_stored += 1
-            return slot
 
         return gen()
 
-    def load(self, page: int, granularity: int = PAGE_SIZE, keep: bool = False):
+    def load(self, page: int, granularity: int = PAGE_SIZE):
         """Swap ``page`` back in; validated eagerly like :meth:`store`.
 
-        ``keep=True`` retains the slot and copy (swap-cache semantics: a
-        clean page can later be reclaimed again without a rewrite);
-        ``keep=False`` frees the slot (the default kernel fast path once
-        the page is dirtied).
+        The far copy stays (swap-cache semantics: a clean page can later
+        be reclaimed again without a rewrite); :meth:`invalidate` drops
+        it once the resident page is dirtied.
         """
         self._require_active()
-        if page not in self._map:
+        if page not in self._pages:
             raise SwapError(f"page {page} not present on {self.name}")
-        if not keep:
-            slot = self._map.pop(page)
-            self.slots.release(slot)
 
         def gen():
             yield from self.device.read(granularity, granularity=granularity)
@@ -148,56 +150,42 @@ class SwapBackendModule:
         return gen()
 
     def adopt_pages(self, pages) -> None:
-        """Materialize map + slots for pages stored through batched flows.
+        """Record ``pages`` as held, all or none.
 
         The batch engines book stores as aggregate flows with no per-page
-        slot or map bookkeeping, then reconcile the far-resident set here
-        once (the swap map is only observable between accesses, which a
-        batched replay never is).
+        bookkeeping, then reconcile the far-resident set here once (it is
+        only observable between accesses, which a batched replay never
+        is).
         """
-        for page in pages:
-            if page in self._map:
-                raise SwapError(f"page {page} already stored on {self.name}")
-            self._map[int(page)] = self.slots.allocate()
-
-    def abort_store(self, page: int) -> None:
-        """Roll back an in-flight :meth:`store` whose device I/O failed.
-
-        ``store`` claims the slot and map entry eagerly, before the
-        device write; a caller that catches an injected device error
-        mid-store must release them before re-submitting, or the retry
-        would see the page as already stored.
-        """
-        if page not in self._map:
-            raise SwapError(f"abort_store: page {page} has no in-flight store on {self.name}")
-        slot = self._map.pop(page)
-        self.slots.release(slot)
+        pages = set(pages)
+        if not pages.isdisjoint(self._pages):
+            raise SwapError(f"page {min(pages & self._pages)} already stored on {self.name}")
+        if len(self._pages) + len(pages) > self.n_slots:
+            raise SlotExhaustedError(f"{len(pages)} pages overflow the swap slots of {self.name}")
+        self._pages |= pages
 
     def invalidate(self, page: int) -> None:
-        """Drop a retained swap-cache copy without any I/O (page dirtied)."""
-        if page not in self._map:
+        """Drop a far copy without any I/O: the resident page was dirtied,
+        or the store that claimed its slot failed."""
+        if page not in self._pages:
             raise SwapError(f"page {page} not present on {self.name}")
-        slot = self._map.pop(page)
-        self.slots.release(slot)
+        self._pages.remove(page)
 
     def invalidate_pages(self, pages) -> None:
-        """Bulk :meth:`invalidate` — the batch replay's per-chunk seam
-        reconciliation drops thousands of copies at once and the
-        per-page call overhead dominates the dict work."""
-        swap_map = self._map
-        release = self.slots.release
-        for page in pages:
-            if page not in swap_map:
-                raise SwapError(f"page {page} not present on {self.name}")
-            release(swap_map.pop(page))
+        """Bulk :meth:`invalidate`, all or none — the batch replay's seam
+        reconciliation drops thousands of copies at once."""
+        pages = set(pages)
+        if not pages <= self._pages:
+            raise SwapError(f"page {min(pages - self._pages)} not present on {self.name}")
+        self._pages -= pages
 
     @property
     def resident_pages(self) -> int:
         """Pages currently swapped out to this backend."""
-        return len(self._map)
+        return len(self._pages)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SwapBackendModule {self.name} active={self.active} pages={len(self._map)}>"
+        return f"<SwapBackendModule {self.name} active={self.active} pages={len(self._pages)}>"
 
 
 def build_backend_module(

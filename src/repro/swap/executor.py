@@ -2,9 +2,9 @@
 
 The analytic :class:`~repro.swap.pathmodel.SwapPathModel` prices a whole
 run in closed form; this module *executes* one, page by page, through the
-real machinery: the two-generation LRU, the cgroup ``memory.high``
-limiter, the switchable frontend, backend modules, devices, and PCIe.  It
-exists for three reasons:
+real machinery: the two-generation LRU (its capacity is the local
+memory limit), the switchable frontend, backend modules, devices, and
+PCIe.  It exists for three reasons:
 
 * **fidelity checks** — integration tests replay small traces through
   both layers: cold-allocation counts must match the MRC exactly, fault
@@ -152,9 +152,6 @@ class SwapExecutor:
             capacity=local_pages, on_evict=self._evicted.append
         )
         self._touched: set[int] = set()
-        # dirty-bit tracking: clean victims whose far copy is retained in
-        # the swap cache need no rewrite — Linux's add_to_swap fast path
-        self._dirty: set[int] = set()
         self.result = SwapExecutionResult()
         #: (sim time, accesses completed) sampled every _PROGRESS_STRIDE
         #: accesses of the event-level loop; batched replay leaves it
@@ -287,7 +284,6 @@ class SwapExecutor:
         lru_access = self.lru.access
         swapped_out = frontend.swapped_out
         touched = self._touched
-        dirty = self._dirty
         evicted = self._evicted
         granularity = self.config.granularity
         add_latency = res.fault_latency.add
@@ -340,11 +336,9 @@ class SwapExecutor:
                         if (yield from failover.check_gen()) is not None:
                             res.failovers += 1
                 dirtied_now = op == store_op
-            if dirtied_now:
-                dirty.add(page)
-                if swapped_out(page):
-                    # resident page diverged from its far copy
-                    frontend.invalidate_page(page)
+            if dirtied_now and swapped_out(page):
+                # resident page diverged from its far copy
+                frontend.invalidate_page(page)
             # drain reclaim victims produced by this access
             while evicted:
                 victim = evicted.pop()
@@ -355,7 +349,6 @@ class SwapExecutor:
                     continue
                 yield from self._store_guarded(victim, granularity)
                 res.swap_outs += 1
-                dirty.discard(victim)
             if res.accesses % _PROGRESS_STRIDE == 0:
                 self.progress.record(sim.now, float(res.accesses))
                 if sanitize:
@@ -410,9 +403,7 @@ class SwapExecutor:
         attempt = 0
         while True:
             try:
-                yield from self.frontend.load_page(
-                    page, granularity=granularity, keep_copy=True
-                )
+                yield from self.frontend.load_page(page, granularity=granularity)
                 return
             except TransientDeviceError:
                 attempt += 1
@@ -433,8 +424,8 @@ class SwapExecutor:
         budget (or an offline rejection), an attached failover controller
         switches the active backend and the store is re-submitted there;
         without one, graceful degradation stalls until the window passes.
-        Each failed attempt rolls back the module's eager slot/map
-        bookkeeping via ``abort_store``.
+        Each failed attempt releases the module's eager slot claim via
+        ``abort_store``.
         """
         attempt = 0
         while True:

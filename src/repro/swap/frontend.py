@@ -13,11 +13,13 @@ The frontend sits between page reclaim and the backend modules:
   stores go to the new backend immediately; the old module stays up while
   it still holds pages.
 
-The page -> backend view that the paper's listening queue keeps in sync
-is ``_owner``, updated in the same step as each store, load and
-invalidation.  Each data-path method is a generator that the caller's
-process drives with ``yield from``: a page crosses frontend, backend
-module and device as one generator chain.
+``_owner`` is the one record of which backend holds a valid far copy of
+each page (the page -> backend view the paper's listening queue keeps in
+sync).  It changes with each store and invalidation; a load keeps the
+copy (swap-cache semantics), and a dirtied page drops it through
+:meth:`SwapFrontend.invalidate_page`.  Each data-path method is a
+generator that the caller's process drives with ``yield from``: a page
+crosses frontend, backend module and device as one generator chain.
 """
 
 from __future__ import annotations
@@ -119,48 +121,43 @@ class SwapFrontend:
         self.stores += 1
         return True
 
-    def load_page(self, page: int, granularity: int = PAGE_SIZE, keep_copy: bool = False):
+    def load_page(self, page: int, granularity: int = PAGE_SIZE):
         """Fault one page back in from whichever backend holds it.
 
-        ``keep_copy=True`` leaves the far copy (and its slot) in place —
-        swap-cache semantics, so a clean reclaim later needs no rewrite;
-        the page then still answers True to :meth:`swapped_out`.
+        The far copy stays in place (swap-cache semantics), so a clean
+        reclaim later needs no rewrite and the page still answers True
+        to :meth:`swapped_out` until :meth:`invalidate_page` drops it.
         """
         owner = self._owner.get(page)
         if owner is None:
             raise BackendUnavailableError(f"{self.name}: page {page} not swapped out")
-        if not keep_copy:
-            del self._owner[page]
-        module = self._modules[owner]
-        yield from module.load(page, granularity=granularity, keep=keep_copy)
+        yield from self._modules[owner].load(page, granularity=granularity)
         self.loads += 1
         return page
 
     def adopt_far_pages(self, pages) -> None:
-        """Record ``pages`` as far-resident on the active backend,
-        materializing backend map + slots — the batch replay's ownership
-        sync after it booked the stores as aggregate flows."""
+        """Record ``pages`` as far-resident on the active backend — the
+        batch replay's ownership sync after it booked the stores as
+        aggregate flows."""
         name = self._active
         if name is None:
             raise BackendUnavailableError(f"{self.name}: no active backend")
-        module = self.module(name)
-        module.adopt_pages(pages)
-        for page in pages:
-            self._owner[int(page)] = name
+        self._modules[name].adopt_pages(pages)
+        self._owner.update(dict.fromkeys(pages, name))
 
     def abort_store(self, page: int) -> None:
         """Roll back a failed in-flight store before ownership was recorded.
 
         Called by retry loops that caught a device error out of
-        :meth:`store_page`: the eager slot/map bookkeeping is undone so
+        :meth:`store_page`: the module's eager slot claim is released so
         the store can be re-submitted (to this backend or, after a
-        failover, another).  The entry is looked up across modules rather
+        failover, another).  The claim is looked up across modules rather
         than on the active one — a switch may have completed while the
         failed store was in flight.
         """
         for module in self._modules.values():
             if module.holds(page):
-                module.abort_store(page)
+                module.invalidate(page)
                 return
         raise BackendUnavailableError(
             f"{self.name}: page {page} has no in-flight store to abort"

@@ -273,7 +273,7 @@ class SwapPathModel:
         features: PageFeatures,
         fault_parallelism: float = 1.0,
     ) -> None:
-        if fault_parallelism < 1.0:
+        if not fault_parallelism >= 1.0:
             raise ConfigurationError(f"fault_parallelism must be >= 1, got {fault_parallelism}")
         self.device = device
         self.features = features

@@ -62,11 +62,11 @@ class WorkloadSpec:
             raise ConfigurationError(f"swap_feature must be 'S' or 'F', got {self.swap_feature!r}")
         if self.max_mem_bytes <= 0:
             raise ConfigurationError(f"{self.name}: max_mem_bytes must be positive")
-        if self.compute_per_access < 0:
+        if not self.compute_per_access >= 0:
             raise ConfigurationError(f"{self.name}: compute_per_access must be >= 0")
         if not 0.0 <= self.numa_sensitivity <= 1.0:
             raise ConfigurationError(f"{self.name}: numa_sensitivity must be in [0,1]")
-        if self.fault_parallelism < 1.0:
+        if not self.fault_parallelism >= 1.0:
             raise ConfigurationError(f"{self.name}: fault_parallelism must be >= 1")
 
 

@@ -28,8 +28,6 @@ def test_window_validation():
         BandwidthFault(start=0.0, duration=1.0, fraction=1.5)
     with pytest.raises(ConfigurationError):
         TransientFault(start=0.0, duration=1.0, error_rate=0.0)
-    with pytest.raises(ConfigurationError):
-        TransientFault(start=0.0, duration=1.0, retry_budget=0)
 
 
 def test_plan_rejects_non_windows():
@@ -48,8 +46,6 @@ def test_empty_plan_is_falsy_and_healthy():
     assert plan.transient(0.0) is None
     assert plan.draw_transient(0.0) is False
     assert plan.next_recovery(0.0) is None
-    assert plan.horizon() == 0.0
-    assert plan.onset() is None
 
 
 def test_window_half_open_interval():
@@ -73,17 +69,6 @@ def test_overlapping_kinds_compose_independently():
     assert plan.latency_factor(1.2) == 4.0 and plan.bandwidth_fraction(1.2) == 0.5
     assert plan.offline(1.6) is not None and plan.offline(1.0) is None
     assert plan.next_recovery(1.6) == 2.0  # earliest end among the 3 active
-    assert plan.horizon() == 3.0
-    assert plan.onset() == 0.0
-
-
-def test_retry_budget_exposed_inside_window():
-    plan = FaultPlan(
-        [TransientFault(start=0.0, duration=1.0, error_rate=1.0, retry_budget=7)],
-        seed=0,
-    )
-    assert plan.retry_budget(0.5) == 7
-    assert plan.retry_budget(2.0) is None
 
 
 # ----------------------------------------------------------- determinism
@@ -125,7 +110,7 @@ def test_json_round_trip_preserves_everything():
         [
             LatencyFault(start=0.5, duration=1.0, factor=8.0),
             BandwidthFault(start=0.25, duration=2.0, fraction=0.1),
-            TransientFault(start=1.0, duration=0.5, error_rate=0.3, retry_budget=2),
+            TransientFault(start=1.0, duration=0.5, error_rate=0.3),
             OfflineFault(start=3.0, duration=0.1),
         ],
         seed=7,
@@ -167,9 +152,10 @@ def test_bad_json_rejected():
             FaultPlan.from_json(f'{{"windows": {windows}}}')
     with pytest.raises(ConfigurationError):
         FaultPlan.from_json('{"windows": [], "seed": true}')
+    # retries are the executor's RetryPolicy: a plan's retry budget is an unknown field
     with pytest.raises(ConfigurationError, match="retry_budget"):
         FaultPlan.from_json(
-            '{"windows": [{"kind": "transient", "start": 0, "duration": 1, "retry_budget": 2.5}]}'
+            '{"windows": [{"kind": "transient", "start": 0, "duration": 1, "retry_budget": 2}]}'
         )
     # the fleet's "rest of the run" sentinel duration stays legal
     plan = FaultPlan.from_json(

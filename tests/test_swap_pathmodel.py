@@ -174,8 +174,10 @@ def test_config_validation():
 
 def test_model_validates_parallelism(sim):
     f = _features("seq")
-    with pytest.raises(ConfigurationError):
-        SwapPathModel(RDMANic(sim), f, fault_parallelism=0.5)
+    # NaN passes a plain `< 1` check, so it is an input of its own
+    for bad in (0.5, float("nan")):
+        with pytest.raises(ConfigurationError):
+            SwapPathModel(RDMANic(sim), f, fault_parallelism=bad)
 
 
 # ----------------------------------------------------------- multi-path

@@ -459,22 +459,6 @@ def test_live_spans_drop_dead_windows():
     assert plan.live_spans(5.5) == [(5.0, 6.0)]
 
 
-def test_fault_plan_segments_maps_windows_to_positions():
-    plan = FaultPlan([
-        LatencyFault(start=2.0, duration=1.0, factor=2.0),
-        LatencyFault(start=6.0, duration=2.0, factor=2.0),
-    ], seed=0)
-    times = np.linspace(0.0, 10.0, 11)  # access i at t=i
-    segs = plan.segments(11, times)
-    assert segs == [
-        (0, 2, None), (2, 3, (2.0, 3.0)), (3, 6, None),
-        (6, 8, (6.0, 8.0)), (8, 11, None),
-    ]
-    # spans cover [0, n) exactly, in order, without gaps
-    assert segs[0][0] == 0 and segs[-1][1] == 11
-    assert all(a[1] == b[0] for a, b in zip(segs, segs[1:]))
-
-
 def test_execution_plan_merges_and_reports():
     plan = ExecutionPlan()
     plan.add("batch", 0, 100, 0.0, 1.0)

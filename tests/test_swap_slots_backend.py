@@ -1,4 +1,4 @@
-"""Unit tests for swap slots, backend modules, and the frontend."""
+"""Unit tests for swap backend modules and the frontend."""
 
 import pytest
 
@@ -11,60 +11,13 @@ from repro.errors import (
 )
 from repro.mem.page import PageKind
 from repro.simcore import Simulator
-from repro.swap import SwapFrontend, SwapSlotAllocator, build_backend_module
-from repro.units import PAGE_SIZE, mib
+from repro.swap import SwapFrontend, build_backend_module
+from repro.units import PAGE_SIZE
 
 
 def _run(sim, op):
     """Drive one data-path operation as its own process; return its value."""
     return sim.run(until=sim.process(op))
-
-
-# ------------------------------------------------------------------ slots
-def test_slots_lowest_first():
-    a = SwapSlotAllocator(4)
-    assert a.allocate() == 0
-    assert a.allocate() == 1
-    a.release(0)
-    assert a.allocate() == 0  # freed slots reused lowest-first
-
-
-def test_slots_exhaustion():
-    a = SwapSlotAllocator(2)
-    a.allocate()
-    a.allocate()
-    with pytest.raises(SlotExhaustedError):
-        a.allocate()
-
-
-def test_slots_run_allocation():
-    a = SwapSlotAllocator(8)
-    run = a.allocate_run(4)
-    assert run == [0, 1, 2, 3]
-    with pytest.raises(SlotExhaustedError):
-        a.allocate_run(5)
-
-
-def test_slots_release_validates():
-    a = SwapSlotAllocator(2)
-    with pytest.raises(ValueError):
-        a.release(0)
-
-
-def test_slots_for_bytes():
-    a = SwapSlotAllocator.for_bytes(mib(1))
-    assert a.n_slots == mib(1) // PAGE_SIZE
-    with pytest.raises(ValueError):
-        SwapSlotAllocator.for_bytes(100)
-
-
-def test_slots_accounting():
-    a = SwapSlotAllocator(4)
-    s = a.allocate()
-    assert a.used == 1 and a.free == 3
-    assert a.holds(s)
-    a.release(s)
-    assert a.used == 0 and not a.holds(s)
 
 
 # ---------------------------------------------------------------- backend
@@ -89,8 +42,30 @@ def test_backend_store_load_roundtrip():
     assert mod.holds(42)
     assert mod.resident_pages == 1
     _run(sim, mod.load(42))
-    assert not mod.holds(42)
+    assert mod.holds(42)  # a load keeps the far copy (swap cache)
     assert mod.pages_stored == 1 and mod.pages_loaded == 1
+    mod.invalidate(42)  # the resident page was dirtied
+    assert not mod.holds(42)
+    assert mod.resident_pages == 0
+
+
+def test_backend_swap_area_bounds_stores():
+    sim = Simulator()
+    mod = build_backend_module(sim, BackendKind.SSD, NVMeSSD(sim), swap_bytes=2 * PAGE_SIZE)
+    assert mod.n_slots == 2
+    sim.run(until=mod.start())
+    _run(sim, mod.store(1))
+    _run(sim, mod.store(2))
+    with pytest.raises(SlotExhaustedError):
+        mod.store(3)
+    mod.invalidate(1)  # frees a slot
+    with pytest.raises(SlotExhaustedError):
+        mod.adopt_pages([3, 4])
+    assert not mod.holds(3)  # adoption is all or none
+    mod.adopt_pages([3])
+    assert mod.resident_pages == 2
+    with pytest.raises(ValueError):
+        build_backend_module(sim, BackendKind.SSD, NVMeSSD(sim), swap_bytes=100)
 
 
 def test_backend_rejects_inactive_io():
@@ -109,6 +84,11 @@ def test_backend_rejects_double_store_and_missing_load():
         mod.store(1)
     with pytest.raises(SwapError):
         mod.load(2)
+    with pytest.raises(SwapError):
+        mod.invalidate(2)
+    with pytest.raises(SwapError):
+        mod.invalidate_pages([1, 2])
+    assert mod.holds(1)  # a bulk invalidation is all or none
 
 
 def test_backend_stop_refuses_with_resident_pages():
@@ -178,7 +158,7 @@ def test_frontend_lazy_migration_across_switch():
     assert fe.module("ssd").holds(1)
     assert fe.module("rdma").holds(2)
     _run(sim, fe.load_page(1))  # served by the old backend
-    assert not fe.swapped_out(1)
+    assert fe.owner_of(1) == "ssd"  # which keeps its copy
     assert fe.loads == 1
 
 

@@ -1,11 +1,13 @@
 """Stateful property tests of the swap machinery (hypothesis RuleBasedStateMachine).
 
-Random interleavings of store / load / switch against a model of
-what the frontend *must* guarantee:
+Random interleavings of store / load / invalidate / switch against a
+model of what the frontend *must* guarantee:
 
 * a page is never stored twice nor loaded when absent;
-* the union of backend swap maps equals the frontend's owner view;
-* slot accounting never leaks (used slots == resident pages per backend);
+* a load keeps the far copy; only an invalidation (the executor's
+  dirtying path) drops it;
+* each backend holds exactly the pages the model puts on it, so the
+  backends agree with the frontend's owner view;
 * switching never loses pages (lazy migration keeps old pages readable).
 """
 
@@ -54,9 +56,16 @@ class SwapFrontendMachine(RuleBasedStateMachine):
     def load(self, page):
         if page not in self.model_out:
             return
-        owner = self.model_out.pop(page)
-        assert self.fe.module(owner).holds(page)
+        owner = self.model_out[page]
         self.sim.run(until=self.sim.process(self.fe.load_page(page)))
+        assert self.fe.owner_of(page) == owner  # the far copy stays
+
+    @rule(page=PAGES)
+    def invalidate(self, page):
+        if page not in self.model_out:
+            return
+        owner = self.model_out.pop(page)
+        self.fe.invalidate_page(page)
         assert not self.fe.module(owner).holds(page)
 
     # ------------------------------------------------------------ invariants
@@ -67,10 +76,10 @@ class SwapFrontendMachine(RuleBasedStateMachine):
             assert self.fe.module(owner).holds(page)
 
     @invariant()
-    def slot_accounting_never_leaks(self):
+    def backends_hold_exactly_the_model_pages(self):
         for name in self.fe.backends:
-            mod = self.fe.module(name)
-            assert mod.slots.used == mod.resident_pages
+            expected = sum(owner == name for owner in self.model_out.values())
+            assert self.fe.module(name).resident_pages == expected
 
     @invariant()
     def far_page_count_consistent(self):

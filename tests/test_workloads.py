@@ -153,9 +153,14 @@ def test_spec_validation():
         WorkloadSpec("x", WorkloadCategory.COMPUTE, "", 1, "Q", 1e-6, 0.5)
     with pytest.raises(ConfigurationError):
         WorkloadSpec("x", WorkloadCategory.COMPUTE, "", 1, "S", 1e-6, 1.5)
-    with pytest.raises(ConfigurationError):
-        WorkloadSpec("x", WorkloadCategory.COMPUTE, "", 1, "S", 1e-6, 0.5,
-                     fault_parallelism=0.5)
+    # NaN passes a plain `<` range check, so it is an input of its own
+    for bad in (0.5, float("nan")):
+        with pytest.raises(ConfigurationError):
+            WorkloadSpec("x", WorkloadCategory.COMPUTE, "", 1, "S", 1e-6, 0.5,
+                         fault_parallelism=bad)
+    for bad in (-1e-6, float("nan")):
+        with pytest.raises(ConfigurationError):
+            WorkloadSpec("x", WorkloadCategory.COMPUTE, "", 1, "S", bad, 0.5)
 
 
 def test_scale_validation():
