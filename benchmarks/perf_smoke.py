@@ -139,10 +139,6 @@ CLUSTER_WARM_HIT_FLOOR = 0.9
 #: baselines until they are regenerated, instead of comparing silently.
 BENCH_SCHEMA = 2
 
-#: Counters both engines must agree on, bit for bit.
-_COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
-             "swap_outs", "clean_drops", "file_skips")
-
 #: The replay suite's workloads.  ``uniform`` is the headline: ~50 % miss
 #: ratio keeps the event loop saturated with per-fault DES work.
 _REPLAY_CASES = {
@@ -159,9 +155,6 @@ _INJECTED_CASES = {
                  "local_pages": 50_000, "store_ratio": 0.3, "seed": 42,
                  "fault_seed": 7},
 }
-
-#: Injected runs must also agree on the fault-path counters.
-_INJECTED_COUNTERS = _COUNTERS + ("transient_retries", "failovers")
 
 #: The replay-mt suite's workloads: per-tenant trace parameters; each of
 #: the N tenants gets its own seed so co-tenants don't walk in lockstep.
@@ -243,30 +236,55 @@ def _replay_trace(case: dict, n: int):
     return make_trace(pages, ops=ops)
 
 
-def _run_swap_stack(trace, local_pages: int, mode: str):
+def _ssd_tenants(n: int, local_pages: int, plan=None) -> list:
+    """``n`` cold executors sharing one NVMe SSD, fault-wrapped when a
+    ``plan`` is given."""
     from repro.devices import BackendKind, NVMeSSD
+    from repro.faults import FaultyDevice
     from repro.simcore import Simulator
-    from repro.swap.executor import SwapExecutor
+    from repro.swap.executor import make_contended_executors
 
-    os.environ["REPRO_REPLAY"] = mode
     sim = Simulator()
-    executor = SwapExecutor(sim, NVMeSSD(sim), BackendKind.SSD,
-                            local_pages=local_pages)
+    device = NVMeSSD(sim)
+    if plan is not None:
+        device = FaultyDevice(device, plan)
+    return make_contended_executors(sim, device, BackendKind.SSD, n,
+                                    local_pages=local_pages)
+
+
+def _race(label: str, build, traces, repeats: int):
+    """Time ``run_tenants`` against the reference ``run_event``.
+
+    ``build()`` returns fresh executors, one per trace.  ``run_tenants``
+    runs ``repeats`` times and keeps its best time; the slow event
+    reference runs once (it has no warm-up effects).  Every tenant must
+    match the reference exactly on ``COUNTERS`` and to 1e-9 relative on
+    ``stall_time``: graceful-degradation waits are ``recovery -
+    sim.now``, so they drift with the clock like ``sim_time`` (0 on
+    clean runs).  Returns (best seconds, the last timed run's executors,
+    event seconds, event results).
+    """
+    from repro.swap.executor import COUNTERS, run_event, run_tenants
+
+    best = None
+    for _ in range(repeats):
+        executors = build()
+        t0 = time.perf_counter()
+        results = run_tenants(executors, traces)
+        seconds = time.perf_counter() - t0
+        best = seconds if best is None else min(best, seconds)
+    reference = build()
     t0 = time.perf_counter()
-    result = executor.run(trace)
-    return time.perf_counter() - t0, result
-
-
-def _check_counters(label: str, got, ref, counters, sim_times=()) -> None:
-    """Raise unless ``got`` matches the event reference ``ref`` exactly on
-    ``counters`` and to 1e-9 relative on the ``sim_times`` quantities."""
-    mismatched = [c for c in counters if getattr(got, c) != getattr(ref, c)]
-    for c in sim_times:
-        want = getattr(ref, c)
-        if want > 0 and abs(getattr(got, c) - want) > 1e-9 * want:
-            mismatched.append(c)
-    if mismatched:
-        raise AssertionError(f"{label} counter mismatch on {', '.join(mismatched)}")
+    want = run_event(reference, traces)
+    event_seconds = time.perf_counter() - t0
+    for i, (g, w) in enumerate(zip(results, want)):
+        mismatched = [c for c in COUNTERS if getattr(g, c) != getattr(w, c)]
+        if abs(g.stall_time - w.stall_time) > 1e-9 * w.stall_time:
+            mismatched.append("stall_time")
+        if mismatched:
+            raise AssertionError(f"{label}: tenant {i} counter mismatch on "
+                                 f"{', '.join(mismatched)}")
+    return best, executors, event_seconds, want
 
 
 def bench_replay(accesses: int, repeats: int) -> dict:
@@ -277,16 +295,9 @@ def bench_replay(accesses: int, repeats: int) -> dict:
     workloads = {}
     for name, case in _REPLAY_CASES.items():
         trace = _replay_trace(case, accesses)
-        batch_best = None
-        batch_res = None
-        for _ in range(repeats):
-            seconds, result = _run_swap_stack(trace, case["local_pages"], "batch")
-            if batch_best is None or seconds < batch_best:
-                batch_best = seconds
-            batch_res = result
-        # best-of-1 for the slow event reference; it has no warm-up effects
-        event_seconds, event_res = _run_swap_stack(trace, case["local_pages"], "event")
-        _check_counters(f"{name}: batch/event", batch_res, event_res, _COUNTERS)
+        batch_best, _, event_seconds, (event_res,) = _race(
+            f"{name}: batch/event", lambda: _ssd_tenants(1, case["local_pages"]),
+            [trace], repeats)
         workloads[name] = {
             **case,
             "accesses": accesses,
@@ -315,16 +326,10 @@ def _injected_windows(trace, local_pages: int):
     Total in-window time is ~1.8 % of the span — the sparse-fault regime
     the hybrid planner exists for.
     """
-    from repro.devices import BackendKind, NVMeSSD
     from repro.faults import BandwidthFault, LatencyFault, TransientFault
-    from repro.simcore import Simulator
-    from repro.swap.executor import SwapExecutor
 
-    os.environ["REPRO_REPLAY"] = "batch"
-    sim = Simulator()
-    executor = SwapExecutor(sim, NVMeSSD(sim), BackendKind.SSD,
-                            local_pages=local_pages)
-    t0 = sim.now
+    executor, = _ssd_tenants(1, local_pages)
+    t0 = executor.sim.now
     span = executor.run(trace).sim_time
     windows = [
         LatencyFault(start=t0 + 0.25 * span, duration=0.006 * span,
@@ -337,56 +342,29 @@ def _injected_windows(trace, local_pages: int):
     return windows, round(3 * 0.006, 4)
 
 
-def _run_injected_stack(trace, local_pages: int, mode: str, windows,
-                        fault_seed: int):
-    from repro.devices import BackendKind, NVMeSSD
-    from repro.faults import FaultPlan, FaultyDevice
-    from repro.simcore import Simulator
-    from repro.swap.executor import SwapExecutor
-
-    os.environ["REPRO_REPLAY"] = mode
-    sim = Simulator()
-    # fresh FaultPlan per run: its seeded transient-draw RNG is stateful,
-    # and a shared instance would hand later runs a depleted stream
-    device = FaultyDevice(NVMeSSD(sim), FaultPlan(list(windows),
-                                                  seed=fault_seed))
-    executor = SwapExecutor(sim, device, BackendKind.SSD,
-                            local_pages=local_pages)
-    t0 = time.perf_counter()
-    result = executor.run(trace)
-    return time.perf_counter() - t0, result, executor.execution_plan
-
-
 def bench_injected(accesses: int, repeats: int) -> dict:
     """Hybrid-planner vs event rows for the faulted uniform workload."""
+    from repro.faults import FaultPlan
+
     os.environ["REPRO_CACHE"] = "0"
     rows = {}
     for name, case in _INJECTED_CASES.items():
         trace = _replay_trace(case, accesses)
         windows, window_fraction = _injected_windows(trace,
                                                      case["local_pages"])
-        hybrid_best = None
-        hybrid_res = None
-        plan = None
-        for _ in range(repeats):
-            seconds, result, ep = _run_injected_stack(
-                trace, case["local_pages"], "batch", windows,
-                case["fault_seed"])
-            if hybrid_best is None or seconds < hybrid_best:
-                hybrid_best = seconds
-            hybrid_res, plan = result, ep
+        # fresh FaultPlan per run: its seeded transient-draw RNG is
+        # stateful, and a shared instance would hand later runs a
+        # depleted stream
+        hybrid_best, executors, event_seconds, (event_res,) = _race(
+            f"{name}: hybrid/event",
+            lambda: _ssd_tenants(1, case["local_pages"],
+                                 FaultPlan(list(windows), seed=case["fault_seed"])),
+            [trace], repeats)
+        plan = executors[0].execution_plan
         if plan is None:
             raise AssertionError(
                 f"{name}: injected run fell back to the event engine "
                 "(no execution plan recorded)")
-        # best-of-1 for the slow event reference; it has no warm-up effects
-        event_seconds, event_res, _ = _run_injected_stack(
-            trace, case["local_pages"], "event", windows, case["fault_seed"])
-        # stall_time is a simulated-time quantity, not an integer counter:
-        # graceful-degradation waits are `recovery - sim.now`, so it drifts
-        # with the clock at the sim_time tolerance, not bit-exactly
-        _check_counters(f"{name}: hybrid/event", hybrid_res, event_res,
-                        _INJECTED_COUNTERS, sim_times=("stall_time",))
         rows[name] = {
             **case,
             "accesses": accesses,
@@ -406,21 +384,6 @@ def bench_injected(accesses: int, repeats: int) -> dict:
     return rows
 
 
-def _run_mt_stack(traces, local_pages: int, mode: str):
-    from repro.devices import BackendKind, NVMeSSD
-    from repro.simcore import Simulator
-    from repro.swap.executor import make_contended_executors, run_tenants
-
-    os.environ["REPRO_REPLAY"] = mode
-    sim = Simulator()
-    device = NVMeSSD(sim)
-    executors = make_contended_executors(sim, device, BackendKind.SSD,
-                                         len(traces), local_pages=local_pages)
-    t0 = time.perf_counter()
-    results = run_tenants(executors, traces)
-    return time.perf_counter() - t0, results
-
-
 def bench_replay_mt(total_accesses: int, tenants: int, repeats: int) -> dict:
     """Contended batch replay vs concurrent event loops, N tenants on one
     shared device, with per-tenant counter verification."""
@@ -430,24 +393,12 @@ def bench_replay_mt(total_accesses: int, tenants: int, repeats: int) -> dict:
     for name, case in _REPLAY_MT_CASES.items():
         traces = [_replay_trace({**case, "seed": case["seed"] + i}, per_tenant)
                   for i in range(tenants)]
-        batch_best = None
-        batch_res = None
-        for _ in range(repeats):
-            seconds, results = _run_mt_stack(traces, case["local_pages"], "batch")
-            if batch_best is None or seconds < batch_best:
-                batch_best = seconds
-            batch_res = results
-        # best-of-1 for the slow event reference; it has no warm-up effects
-        event_seconds, event_res = _run_mt_stack(traces, case["local_pages"],
-                                                 "event")
-        max_rel = 0.0
-        for i in range(tenants):
-            _check_counters(f"{name}: tenant {i} batch/event", batch_res[i],
-                            event_res[i], _COUNTERS)
-            if event_res[i].sim_time > 0:
-                max_rel = max(max_rel, abs(batch_res[i].sim_time
-                                           - event_res[i].sim_time)
-                              / event_res[i].sim_time)
+        batch_best, executors, event_seconds, event_res = _race(
+            f"{name}: batch/event",
+            lambda: _ssd_tenants(tenants, case["local_pages"]), traces, repeats)
+        max_rel = max((abs(ex.result.sim_time - ev.sim_time) / ev.sim_time
+                       for ex, ev in zip(executors, event_res) if ev.sim_time > 0),
+                      default=0.0)
         total = per_tenant * tenants
         workloads[name] = {
             **case,

@@ -13,8 +13,9 @@ Subcommands::
     xdm-repro lint [paths...]           # simlint static analysis (repro-lint)
 
 ``replay`` executes one workload trace through the swap stack with the
-batched fault-replay engine, the per-access event loop, or both (printing
-the counter diff — empty when the engines agree, which they must).
+engine the dispatcher picks (``batch``), the reference per-access event
+loop (``event``), or both (printing the counter diff — empty when the
+engines agree, which they must).
 ``--inject`` runs under a fault plan: single-tenant injected runs take
 the segmented hybrid planner (batch admission outside fault windows,
 event-exact inside — :mod:`repro.swap.plan`) and ``--engine both`` then
@@ -23,8 +24,7 @@ plan (segment count, event-time/access fractions).
 ``--tenants N`` replays N seed-varied copies contending for one shared
 device and reports per-tenant diffs plus the max sim_time relative error
 (counters must match exactly; times agree to the windowed-admission
-model).  The same selection is available to every experiment via
-``REPRO_REPLAY``.
+model).
 
 ``tune`` runs the cost-model-driven configuration search for one
 workload: with ``--slo`` it finds the largest far-memory ratio meeting
@@ -91,8 +91,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.devices.registry import BackendKind, make_device
     from repro.faults import FaultPlan, FaultyDevice
     from repro.simcore import Simulator
-    from repro.swap.executor import make_contended_executors, run_tenants
-    from repro.swap.replay import REPLAY_ENV
+    from repro.swap.executor import (
+        COUNTERS, make_contended_executors, run_event, run_tenants)
 
     if args.workload not in TABLE_V:
         print(f"unknown workload {args.workload!r}; see 'xdm-repro workloads'",
@@ -124,40 +124,28 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         traces.append(trace)
     local = max(2, int(w.features(args.scale).mrc.n_pages * (1.0 - args.fm_ratio)))
     engines = ("batch", "event") if args.engine == "both" else (args.engine,)
-    counters = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
-                "swap_outs", "clean_drops", "file_skips")
-    if plan is not None:
-        # injected runs share the fault-path counters too (hybrid planner)
-        counters = counters + ("transient_retries", "failovers")
+    runners = {"batch": run_tenants, "event": run_event}
     results = {}
     exec_plans = {}
-    saved = os.environ.get(REPLAY_ENV)
-    try:
-        for engine in engines:
-            os.environ[REPLAY_ENV] = engine
-            sim = Simulator()
-            device = make_device(sim, kind)
-            if plan is not None:
-                # fresh plan per engine run: the plan's seeded transient
-                # RNG is stateful, and a shared instance would hand the
-                # second engine a depleted draw stream
-                device = FaultyDevice(device, FaultPlan.load(args.inject))
-            executors = make_contended_executors(
-                sim, device, kind, n, local_pages=local
-            )
-            results[engine] = run_tenants(executors, traces)
-            exec_plans[engine] = executors[0].execution_plan
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
+    for engine in engines:
+        sim = Simulator()
+        device = make_device(sim, kind)
+        if plan is not None:
+            # fresh plan per engine run: the plan's seeded transient
+            # RNG is stateful, and a shared instance would hand the
+            # second engine a depleted draw stream
+            device = FaultyDevice(device, FaultPlan.load(args.inject))
+        executors = make_contended_executors(
+            sim, device, kind, n, local_pages=local
+        )
+        results[engine] = runners[engine](executors, traces)
+        exec_plans[engine] = executors[0].execution_plan
     print(f"workload={args.workload} backend={kind} tenants={n} "
           f"local_pages={local} accesses/tenant={len(traces[0])}")
     for engine in engines:
         for i, res in enumerate(results[engine]):
             tag = f"{engine:5s}" if n == 1 else f"{engine}[{i}]"
-            stats = " ".join(f"{c}={getattr(res, c)}" for c in counters[1:8])
+            stats = " ".join(f"{c}={getattr(res, c)}" for c in COUNTERS[1:8])
             print(f"  {tag}: {stats}")
             print(f"  {' ' * len(tag)}  sim_time={res.sim_time:.6f}s "
                   f"mean_fault_latency={res.fault_latency.mean * 1e6:.2f}us")
@@ -172,7 +160,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         max_rel = 0.0
         for i in range(n):
             b, e = results["batch"][i], results["event"][i]
-            diff = [c for c in counters if getattr(b, c) != getattr(e, c)]
+            diff = [c for c in COUNTERS if getattr(b, c) != getattr(e, c)]
             if diff:
                 tenant = f" tenant {i}" if n > 1 else ""
                 detail = ", ".join(

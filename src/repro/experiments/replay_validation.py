@@ -7,9 +7,10 @@ This experiment demonstrates that promise on real workload traces (the
 equivalence tests lock it in on synthetic ones) and cross-checks the
 one-pass Mattson sweep against an exact-LRU replay:
 
-* **counters** — hits, faults, cold allocations, swap-ins/outs, clean
-  drops, and file skips from ``REPRO_REPLAY=batch`` must equal
-  ``REPRO_REPLAY=event`` exactly, per workload and backend;
+* **counters** — every :data:`~repro.swap.executor.COUNTERS` entry of
+  :meth:`~repro.swap.executor.SwapExecutor.run` must equal the reference
+  :func:`~repro.swap.executor.run_event` exactly, per workload and
+  backend;
 * **time** — the batched aggregate flows must reproduce the event loop's
   simulated seconds to relative round-off;
 * **MRC** — :func:`~repro.swap.replay.trace_mrc` miss counts at sampled
@@ -20,8 +21,6 @@ one-pass Mattson sweep against an exact-LRU replay:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.devices import BackendKind
@@ -30,8 +29,8 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.tables import ExperimentResult
 from repro.mem.lru import lru_replay
 from repro.simcore import Simulator
-from repro.swap import SwapExecutor
-from repro.swap.replay import REPLAY_ENV, trace_mrc
+from repro.swap.executor import COUNTERS, SwapExecutor, run_event
+from repro.swap.replay import trace_mrc
 
 __all__ = ["run", "SAMPLE"]
 
@@ -41,22 +40,10 @@ FM_RATIO = 0.5
 _BACKENDS = (BackendKind.SSD, BackendKind.RDMA)
 _MAX_TRACE = 60_000  # keep the event-level reference replays quick
 
-_COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
-             "swap_outs", "clean_drops", "file_skips")
 
-
-def _execute(mode: str, trace, kind: BackendKind, local: int):
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = mode
-    try:
-        sim = Simulator()
-        executor = SwapExecutor(sim, make_device(sim, kind), kind, local_pages=local)
-        return executor.run(trace)
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
+def _executor(kind: BackendKind, local: int) -> SwapExecutor:
+    sim = Simulator()
+    return SwapExecutor(sim, make_device(sim, kind), kind, local_pages=local)
 
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
@@ -81,10 +68,10 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
             if mrc.misses(cap) != exact_misses:
                 mrc_mismatches += 1
         for kind in _BACKENDS:
-            batch = _execute("batch", trace, kind, local)
-            event = _execute("event", trace, kind, local)
+            batch = _executor(kind, local).run(trace)
+            event = run_event([_executor(kind, local)], [trace])[0]
             pairs += 1
-            same = all(getattr(batch, c) == getattr(event, c) for c in _COUNTERS)
+            same = all(getattr(batch, c) == getattr(event, c) for c in COUNTERS)
             identical += same
             rel = (
                 abs(batch.sim_time - event.sim_time) / event.sim_time

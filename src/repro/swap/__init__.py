@@ -6,9 +6,9 @@ Event-level pieces (used where contention/interleaving matters):
   "patch" binding a far-memory device and its swap area to swap read/write
   functions;
 * :class:`~repro.swap.frontend.SwapFrontend` — the frontswap-style frontend
-  xDM modifies: dispatches anonymous-page store/load to the active backend,
-  skips file-backed pages, supports live backend switching, and records
-  which backend holds each far page;
+  xDM modifies: dispatches anonymous-page store/load to the active backend
+  (the executor skips file-backed pages before they reach it), supports
+  live backend switching, and records which backend holds each far page;
 * :class:`~repro.swap.channel.ChannelMode` — shared vs isolated vs
   VM-isolated swap channels (Fig 17's three contenders).
 
@@ -28,6 +28,7 @@ from repro.swap.executor import (
     SwapExecutionResult,
     SwapExecutor,
     make_contended_executors,
+    run_event,
     run_tenants,
 )
 from repro.swap.replay import replay_run_multi
@@ -46,6 +47,7 @@ __all__ = [
     "SwapFrontend",
     "SwapExecutor",
     "SwapExecutionResult",
+    "run_event",
     "run_tenants",
     "make_contended_executors",
     "replay_run_multi",

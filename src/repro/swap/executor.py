@@ -21,10 +21,11 @@ PCIe.  It exists for three reasons:
 Cost model at this layer: each *blocking* fault pays the kernel fault cost
 plus the backend's DES store/load (device channels, media pipe, PCIe slot,
 root complex all contended); prefetched pages ride along batched.  The
-per-access loop here is the reference engine; :meth:`SwapExecutor.run`
-and :func:`run_tenants` hand eligible runs to the batch engine
-(:mod:`repro.swap.replay`) or the hybrid planner (:mod:`repro.swap.plan`)
-through one dispatcher, :func:`repro.swap.replay._engine`.
+per-access loop here is the reference engine (:func:`run_event`);
+:meth:`SwapExecutor.run` and :func:`run_tenants` hand eligible runs to
+the batch engine (:mod:`repro.swap.replay`) or the hybrid planner
+(:mod:`repro.swap.plan`) through one dispatcher,
+:func:`repro.swap.replay._engine`.
 """
 
 from __future__ import annotations
@@ -49,8 +50,14 @@ from repro.swap.replay import _engine, _tenant_group, replay_run_multi
 from repro.trace.schema import PageTrace
 from repro.units import usec
 
-__all__ = ["RetryPolicy", "SwapExecutionResult", "SwapExecutor", "run_tenants",
-           "make_contended_executors"]
+__all__ = ["COUNTERS", "RetryPolicy", "SwapExecutionResult", "SwapExecutor",
+           "run_event", "run_tenants", "make_contended_executors"]
+
+#: The counters every engine must reproduce exactly, in the order ``repro
+#: replay`` prints them; the fault-path pair is 0 on clean runs.
+COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
+            "swap_outs", "clean_drops", "file_skips", "transient_retries",
+            "failovers")
 
 #: Progress is sampled (and, in sanitizer mode, page conservation checked)
 #: every this-many accesses of the event-level loop.
@@ -119,16 +126,12 @@ class SwapExecutor:
         kind: BackendKind,
         local_pages: int,
         config: SwapConfig | None = None,
-        seq_ratio: float = 0.0,
         retry: RetryPolicy | None = None,
     ) -> None:
         if local_pages < 2:
             raise ConfigurationError(f"local_pages must be >= 2, got {local_pages}")
-        if not 0.0 <= seq_ratio <= 1.0:
-            raise ConfigurationError(f"seq_ratio must be in [0,1], got {seq_ratio}")
         self.sim = sim
         self.config = config or SwapConfig()
-        self.seq_ratio = seq_ratio
         self.retry = retry or RetryPolicy()
         #: optional FailoverController (see :meth:`attach_failover`)
         self.failover = None
@@ -215,9 +218,9 @@ class SwapExecutor:
         :func:`~repro.swap.replay.replay_run_multi` (classification plus
         windowed admission); ``hybrid`` the segmented planner of
         :mod:`repro.swap.plan` (batch outside hazard spans, the exact loop
-        inside them); ``event`` the exact per-access loop, the reference
-        the equivalence tests compare against.  ``classify`` is the batch
-        engine's phase-1 hook; no other engine calls it.
+        inside them); ``event`` :func:`run_event`, the exact per-access
+        loop.  ``classify`` is the batch engine's phase-1 hook; no other
+        engine calls it.
         """
         engine = _engine([self])
         if engine == "batch":
@@ -226,9 +229,7 @@ class SwapExecutor:
             from repro.swap.plan import hybrid_run
 
             return hybrid_run(self, trace)
-        done = self.sim.process(self._run_proc(trace), name="exec:run")
-        self.sim.run(until=done)
-        return self.result
+        return run_event([self], [trace])[0]
 
     def _cold_idle(self) -> bool:
         """Whether the stack is cold and the simulator idle.
@@ -522,6 +523,24 @@ def make_contended_executors(
     ]
 
 
+def run_event(executors, traces) -> list[SwapExecutionResult]:
+    """Execute one trace per tenant on the per-access event loop.
+
+    The reference the batch engine and the hybrid planner are checked
+    against: every tenant's loop runs concurrently on the shared
+    simulator, whatever :func:`~repro.swap.replay._engine` would pick.
+    Checks the group and returns results like :func:`run_tenants`.
+    """
+    executors, traces = _tenant_group(executors, traces)
+    sim = executors[0].sim
+    procs = [
+        sim.process(ex._run_proc(trace), name=f"exec:run:{i}")
+        for i, (ex, trace) in enumerate(zip(executors, traces))
+    ]
+    sim.run(until=sim.all_of(procs))
+    return [ex.result for ex in executors]
+
+
 def run_tenants(executors, traces, classify=None) -> list[SwapExecutionResult]:
     """Execute one trace per tenant concurrently on a shared simulator.
 
@@ -529,8 +548,8 @@ def run_tenants(executors, traces, classify=None) -> list[SwapExecutionResult]:
     by the same :func:`~repro.swap.replay._engine`: ``batch`` routes the
     group through :func:`~repro.swap.replay.replay_run_multi`
     (vectorized classification per tenant, then windowed admission
-    through the event engine), ``event`` runs every per-access loop
-    concurrently.  A single tenant delegates to :meth:`SwapExecutor.run`,
+    through the event engine), ``event`` is :func:`run_event`.
+    A single tenant delegates to :meth:`SwapExecutor.run`,
     so injected or failover-managed runs take the segmented hybrid
     planner (:mod:`repro.swap.plan`) rather than the bare event loop.
     The group is checked (non-empty, one trace per executor, distinct
@@ -544,10 +563,4 @@ def run_tenants(executors, traces, classify=None) -> list[SwapExecutionResult]:
         return [executors[0].run(traces[0], classify)]
     if _engine(executors) == "batch":
         return replay_run_multi(executors, traces, classify)
-    sim = executors[0].sim
-    procs = [
-        sim.process(ex._run_proc(trace), name=f"exec:run:{i}")
-        for i, (ex, trace) in enumerate(zip(executors, traces))
-    ]
-    sim.run(until=sim.all_of(procs))
-    return [ex.result for ex in executors]
+    return run_event(executors, traces)

@@ -4,8 +4,9 @@ The frontend sits between page reclaim and the backend modules:
 
 * **store path** (data offloading, (1)-(2) in Fig 7): reclaim hands over
   anonymous pages drawn from the LRU lists; the frontend forwards each to
-  the *active* backend's write function.  File-backed pages are skipped
-  outright ("the frontend skips file-backed page operations directly").
+  the *active* backend's write function.  File-backed pages never reach
+  it: the executor counts them as ``file_skips`` ("the frontend skips
+  file-backed page operations directly").
 * **load path** (data fetching, (5)): a page fault on a swapped page calls
   back into the owning backend — pages swapped out before a switch remain
   readable from their old backend until faulted back (lazy migration).
@@ -25,7 +26,6 @@ crosses frontend, backend module and device as one generator chain.
 from __future__ import annotations
 
 from repro.errors import BackendUnavailableError, SwitchInProgressError
-from repro.mem.page import PageKind
 from repro.simcore import Simulator
 from repro.swap.backend import SwapBackendModule
 from repro.units import PAGE_SIZE
@@ -46,7 +46,6 @@ class SwapFrontend:
         self._owner: dict[int, str] = {}
         self.stores = 0
         self.loads = 0
-        self.skipped_file_backed = 0
         self.switches = 0
 
     # -- module management --------------------------------------------------
@@ -99,16 +98,8 @@ class SwapFrontend:
         return self.sim.process(proc(), name=f"{self.name}:switch:{name}")
 
     # -- data path ------------------------------------------------------------
-    def store_page(self, page: int, kind: PageKind = PageKind.ANON,
-                   granularity: int = PAGE_SIZE):
-        """Offload one reclaimed page.
-
-        Returns True if the page was taken by a backend, False if it was
-        skipped (file-backed).
-        """
-        if kind != PageKind.ANON:
-            self.skipped_file_backed += 1
-            return False
+    def store_page(self, page: int, granularity: int = PAGE_SIZE):
+        """Offload one reclaimed anonymous page to the active backend."""
         if self._active is None:
             raise BackendUnavailableError(f"{self.name}: no active backend")
         # capture the active name once: a concurrent switch_to may complete
@@ -119,7 +110,6 @@ class SwapFrontend:
         yield from module.store(page, granularity=granularity)
         self._owner[page] = active
         self.stores += 1
-        return True
 
     def load_page(self, page: int, granularity: int = PAGE_SIZE):
         """Fault one page back in from whichever backend holds it.
@@ -171,17 +161,21 @@ class SwapFrontend:
         self._modules[owner].invalidate(page)
 
     def invalidate_pages(self, pages) -> None:
-        """Bulk :meth:`invalidate_page`, grouped per owning backend."""
+        """Bulk :meth:`invalidate_page`, grouped per owning backend, all or
+        none: every page is checked before any copy is dropped, and a
+        repeated page counts once."""
         owner_map = self._owner
         groups: dict[str, list[int]] = {}
-        for page in pages:
-            owner = owner_map.pop(page, None)
+        for page in dict.fromkeys(pages):
+            owner = owner_map.get(page)
             if owner is None:
                 raise BackendUnavailableError(
                     f"{self.name}: page {page} has no far copy")
             groups.setdefault(owner, []).append(page)
         for name, group in groups.items():
             self._modules[name].invalidate_pages(group)
+            for page in group:
+                del owner_map[page]
 
     def swapped_out(self, page: int) -> bool:
         """Whether ``page`` currently lives on some backend."""

@@ -40,13 +40,12 @@ replays the same tenant slices over and over passes one
 
 :func:`_engine` picks the engine for both
 :meth:`~repro.swap.executor.SwapExecutor.run` and
-:func:`~repro.swap.executor.run_tenants`; it is the only parser of
-``REPRO_REPLAY`` (``batch``, the default, or ``event``).
+:func:`~repro.swap.executor.run_tenants`; the reference per-access loop
+is a call of its own, :func:`~repro.swap.executor.run_event`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +61,11 @@ from repro.trace.schema import PageTrace
 
 __all__ = ["ReplayClassification", "SpanClassification", "ClassificationMemo",
            "classify_trace", "classify_span", "trace_mrc", "replay_run_multi",
-           "REPLAY_VERSION", "REPLAY_ENV"]
+           "REPLAY_VERSION"]
 
 #: Bumped whenever classification output could change; part of the
 #: on-disk classification cache key.
 REPLAY_VERSION = 1
-
-#: Environment variable selecting the replay engine ("batch" | "event").
-REPLAY_ENV = "REPRO_REPLAY"
 
 #: Accesses per aggregate admission window in phase 2.  Small enough that
 #: per-window latency attribution stays meaningful, large enough that a
@@ -623,26 +619,19 @@ def _tenant_group(executors, traces) -> tuple[list, list]:
     return executors, traces
 
 
-def _engine(executors, mode: str | None = None) -> str:
+def _engine(executors) -> str:
     """The engine a tenant group runs on: ``"batch"``, ``"hybrid"`` or
     ``"event"``.
 
     The one dispatcher behind :meth:`~repro.swap.executor.SwapExecutor.run`
-    and :func:`~repro.swap.executor.run_tenants`, and the only parser of
-    ``REPRO_REPLAY`` (``mode`` overrides it).  ``event`` when the mode
-    says so, when any tenant's stack is warm or its simulator busy, or
-    when any tenant's active device fails :func:`_batch_supported`.
-    Otherwise ``batch`` when no tenant has a failover controller or live
-    fault windows; with such hazards, ``hybrid`` for one tenant and
-    ``event`` for a contended group.
+    and :func:`~repro.swap.executor.run_tenants`.  ``event`` when any
+    tenant's stack is warm or its simulator busy, or when any tenant's
+    active device fails :func:`_batch_supported`.  Otherwise ``batch``
+    when no tenant has a failover controller or live fault windows; with
+    such hazards, ``hybrid`` for one tenant and ``event`` for a contended
+    group.
     """
-    if mode is None:
-        mode = os.environ.get(REPLAY_ENV, "batch")
-    if mode not in ("batch", "event"):
-        raise ConfigurationError(
-            f"unknown {REPLAY_ENV}={mode!r}; expected 'batch' or 'event'"
-        )
-    if mode == "event" or not all(
+    if not all(
         ex._cold_idle()
         and _batch_supported(ex.frontend.module(ex.frontend.active_backend).device)
         for ex in executors
@@ -671,7 +660,7 @@ def replay_run_multi(executors, traces, classify=None):
     patched module function sees every call.
     """
     executors, traces = _tenant_group(executors, traces)
-    if _engine(executors, "batch") != "batch":
+    if _engine(executors) != "batch":
         raise ConfigurationError(
             "replay_run_multi needs cold executors on an idle simulator, "
             "without failover or live fault windows, on devices batched "

@@ -18,12 +18,18 @@ path computes fast, kept here so that production holds one path:
   experiments on the grid, and they tally the console's ``TuneStats``
   (``scalar_runs`` and ``grid_runs``) once per scalar evaluation.
 
+:func:`assert_engines_agree` is the one differential harness the swap
+equivalence suites share: whatever engine the dispatcher picks must
+agree with the reference per-access loop,
+:func:`~repro.swap.executor.run_event`.
+
 ``benchmarks/perf_smoke.py`` times the reuse and tuner references
 (``reuse`` and ``tune`` suites).
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Callable
 from typing import Hashable
@@ -34,10 +40,11 @@ from repro.core.config import xdm_config
 from repro.core.console import ConfigDecision
 from repro.errors import ConfigurationError
 from repro.mem.reuse import COLD
+from repro.swap.executor import COUNTERS, run_event, run_tenants
 from repro.swap.pathmodel import SwapPathModel
 
 __all__ = ["reuse_distances_fenwick", "LRUCache", "grid_configure",
-           "grid_max_offload_under_slo"]
+           "grid_max_offload_under_slo", "assert_engines_agree"]
 
 
 def reuse_distances_fenwick(pages: np.ndarray) -> np.ndarray:
@@ -240,3 +247,74 @@ def grid_max_offload_under_slo(
         return 0.0, None
     return lo_ok
 
+
+def _assert_close(got, want, what, abs_tol=1e-12):
+    """``got`` equals ``want`` to float round-off (1e-9 relative)."""
+    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=abs_tol), (what, got, want)
+
+
+def assert_engines_agree(build, traces, warmup=None):
+    """Run ``traces`` through :func:`~repro.swap.executor.run_tenants` and
+    the reference :func:`~repro.swap.executor.run_event`, each on its own
+    ``build()`` (fresh executors, one per trace), and assert per tenant:
+
+    * exact ``COUNTERS`` and ``fault_latency.n``; ``stall_time`` to
+      round-off (graceful-degradation waits are ``recovery - sim.now``);
+    * the same end state: LRU lists and their order, touched set,
+      far-copy owners, frontend store/load counts and active backend;
+    * with one tenant, ``sim_time`` and the mean fault latency to 1e-9
+      (under contention the admission window is the quantum);
+    * with a failover controller, its failovers, detection and switch
+      times, and every monitor's reports, excluding report times (a
+      check inside a batch segment is stamped when its window's fault
+      step completes, not at the crossing fault).
+
+    ``warmup`` traces, if given, run first on each side through that
+    side's engine, so a stack warmed by whatever ``run_tenants`` picks
+    (batch, on a cold stack) must continue like one the reference loop
+    warmed; counters then cover both runs.
+
+    Returns the two executor lists, ``run_tenants``'s first.
+    """
+    got, want = build(), build()
+    for group in (traces,) if warmup is None else (warmup, traces):
+        run_tenants(got, group)
+        run_event(want, group)
+    for i, (g, w) in enumerate(zip(got, want)):
+        gr, wr = g.result, w.result
+        for c in COUNTERS:
+            assert getattr(gr, c) == getattr(wr, c), (i, c, getattr(gr, c), getattr(wr, c))
+        assert gr.fault_latency.n == wr.fault_latency.n, i
+        _assert_close(gr.stall_time, wr.stall_time, (i, "stall_time"), abs_tol=1e-15)
+        for lists in zip(g.lru.state_arrays(), w.lru.state_arrays()):
+            assert lists[0].tolist() == lists[1].tolist(), (i, "lru")
+        assert g._touched == w._touched, (i, "touched")
+        gf, wf = g.frontend, w.frontend
+        assert gf._owner == wf._owner, (i, "owners")
+        assert (gf.stores, gf.loads, gf.active_backend) == \
+            (wf.stores, wf.loads, wf.active_backend), i
+        if len(traces) == 1:
+            _assert_close(gr.sim_time, wr.sim_time, "sim_time")
+            if wr.fault_latency.n:
+                _assert_close(gr.fault_latency.mean, wr.fault_latency.mean, "latency")
+        if w.failover is not None:
+            _assert_controllers_agree(g.failover, w.failover)
+    return got, want
+
+
+def _assert_controllers_agree(got, want):
+    assert got.failovers == want.failovers
+    for attr in ("detected_at", "switched_at"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        if g is None or w is None:
+            assert g is w, attr
+        else:
+            _assert_close(g, w, attr)
+    assert sorted(got.monitors) == sorted(want.monitors)
+    for name, monitor in want.monitors.items():
+        reports = got.monitors[name].reports
+        assert len(reports) == len(monitor.reports), name
+        for g, w in zip(reports, monitor.reports):
+            assert (g.samples, g.healthy) == (w.samples, w.healthy), name
+            for attr in ("p50_latency", "p99_latency", "delivered_bandwidth"):
+                _assert_close(getattr(g, attr), getattr(w, attr), (name, attr))

@@ -20,7 +20,7 @@ from repro.faults import (
 )
 from repro.simcore import Simulator
 from repro.swap import SwapConfig, SwapExecutor
-from repro.swap.replay import REPLAY_ENV, _engine
+from repro.swap.replay import _engine
 from repro.trace import fuse
 from repro.workloads.generators import assemble, sequential_scan, zipf_accesses
 
@@ -234,9 +234,8 @@ def test_offline_without_standby_stalls_gracefully():
 
 
 # ------------------------------------------------- batch-engine gating
-def test_fault_plan_forces_event_engine(monkeypatch):
-    """REPRO_REPLAY=batch must leave pure batching under live faults."""
-    monkeypatch.setenv(REPLAY_ENV, "batch")
+def test_fault_plan_forces_event_engine():
+    """Live faults must leave pure batching."""
     sim = Simulator()
     plan = FaultPlan([LatencyFault(start=1.0, duration=0.1, factor=2.0)], seed=0)
     executor = SwapExecutor(sim, FaultyDevice(NVMeSSD(sim), plan),
@@ -248,8 +247,7 @@ def test_fault_plan_forces_event_engine(monkeypatch):
     assert res.accesses == 1500
 
 
-def test_empty_plan_keeps_batch_eligibility(monkeypatch):
-    monkeypatch.setenv(REPLAY_ENV, "batch")
+def test_empty_plan_keeps_batch_eligibility():
     sim = Simulator()
     executor = SwapExecutor(sim, FaultyDevice(NVMeSSD(sim), FaultPlan()),
                             BackendKind.SSD, local_pages=80)
@@ -262,7 +260,7 @@ def test_empty_plan_keeps_batch_eligibility(monkeypatch):
 def test_attached_failover_forces_event_engine():
     windows = [LatencyFault(start=1.0, duration=0.1, factor=2.0)]
     sim, executor, controller, trace = _failover_stack(windows)
-    assert _engine([executor], "batch") == "hybrid"
+    assert _engine([executor]) == "hybrid"
 
 
 # ------------------------------------------------- failover_study edge scale

@@ -8,8 +8,6 @@ Plus the determinism regression: two seeded runs produce identical event
 logs.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from repro.devices.registry import BackendKind
 from repro.errors import SanitizerError, SimulationError
 from repro.rng import derive
 from repro.simcore import FairShareLink, Resource, Simulator, sanitizer_enabled
-from repro.swap import SwapExecutor
+from repro.swap import SwapExecutor, run_event
 from repro.workloads.generators import assemble, zipf_accesses
 
 
@@ -245,17 +243,8 @@ def _event_log_for(seed):
     # pin the per-access event executor: the batched replay engine admits
     # whole windows, leaving too few DES events for a meaningful log diff
     log = []
-    saved = os.environ.get("REPRO_REPLAY")
-    os.environ["REPRO_REPLAY"] = "event"
-    try:
-        ex = _executor(sanitize=False, event_log=log)
-        ex.run(_trace(seed=seed))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_REPLAY", None)
-        else:
-            os.environ["REPRO_REPLAY"] = saved
-    return log, ex.result
+    ex = _executor(sanitize=False, event_log=log)
+    return log, run_event([ex], [_trace(seed=seed)])[0]
 
 
 def test_seeded_runs_produce_identical_event_logs():
@@ -278,15 +267,7 @@ def test_seeded_runs_identical_under_sanitizer_marker():
     """Sanitizer checks must not perturb the event stream."""
     log_a, _ = _event_log_for(seed=11)
     assert Simulator().sanitize  # marker took effect
-    saved = os.environ.get("REPRO_REPLAY")
-    os.environ["REPRO_REPLAY"] = "event"
-    try:
-        sim = Simulator(event_log=(log_c := []))
-        ex = SwapExecutor(sim, NVMeSSD(sim), BackendKind.SSD, local_pages=40)
-        ex.run(_trace(seed=11))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_REPLAY", None)
-        else:
-            os.environ["REPRO_REPLAY"] = saved
+    sim = Simulator(event_log=(log_c := []))
+    ex = SwapExecutor(sim, NVMeSSD(sim), BackendKind.SSD, local_pages=40)
+    run_event([ex], [_trace(seed=11)])
     assert log_c == log_a

@@ -24,8 +24,6 @@ a simulator with an ``event_log`` always takes:
 import dataclasses
 import functools
 import math
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,8 +46,7 @@ from repro.mem.page import PageOp
 from repro.rng import derive
 from repro.simcore import FairShareLink, Simulator
 from repro.simcore.bandwidth import _EPS_BYTES
-from repro.swap import SwapConfig, SwapExecutor
-from repro.swap.replay import REPLAY_ENV
+from repro.swap import SwapConfig, SwapExecutor, run_event, run_tenants
 from repro.trace import fuse
 from repro.trace.schema import make_trace
 from repro.units import PAGE_SIZE
@@ -327,8 +324,7 @@ def _clock_span(backend):
     """(t0, T) of a clean event run: fault windows sit at fractions of it."""
     sim, executor, _, _ = _stack(backend, [], "none", False, False)
     t0 = sim.now
-    with mock.patch.dict(os.environ, {REPLAY_ENV: "event"}):
-        return t0, executor.run(_trace()).sim_time
+    return t0, run_event([executor], [_trace()])[0].sim_time
 
 
 def _windows_for(backend, shape, failover):
@@ -394,12 +390,14 @@ def _assert_observations_equal(got, want):
             assert _same(g, w), (key, g, w)
 
 
-def _run_both(backend, windows, failover, sanitize):
+def _run_both(backend, windows, failover, sanitize, run):
+    """Run ``run([executor], [trace])`` on the heap and inline; they must
+    observe the same."""
     observed = []
     for heap in (True, False):
         sim, executor, controller, devices = _stack(backend, windows, failover,
                                                     sanitize, heap)
-        result = executor.run(_trace())
+        result = run([executor], [_trace()])[0]
         observed.append(_observe(sim, executor, controller, devices, result))
     heap_obs, inline_obs = observed
     _assert_observations_equal(inline_obs, heap_obs)
@@ -412,11 +410,9 @@ def _run_both(backend, windows, failover, sanitize):
 @pytest.mark.parametrize("shape", ["clean", "latency", "bandwidth", "transient",
                                    "offline"])
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))
-def test_inline_event_run_matches_heap(monkeypatch, backend, shape, failover,
-                                       sanitize):
-    monkeypatch.setenv(REPLAY_ENV, "event")
+def test_inline_event_run_matches_heap(backend, shape, failover, sanitize):
     obs = _run_both(backend, _windows_for(backend, shape, failover), failover,
-                    sanitize)
+                    sanitize, run_event)
     assert obs["result.faults"] > 100
     if failover == "switch":
         assert obs["switched_at"] is not None
@@ -425,25 +421,23 @@ def test_inline_event_run_matches_heap(monkeypatch, backend, shape, failover,
 @pytest.mark.faults
 @pytest.mark.parametrize("failover", ["none", "switch"])
 @pytest.mark.parametrize("backend", ["ssd", "rdma", "hdd"])
-def test_inline_hybrid_event_spans_match_heap(monkeypatch, backend, failover):
+def test_inline_hybrid_event_spans_match_heap(backend, failover):
     """The hybrid planner's event spans take the inline path too."""
-    monkeypatch.setenv(REPLAY_ENV, "batch")
     windows = _windows_for(backend, "latency", failover)
     for heap in (True, False):
         _, executor, _, _ = _stack(backend, windows, failover, False, heap)
         executor.run(_trace())
         assert executor.execution_plan is not None, "hybrid engine not taken"
         assert any(s.engine == "event" for s in executor.execution_plan.segments)
-    _run_both(backend, windows, failover, False)
+    _run_both(backend, windows, failover, False, run_tenants)
 
 
 @pytest.mark.faults
-def test_oracle_switch_stays_on_the_heap_until_it_fires(monkeypatch):
+def test_oracle_switch_stays_on_the_heap_until_it_fires():
     """``failover_study``'s oracle shape: a switch process sleeps until the
     fault onset while the executor runs; every wait before the switch
     completes goes through the heap, and the run matches a heap-forced
     one exactly."""
-    monkeypatch.setenv(REPLAY_ENV, "event")
     # a slow primary, so the run outlasts the standby's module start-up
     t0, span = _clock_span("hdd")
     windows = _windows("latency", t0, span)
@@ -472,7 +466,7 @@ def test_oracle_switch_stays_on_the_heap_until_it_fires(monkeypatch):
 
         sim.skip = recording_skip
         proc = sim.process(oracle(), name="oracle-switch")
-        result = executor.run(_trace())
+        result = run_event([executor], [_trace()])[0]
         sim.run(until=proc)
         obs = _observe(sim, executor, None, devices, result)
         obs["switched"] = switched[0]

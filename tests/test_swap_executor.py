@@ -54,12 +54,15 @@ def test_executor_faults_track_analytic_mrc():
 
 
 def test_executor_skips_file_backed():
+    """Section IV-A1: file-backed page operations skip the swap frontend."""
     pages = np.arange(200)
     kinds = np.where(pages % 2 == 0, PageKind.ANON, PageKind.FILE)
     trace = make_trace(np.tile(pages, 3), kinds=np.tile(kinds, 3))
-    _, res = _run(trace, local=50)
+    ex, res = _run(trace, local=50)
     assert res.file_skips == 300
     assert res.faults + res.cold_allocations + res.hits == 300
+    assert ex.frontend.stores > 0
+    assert not [p for p in ex.frontend._owner if p % 2]  # no file-backed far copy
 
 
 def test_executor_fits_entirely_no_faults():
@@ -106,8 +109,6 @@ def test_executor_validates():
     sim = Simulator()
     with pytest.raises(ConfigurationError):
         SwapExecutor(sim, NVMeSSD(sim), BackendKind.SSD, local_pages=1)
-    with pytest.raises(ConfigurationError):
-        SwapExecutor(sim, NVMeSSD(sim), BackendKind.SSD, local_pages=10, seq_ratio=2.0)
 
 
 def test_executor_sequential_cycling_faults_everything():

@@ -9,14 +9,14 @@ touched set, far ownership, active backend, controller event log) must be
 identical, and ``sim_time`` must agree to float round-off.  With a
 failover controller, every health monitor must file the same reports
 (sample counts and verdicts exactly, latency percentiles and delivered
-bandwidth to round-off).  The sweep here covers backends x fault-window
+bandwidth to round-off).  ``tests.oracles.assert_engines_agree`` checks
+all of it.  The sweep here covers backends x fault-window
 shapes x {with, without} a failover controller, including mid-run backend
 switches; the hypothesis property test pins the seam-state handoff
 invariant the planner is built on.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -41,17 +41,14 @@ from repro.mem import lru as lru_mod
 from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page import PageKind, PageOp
 from repro.simcore import Simulator
-from repro.swap import SwapConfig, SwapExecutor
+from repro.swap import SwapConfig, SwapExecutor, run_event
 from repro.swap.plan import ExecutionPlan
-from repro.swap.replay import REPLAY_ENV, _batch_supported, _engine, classify_span
+from repro.swap.replay import _batch_supported, _engine, classify_span
 from repro.trace import fuse
 from repro.trace.schema import make_trace
+from tests.oracles import assert_engines_agree
 
 pytestmark = pytest.mark.faults
-
-COUNTERS = ("accesses", "file_skips", "hits", "cold_allocations", "faults",
-            "swap_ins", "swap_outs", "clean_drops", "transient_retries",
-            "failovers")
 
 
 def _build_trace(seed, n, distinct, dist="zipf", store_ratio=0.3,
@@ -97,20 +94,6 @@ def _stack(windows, trace, device_cls=NVMeSSD, kind=BackendKind.SSD,
     return sim, executor, controller
 
 
-def _run_mode(mode, windows, trace, **kw):
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = mode
-    try:
-        sim, executor, controller = _stack(windows, trace, **kw)
-        result = executor.run(trace)
-        return result, executor, controller
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
-
-
 def _clock_span(trace, **kw):
     """(t0, T): sim time when the run starts, clean event-run duration.
 
@@ -118,74 +101,18 @@ def _clock_span(trace, **kw):
     advance the clock before the first access, so test plans place their
     windows at ``t0 + fraction * T``.
     """
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = "event"
-    try:
-        sim, executor, _ = _stack([], trace, **{k: v for k, v in kw.items()
-                                                if k != "failover"})
-        t0 = sim.now
-        res = executor.run(trace)
-        return t0, res.sim_time
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
+    sim, executor, _ = _stack([], trace, **{k: v for k, v in kw.items()
+                                            if k != "failover"})
+    t0 = sim.now
+    return t0, run_event([executor], [trace])[0].sim_time
 
 
-def _assert_time_equal(got, want):
-    """Clock timestamps agree to float round-off; None must match None."""
-    if want is None or got is None:
-        assert got == want
-    else:
-        assert got == pytest.approx(want, rel=1e-9)
-
-
-def _assert_reports_equal(hctl, ectl):
-    """Every monitor filed the same health reports on both engines.
-
-    Report *times* are not compared: a check inside a batch segment is
-    stamped when its window's fault step completes, not at the crossing
-    fault itself.
-    """
-    assert sorted(hctl.monitors) == sorted(ectl.monitors)
-    for name, monitor in ectl.monitors.items():
-        got, want = hctl.monitors[name].reports, monitor.reports
-        assert len(got) == len(want), name
-        for g, w in zip(got, want):
-            assert (g.samples, g.healthy) == (w.samples, w.healthy), name
-            for attr in ("p50_latency", "p99_latency", "delivered_bandwidth"):
-                assert getattr(g, attr) == pytest.approx(getattr(w, attr), rel=1e-9), \
-                    (name, attr)
-
-
-def _assert_equivalent(windows, trace, expect_hybrid=True, **kw):
-    hyb, hex_, hctl = _run_mode("batch", windows, trace, **kw)
-    ev, eex, ectl = _run_mode("event", windows, trace, **kw)
-    if expect_hybrid:
-        assert hex_.execution_plan is not None, "hybrid engine not taken"
-    for counter in COUNTERS:
-        assert getattr(hyb, counter) == getattr(ev, counter), counter
-    # stall waits are `recovery - sim.now`, so like sim_time they are
-    # clock-derived and agree to float round-off, not bit-for-bit
-    assert hyb.stall_time == pytest.approx(ev.stall_time, rel=1e-9, abs=1e-15)
-    assert hyb.sim_time == pytest.approx(ev.sim_time, rel=1e-9)
-    assert hyb.fault_latency.n == ev.fault_latency.n
-    if ev.fault_latency.n:
-        assert hyb.fault_latency.mean == pytest.approx(ev.fault_latency.mean)
-    h_act, h_inact = hex_.lru.state_arrays()
-    e_act, e_inact = eex.lru.state_arrays()
-    assert h_act.tolist() == e_act.tolist()
-    assert h_inact.tolist() == e_inact.tolist()
-    assert hex_._touched == eex._touched
-    assert hex_.frontend._owner == eex.frontend._owner
-    assert hex_.frontend.active_backend == eex.frontend.active_backend
-    if hctl is not None:
-        assert hctl.failovers == ectl.failovers
-        _assert_time_equal(hctl.detected_at, ectl.detected_at)
-        _assert_time_equal(hctl.switched_at, ectl.switched_at)
-        _assert_reports_equal(hctl, ectl)
-    return hyb, ev, hex_, eex
+def _assert_equivalent(windows, trace, **kw):
+    """The hybrid planner agrees with the per-access loop on ``_stack``."""
+    hex_, eex = assert_engines_agree(lambda: [_stack(windows, trace, **kw)[1]],
+                                     [trace])
+    assert hex_[0].execution_plan is not None, "hybrid engine not taken"
+    return hex_[0].result, eex[0].result, hex_[0], eex[0]
 
 
 # ------------------------------------------------- injected equivalence sweep
@@ -271,8 +198,10 @@ def test_unhealthy_check_inside_batch_segment_raises(monkeypatch):
     monkeypatch.setattr(HealthMonitor, "check", degraded)
     monkeypatch.setattr(FailoverController, "_best_target",
                         lambda self, name, report: name)
+    trace = _build_trace(5, 12000, 200)
+    _, executor, _ = _stack([], trace, failover=True)
     with pytest.raises(SimulationError, match="quiescent"):
-        _run_mode("batch", [], _build_trace(5, 12000, 200), failover=True)
+        executor.run(trace)
 
 
 def test_hybrid_matches_event_mid_run_switch():
@@ -332,23 +261,12 @@ def test_dead_windows_keep_pure_batch():
     trace = _build_trace(10, 8000, 150)
     # module start-up costs put sim.now ~0.9 at run start; [0, 0.01) is dead
     windows = [LatencyFault(start=0.0, duration=0.01, factor=50.0)]
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = "batch"
-    try:
-        sim, executor, _ = _stack(windows, trace)
-        assert sim.now > 0.01  # the window really is in the past
-        assert not executor._fault_injected()
-        assert _engine([executor]) == "batch"
-        res = executor.run(trace)
-        assert executor.execution_plan is None  # pure batch path taken
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
-    ev, _, _ = _run_mode("event", windows, trace)
-    for counter in COUNTERS:
-        assert getattr(res, counter) == getattr(ev, counter), counter
+    sim, executor, _ = _stack(windows, trace)
+    assert sim.now > 0.01  # the window really is in the past
+    assert not executor._fault_injected()
+    assert _engine([executor]) == "batch"
+    bex, _ = assert_engines_agree(lambda: [_stack(windows, trace)[1]], [trace])
+    assert bex[0].execution_plan is None  # pure batch path taken
 
 
 def test_far_future_windows_run_hybrid_all_batch():
@@ -367,7 +285,7 @@ def test_live_windows_force_hybrid_eligibility():
     sim, executor, _ = _stack(
         [LatencyFault(start=1e3, duration=1.0, factor=2.0)], trace)
     assert executor._fault_injected()
-    assert _engine([executor], "batch") == "hybrid"
+    assert _engine([executor]) == "hybrid"
     assert _batch_supported(executor.frontend.module("ssd").device)
 
 

@@ -1,16 +1,16 @@
 """Equivalence suite for the batched fault-replay engine.
 
 The batch engine's contract is exactness, not approximation: for every
-eligible run, all seven execution counters must equal the per-access
-event loop bit for bit, the end state (LRU lists *and order*, touched
-set, far-memory ownership) must be identical, and simulated time must
-agree within 1e-9 relative (float round-off; DESIGN.md §3.2).  Seeded
+eligible run, every execution counter must equal the per-access event
+loop bit for bit, the end state (LRU lists *and order*, touched set,
+far-memory ownership) must be identical, and simulated time must agree
+within 1e-9 relative (float round-off; DESIGN.md §3.2) —
+``tests.oracles.assert_engines_agree`` checks all of it.  Seeded
 distributions, file-backed mixes, a hypothesis property test, and the
 Mattson MRC cross-check lock this in.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import BackendKind, NVMeSSD, RDMANic
-from repro.errors import ConfigurationError
 from repro.mem import lru as lru_mod
 from repro.mem.lru import lru_replay
 from repro.mem.page import PageKind, PageOp
@@ -27,7 +26,6 @@ from repro.simcore import Simulator
 from repro.swap.executor import SwapExecutor
 from repro.swap.replay import (
     _CACHE_MIN_ANON,
-    REPLAY_ENV,
     ReplayClassification,
     _engine,
     _in_sorted,
@@ -36,10 +34,7 @@ from repro.swap.replay import (
 )
 from repro.trace.schema import make_trace
 from repro.units import PAGE_SIZE
-from tests.oracles import LRUCache
-
-COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
-            "swap_outs", "clean_drops", "file_skips")
+from tests.oracles import LRUCache, assert_engines_agree
 
 
 def _build_trace(seed, n, distinct, dist, store_ratio=0.3, file_ratio=0.0):
@@ -55,40 +50,14 @@ def _build_trace(seed, n, distinct, dist, store_ratio=0.3, file_ratio=0.0):
     return make_trace(pages, ops=ops, kinds=kinds)
 
 
-def _run_mode(trace, capacity, mode, device_cls=NVMeSSD, kind=BackendKind.SSD):
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = mode
-    try:
-        sim = Simulator()
-        executor = SwapExecutor(sim, device_cls(sim), kind, local_pages=capacity)
-        result = executor.run(trace)
-        return result, executor
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
+def _stack(capacity, device_cls=NVMeSSD, kind=BackendKind.SSD):
+    sim = Simulator()
+    return SwapExecutor(sim, device_cls(sim), kind, local_pages=capacity)
 
 
 def _assert_equivalent(trace, capacity, **kwargs):
-    batch, bex = _run_mode(trace, capacity, "batch", **kwargs)
-    event, eex = _run_mode(trace, capacity, "event", **kwargs)
-    for counter in COUNTERS:
-        assert getattr(batch, counter) == getattr(event, counter), counter
-    assert batch.sim_time == pytest.approx(event.sim_time, rel=1e-9)
-    assert batch.fault_latency.n == event.fault_latency.n
-    if event.fault_latency.n:
-        assert batch.fault_latency.mean == pytest.approx(event.fault_latency.mean)
-    # end state: list contents and order, touched set, far ownership
-    b_act, b_inact = bex.lru.state_arrays()
-    e_act, e_inact = eex.lru.state_arrays()
-    assert b_act.tolist() == e_act.tolist()
-    assert b_inact.tolist() == e_inact.tolist()
-    assert bex._touched == eex._touched
-    assert bex.frontend._owner == eex.frontend._owner
-    assert bex.frontend.stores == eex.frontend.stores
-    assert bex.frontend.loads == eex.frontend.loads
-    return batch, event
+    bex, eex = assert_engines_agree(lambda: [_stack(capacity, **kwargs)], [trace])
+    return bex[0], eex[0]
 
 
 @pytest.mark.parametrize("dist", ["uniform", "zipf", "sequential"])
@@ -100,8 +69,8 @@ def test_batch_matches_event_distributions(dist, seed):
 
 def test_batch_matches_event_with_file_backed_mix():
     trace = _build_trace(3, 6000, 300, "zipf", store_ratio=0.4, file_ratio=0.3)
-    batch, event = _assert_equivalent(trace, capacity=80)
-    assert event.file_skips > 0  # the mix actually exercised the skip path
+    _, eex = _assert_equivalent(trace, capacity=80)
+    assert eex.result.file_skips > 0  # the mix actually exercised the skip path
 
 
 def test_batch_matches_event_on_rdma():
@@ -124,7 +93,7 @@ def test_batch_matches_event_tiny_cache():
 def test_all_hits_no_des_activity():
     pages = np.tile(np.arange(10), 50)
     trace = make_trace(pages)
-    batch, _ = _run_mode(trace, 64, "batch")
+    batch = _stack(64).run(trace)
     assert batch.faults == 0 and batch.swap_outs == 0
     assert batch.cold_allocations == 10
     assert batch.sim_time == 0.0
@@ -133,8 +102,8 @@ def test_all_hits_no_des_activity():
 @pytest.mark.sanitize
 def test_batch_replay_passes_page_conservation():
     trace = _build_trace(7, 3000, 200, "uniform", store_ratio=0.5)
-    batch, executor = _run_mode(trace, 50, "batch")
-    assert batch.faults > 0
+    executor = _stack(50)
+    assert executor.run(trace).faults > 0
     executor.assert_page_conservation()
 
 
@@ -145,8 +114,8 @@ def test_device_byte_counters_match_across_engines():
     bytes, and swap traffic must land in the counters exactly as
     pages x PAGE_SIZE."""
     trace = _build_trace(16, 4000, 250, "zipf", store_ratio=0.5)
-    batch, bex = _run_mode(trace, 60, "batch")
-    event, eex = _run_mode(trace, 60, "event")
+    bex, eex = _assert_equivalent(trace, 60)
+    batch = bex.result
     b_dev = bex.frontend.module("ssd").device
     e_dev = eex.frontend.module("ssd").device
     assert batch.swap_ins > 0 and batch.swap_outs > 0
@@ -157,41 +126,25 @@ def test_device_byte_counters_match_across_engines():
     assert b_dev.bytes_written == batch.swap_outs * PAGE_SIZE
 
 
-def test_unknown_replay_mode_rejected():
-    trace = _build_trace(8, 100, 20, "uniform")
-    with pytest.raises(ConfigurationError):
-        _run_mode(trace, 10, "turbo")
-
-
 def test_warm_executor_falls_back_to_event_loop():
-    """A second run on the same executor is ineligible for batching and
-    must still produce what two event runs produce."""
+    """A second run on the same executor is ineligible for batching: the
+    batch-warmed stack continues on the event loop and must produce what
+    two per-access runs produce."""
     first = _build_trace(9, 2000, 150, "zipf")
     second = _build_trace(10, 2000, 150, "uniform")
-    saved = os.environ.get(REPLAY_ENV)
-    try:
-        results = {}
-        for mode in ("batch", "event"):
-            os.environ[REPLAY_ENV] = mode
-            sim = Simulator()
-            executor = SwapExecutor(sim, NVMeSSD(sim), BackendKind.SSD, local_pages=40)
-            executor.run(first)
-            results[mode] = executor.run(second)
-        for counter in COUNTERS:
-            assert getattr(results["batch"], counter) == getattr(results["event"], counter)
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
+    bex, eex = assert_engines_agree(lambda: [_stack(40)], [second], warmup=[first])
+    # the per-access loop samples progress and batched admission does not:
+    # only the second run on the batch side took the event loop
+    assert 0 < len(bex[0].progress) < len(eex[0].progress)
 
 
 def test_replay_run_requires_consistent_classification():
     """Batch admission applied twice would double-adopt far pages, so a
     second run on the same executor takes the event loop."""
     trace = _build_trace(11, 2000, 150, "uniform")
-    _, executor = _run_mode(trace, 40, "batch")
-    assert _engine([executor], "batch") == "event"  # warm now
+    executor = _stack(40)
+    executor.run(trace)
+    assert _engine([executor]) == "event"  # warm now
 
 
 # -- classification cache ----------------------------------------------------
@@ -321,13 +274,4 @@ def test_property_batch_equals_event(pages, capacity, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_CACHE", "0")
         mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
-        batch, bex = _run_mode(trace, capacity, "batch")
-    event, eex = _run_mode(trace, capacity, "event")
-    for counter in COUNTERS:
-        assert getattr(batch, counter) == getattr(event, counter), counter
-    assert batch.sim_time == pytest.approx(event.sim_time, rel=1e-9)
-    b_act, b_inact = bex.lru.state_arrays()
-    e_act, e_inact = eex.lru.state_arrays()
-    assert b_act.tolist() == e_act.tolist()
-    assert b_inact.tolist() == e_inact.tolist()
-    assert bex.frontend._owner == eex.frontend._owner
+        _assert_equivalent(trace, capacity)

@@ -3,9 +3,9 @@
 The contract has two independently checked sides (DESIGN.md §3.2):
 
 * **counters** — bit-identical per tenant to the concurrent per-access
-  event loop, for any tenant count: classification is timing-independent,
-  so contention can reorder I/O but never change which accesses hit,
-  fault, or evict;
+  event loop (``tests.oracles.assert_engines_agree``), for any tenant
+  count: classification is timing-independent, so contention can
+  reorder I/O but never change which accesses hit, fault, or evict;
 * **timing and bookings** — phase 2 admits each window's aggregate step
   through the event engine itself, so at one tenant ``sim_time`` matches
   the per-access loop to round-off, and under contention the device's
@@ -16,8 +16,6 @@ PCIe-switch topologies, engine routing (warm tenants, devices batched
 admission does not model, fault-wrapped devices with no live window),
 and a hypothesis property test.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -32,16 +30,12 @@ from repro.mem import lru as lru_mod
 from repro.mem.page import PageOp
 from repro.simcore import Simulator
 from repro.swap import replay as replay_mod
-from repro.swap.executor import SwapExecutor, make_contended_executors, run_tenants
-from repro.swap.replay import REPLAY_ENV, ClassificationMemo, _engine, replay_run_multi
+from repro.swap.executor import (
+    COUNTERS, SwapExecutor, make_contended_executors, run_event, run_tenants)
+from repro.swap.replay import ClassificationMemo, _engine, replay_run_multi
 from repro.topology.pcie import PCIeSwitch
 from repro.trace.schema import make_trace
-
-COUNTERS = ("accesses", "hits", "faults", "cold_allocations", "swap_ins",
-            "swap_outs", "clean_drops", "file_skips")
-
-#: one-tenant batch-vs-per-access-loop ``sim_time`` tolerance
-TIME_RTOL = 1e-9
+from tests.oracles import assert_engines_agree
 
 DISTS = ("uniform", "zipf", "sequential")
 
@@ -65,55 +59,34 @@ def _tenant_traces(n_tenants, seed0=0, n=4000, distinct=300):
     ]
 
 
-def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90,
-            sanitize=False, switch=False, classify=None):
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = mode
-    try:
-        sim = Simulator(sanitize=sanitize)
-        sw = PCIeSwitch(sim) if switch else None
-        device = make_device(sim, kind, switch=sw)
-        executors = make_contended_executors(
-            sim, device, kind, len(traces), local_pages=local_pages
-        )
-        return run_tenants(executors, traces, classify), executors
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
+def _stack(n_tenants, kind=BackendKind.SSD, local_pages=90, sanitize=False,
+           switch=False):
+    sim = Simulator(sanitize=sanitize)
+    sw = PCIeSwitch(sim) if switch else None
+    device = make_device(sim, kind, switch=sw)
+    return make_contended_executors(sim, device, kind, n_tenants,
+                                    local_pages=local_pages)
+
+
+def _run(traces, classify=None, **kwargs):
+    executors = _stack(len(traces), **kwargs)
+    return run_tenants(executors, traces, classify), executors
 
 
 def _assert_mt_equivalent(traces, kernel_epochs=(None,), **kwargs):
-    """Batch vs concurrent event loops: counters, LRU end state, touched
-    set, far-copy owners and frontend counts.
-
-    The batch runs repeat per entry of ``kernel_epochs``: None keeps the
-    LRU's real two-scan kernel threshold, a number patches it down.  They
-    run with the artifact cache off, so every run classifies on the path
-    it forces instead of loading another path's result.
-    """
-    event, eex = _run_mt(traces, "event", **kwargs)
+    """:func:`assert_engines_agree` on one shared device, once per entry
+    of ``kernel_epochs``: None keeps the LRU's real two-scan kernel
+    threshold, a number patches it down.  The artifact cache is off, so
+    every batch run classifies on the path it forces instead of loading
+    another path's result.  Returns the last pair of executor lists."""
     for kernel_epoch in kernel_epochs:
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_CACHE", "0")
             if kernel_epoch is not None:
                 mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
-            batch, bex = _run_mt(traces, "batch", **kwargs)
-        for i in range(len(traces)):
-            for counter in COUNTERS:
-                assert getattr(batch[i], counter) == getattr(event[i], counter), \
-                    (i, counter)
-            assert batch[i].fault_latency.n == event[i].fault_latency.n
-            b_act, b_inact = bex[i].lru.state_arrays()
-            e_act, e_inact = eex[i].lru.state_arrays()
-            assert b_act.tolist() == e_act.tolist()
-            assert b_inact.tolist() == e_inact.tolist()
-            assert bex[i]._touched == eex[i]._touched
-            assert bex[i].frontend._owner == eex[i].frontend._owner
-            assert bex[i].frontend.stores == eex[i].frontend.stores
-            assert bex[i].frontend.loads == eex[i].frontend.loads
-    return batch, event
+            bex, eex = assert_engines_agree(
+                lambda: _stack(len(traces), **kwargs), traces)
+    return bex, eex
 
 
 @pytest.mark.parametrize("kind", [BackendKind.SSD, BackendKind.RDMA])
@@ -129,19 +102,17 @@ def test_mt_sweep_backends_tenants_distributions(kind, n_tenants):
 
 def test_single_tenant_batch_matches_per_access_loop():
     """At N=1 the window is degenerate: windowed admission must match the
-    *per-access* event loop to round-off."""
+    *per-access* event loop to round-off (the harness checks ``sim_time``
+    at one tenant)."""
     for dist in DISTS:
-        traces = [_build_trace(42, 4000, 300, dist)]
-        batch, _ = _run_mt(traces, "batch")
-        event, _ = _run_mt(traces, "event")
-        assert batch[0].sim_time == pytest.approx(event[0].sim_time, rel=TIME_RTOL)
+        _assert_mt_equivalent([_build_trace(42, 4000, 300, dist)])
 
 
 def test_mt_single_channel_backend_queueing():
     """HDD has one channel: phase 2 is FCFS-queue dominated."""
     traces = _tenant_traces(4, seed0=77, n=2500, distinct=250)
-    batch, _ = _assert_mt_equivalent(traces, kind=BackendKind.HDD)
-    assert any(r.faults for r in batch)
+    bex, _ = _assert_mt_equivalent(traces, kind=BackendKind.HDD)
+    assert any(ex.result.faults for ex in bex)
 
 
 def test_mt_shared_switch_three_stage_path():
@@ -154,35 +125,26 @@ def test_mt_shared_switch_three_stage_path():
 def test_mt_cross_device_contention_on_switch():
     """Two devices of different kinds under one switch, two tenants each:
     contention meets only at the shared switch pipe."""
-    saved = os.environ.get(REPLAY_ENV)
-    results = {}
-    try:
-        for mode in ("batch", "event"):
-            os.environ[REPLAY_ENV] = mode
-            sim = Simulator()
-            sw = PCIeSwitch(sim)
-            d_ssd = make_device(sim, BackendKind.SSD, switch=sw)
-            d_rdma = make_device(sim, BackendKind.RDMA, switch=sw)
-            executors = (
-                make_contended_executors(sim, d_ssd, BackendKind.SSD, 2, local_pages=80)
-                + make_contended_executors(sim, d_rdma, BackendKind.RDMA, 2, local_pages=80)
-            )
-            results[mode] = run_tenants(executors, _tenant_traces(4, seed0=55))
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
-    batch, event = results["batch"], results["event"]
-    for i in range(4):
-        for counter in COUNTERS:
-            assert getattr(batch[i], counter) == getattr(event[i], counter), (i, counter)
+    def build():
+        sim = Simulator()
+        sw = PCIeSwitch(sim)
+        d_ssd = make_device(sim, BackendKind.SSD, switch=sw)
+        d_rdma = make_device(sim, BackendKind.RDMA, switch=sw)
+        return (
+            make_contended_executors(sim, d_ssd, BackendKind.SSD, 2, local_pages=80)
+            + make_contended_executors(sim, d_rdma, BackendKind.RDMA, 2, local_pages=80)
+        )
+
+    assert_engines_agree(build, _tenant_traces(4, seed0=55))
 
 
 def test_mt_event_engine_forced():
-    """REPRO_REPLAY=event must bypass batching even for eligible tenants."""
+    """``run_event`` runs the per-access loop even for tenants the batch
+    engine would take."""
     traces = _tenant_traces(2, seed0=91)
-    _, executors = _run_mt(traces, "event")
+    executors = _stack(2)
+    assert _engine(executors) == "batch"
+    run_event(executors, traces)
     # the per-access loop samples progress every 256 accesses; batched
     # admission records no progress samples
     assert len(executors[0].progress) > 0
@@ -191,31 +153,14 @@ def test_mt_event_engine_forced():
 def test_mt_warm_tenant_falls_back_to_event_loop():
     """One warm tenant makes the whole group ineligible; results must
     still match an all-event run."""
-    saved = os.environ.get(REPLAY_ENV)
-    try:
-        per_mode = {}
-        for mode in ("batch", "event"):
-            os.environ[REPLAY_ENV] = mode
-            sim = Simulator()
-            device = make_device(sim, BackendKind.SSD)
-            executors = make_contended_executors(
-                sim, device, BackendKind.SSD, 2, local_pages=60
-            )
-            # warm up tenant 0 so _engine sends the group to the event loop
-            os.environ[REPLAY_ENV] = "event"
-            executors[0].run(_build_trace(7, 800, 100, "zipf"))
-            os.environ[REPLAY_ENV] = mode
-            run_tenants(executors, _tenant_traces(2, seed0=13, n=2000, distinct=200))
-            per_mode[mode] = [ex.result for ex in executors]
-        for i in range(2):
-            for counter in COUNTERS:
-                assert getattr(per_mode["batch"][i], counter) == \
-                    getattr(per_mode["event"][i], counter), (i, counter)
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
+    def build():
+        executors = _stack(2, local_pages=60)
+        # warm up tenant 0 so _engine sends the group to the event loop
+        run_event(executors[:1], [_build_trace(7, 800, 100, "zipf")])
+        assert _engine(executors) == "event"
+        return executors
+
+    assert_engines_agree(build, _tenant_traces(2, seed0=13, n=2000, distinct=200))
 
 
 def test_mt_validation_errors():
@@ -237,16 +182,17 @@ def test_mt_validation_errors():
 
 
 @pytest.mark.parametrize("mode", ["batch", "event"])
-def test_run_tenants_rejects_repeated_executor(mode, monkeypatch):
+def test_run_tenants_rejects_repeated_executor(mode):
     """The group check runs before any engine starts: one executor listed
-    twice is refused in both modes, not replayed twice on the event loop."""
-    monkeypatch.setenv(REPLAY_ENV, mode)
+    twice is refused by both entry points, not replayed twice on the
+    event loop."""
+    run = {"batch": run_tenants, "event": run_event}[mode]
     sim = Simulator()
     executor = SwapExecutor(sim, make_device(sim, BackendKind.SSD),
                             BackendKind.SSD, local_pages=20)
     traces = [_build_trace(seed, 2000, 30, "uniform") for seed in (1, 2)]
     with pytest.raises(ConfigurationError, match="distinct"):
-        run_tenants([executor, executor], traces)
+        run([executor, executor], traces)
 
 
 class _OwnIOPathSSD(NVMeSSD):
@@ -257,53 +203,38 @@ class _OwnIOPathSSD(NVMeSSD):
         return (yield from super()._io(nbytes, write, granularity))
 
 
+def _unmodelled_stack(n_tenants):
+    sim = Simulator()
+    return make_contended_executors(sim, _OwnIOPathSSD(sim), BackendKind.SSD,
+                                    n_tenants, local_pages=60)
+
+
 @pytest.mark.parametrize("n_tenants", [1, 2])
-def test_unmodelled_device_runs_event_engine(n_tenants, monkeypatch):
+def test_unmodelled_device_runs_event_engine(n_tenants):
     """A device batched admission does not model takes the per-access
-    loop under ``REPRO_REPLAY=batch``, solo or contended."""
+    loop, solo or contended."""
     traces = _tenant_traces(n_tenants, seed0=95, n=2000, distinct=200)
-    runs = {}
-    for mode in ("batch", "event"):
-        monkeypatch.setenv(REPLAY_ENV, mode)
-        sim = Simulator()
-        executors = make_contended_executors(
-            sim, _OwnIOPathSSD(sim), BackendKind.SSD, n_tenants, local_pages=60)
-        assert _engine(executors) == "event"
-        runs[mode] = (run_tenants(executors, traces), executors)
-    (batch, bex), (event, eex) = runs["batch"], runs["event"]
-    for i in range(n_tenants):
-        for counter in COUNTERS:
-            assert getattr(batch[i], counter) == getattr(event[i], counter), (i, counter)
-        assert batch[i].sim_time == event[i].sim_time  # simlint: ignore[UNIT002] -- same engine: bit-identity is the property under test
-        assert bex[i].frontend._owner == eex[i].frontend._owner
+    assert _engine(_unmodelled_stack(n_tenants)) == "event"
+    bex, eex = assert_engines_agree(lambda: _unmodelled_stack(n_tenants), traces)
+    for b, e in zip(bex, eex):
+        assert b.result.sim_time == e.result.sim_time  # simlint: ignore[UNIT002] -- same engine: bit-identity is the property under test
 
 
-def test_shared_faulty_device_without_live_window_batches(monkeypatch):
+def test_shared_faulty_device_without_live_window_batches():
     """Two tenants on one fault-wrapped device with an empty plan take the
     batch engine: admission unwraps the wrapper, and counters equal the
     concurrent event loops."""
-    traces = _tenant_traces(2, seed0=97)
-
     def build():
         sim = Simulator()
         device = FaultyDevice(make_device(sim, BackendKind.SSD), FaultPlan())
         return make_contended_executors(sim, device, BackendKind.SSD, 2,
                                         local_pages=90)
 
-    monkeypatch.setenv(REPLAY_ENV, "batch")
-    bex = build()
-    assert _engine(bex) == "batch"
-    batch = run_tenants(bex, traces)
+    assert _engine(build()) == "batch"
+    bex, _ = assert_engines_agree(build, _tenant_traces(2, seed0=97))
     # batched admission records no progress samples
     assert len(bex[0].progress) == 0
-    monkeypatch.setenv(REPLAY_ENV, "event")
-    eex = build()
-    event = run_tenants(eex, traces)
-    for i in range(2):
-        assert batch[i].faults
-        for counter in COUNTERS:
-            assert getattr(batch[i], counter) == getattr(event[i], counter), (i, counter)
-        assert bex[i].frontend._owner == eex[i].frontend._owner
+    assert all(ex.result.faults for ex in bex)
 
 
 def test_mt_all_hit_tenant_finishes_instantly():
@@ -311,36 +242,23 @@ def test_mt_all_hit_tenant_finishes_instantly():
     sim_time is zero while co-tenants still pay for their faults."""
     quiet = make_trace(np.tile(np.arange(10), 100))
     noisy = _build_trace(5, 3000, 300, "uniform")
-    batch, _ = _run_mt([quiet, noisy], "batch", local_pages=64)
-    event, _ = _run_mt([quiet, noisy], "event", local_pages=64)
-    assert batch[0].faults == 0 and batch[0].sim_time == 0.0
-    for counter in COUNTERS:
-        assert getattr(batch[1], counter) == getattr(event[1], counter)
+    bex, _ = _assert_mt_equivalent([quiet, noisy], local_pages=64)
+    assert bex[0].result.faults == 0 and bex[0].result.sim_time == 0.0
+    assert bex[1].result.faults > 0
 
 
-def test_mt_batch_bookings_match_event_loop(monkeypatch):
+def test_mt_batch_bookings_match_event_loop():
     """Four tenants on one single-channel HDD: batched admission books the
     device's ops and wire bytes exactly as the concurrent per-access loops
     do, and moves the same payload through the media pipes."""
     traces = _tenant_traces(4, seed0=21, n=3000)
-    stats = {}
-    for mode in ("batch", "event"):
-        monkeypatch.setenv(REPLAY_ENV, mode)
-        sim = Simulator()
-        device = make_device(sim, BackendKind.HDD)
-        executors = make_contended_executors(
-            sim, device, BackendKind.HDD, 4, local_pages=90
-        )
-        run_tenants(executors, traces)
-        stats[mode] = (
-            (device.ops, device.bytes_read, device.bytes_written),
-            (device._media_read.total_bytes, device._media_write.total_bytes),
-        )
-    (b_dev, b_pipes), (e_dev, e_pipes) = stats["batch"], stats["event"]
-    assert b_dev == e_dev
-    assert b_dev[0] > 0 and b_dev[2] > 0
-    for b, e in zip(b_pipes, e_pipes):
-        assert b == pytest.approx(e, rel=1e-9)
+    bex, eex = _assert_mt_equivalent(traces, kind=BackendKind.HDD)
+    b, e = (ex[0].frontend.module("hdd").device for ex in (bex, eex))
+    assert (b.ops, b.bytes_read, b.bytes_written) == \
+        (e.ops, e.bytes_read, e.bytes_written)
+    assert b.ops > 0 and b.bytes_written > 0
+    for bp, ep in ((b._media_read, e._media_read), (b._media_write, e._media_write)):
+        assert bp.total_bytes == pytest.approx(ep.total_bytes, rel=1e-9)
 
 
 @pytest.mark.sanitize
@@ -349,7 +267,7 @@ def test_mt_batch_passes_sanitizer():
     event invariants while the batch steps are admitted, plus page
     conservation."""
     traces = _tenant_traces(4, seed0=17)
-    batch, executors = _run_mt(traces, "batch", sanitize=True, switch=True)
+    batch, executors = _run(traces, sanitize=True, switch=True)
     assert any(r.faults for r in batch)
     for ex in executors:
         ex.assert_page_conservation()
@@ -362,10 +280,10 @@ def test_memo_hook_matches_default_hook(n_tenants):
     """A memo changes no outcome: counters, LRU end state and sim_time are
     bit-identical to the default hook, on a fresh memo and on a warm one."""
     traces = _tenant_traces(n_tenants, seed0=60)
-    ref, rex = _run_mt(traces, "batch")
+    ref, rex = _run(traces)
     memo = ClassificationMemo()
     for _ in range(2):  # miss, then hit
-        got, gex = _run_mt(traces, "batch", classify=memo)
+        got, gex = _run(traces, memo)
         for i in range(n_tenants):
             for counter in COUNTERS:
                 assert getattr(got[i], counter) == getattr(ref[i], counter), \
@@ -396,9 +314,9 @@ def test_memo_classifies_each_distinct_key_once(monkeypatch):
     memo = ClassificationMemo()
     for kind in (BackendKind.SSD, BackendKind.RDMA):
         for trace in slices:
-            _run_mt([trace], "batch", kind=kind, local_pages=64, classify=memo)
+            _run([trace], memo, kind=kind, local_pages=64)
         for n in (2, 4, 6):
-            _run_mt(slices[:n], "batch", kind=kind, local_pages=64, classify=memo)
+            _run(slices[:n], memo, kind=kind, local_pages=64)
     distinct = {(t.content_digest(), 64, 0.5) for t in slices}
     assert sorted(calls) == sorted(distinct)
     assert len(calls) == 4
@@ -422,13 +340,14 @@ def _refusing_hook(trace, capacity, active_ratio=0.5):
 
 @pytest.mark.parametrize("n_tenants", [1, 3])
 def test_event_engine_never_calls_hook(n_tenants):
-    results, _ = _run_mt(_tenant_traces(n_tenants, seed0=70), "event",
-                         classify=_refusing_hook)
+    """A group the dispatcher sends to the event loop ignores the hook."""
+    results = run_tenants(_unmodelled_stack(n_tenants),
+                          _tenant_traces(n_tenants, seed0=70),
+                          classify=_refusing_hook)
     assert all(r.accesses for r in results)
 
 
-def test_hybrid_engine_never_calls_hook(monkeypatch):
-    monkeypatch.setenv(REPLAY_ENV, "batch")
+def test_hybrid_engine_never_calls_hook():
     sim = Simulator()
     device = FaultyDevice(make_device(sim, BackendKind.SSD), FaultPlan())
     executor = SwapExecutor(sim, device, BackendKind.SSD, local_pages=90)
@@ -451,16 +370,10 @@ def test_hybrid_engine_never_calls_hook(monkeypatch):
     local_pages=st.integers(min_value=8, max_value=60),
 )
 def test_property_mt_batch_equals_event(seeds, n, distinct, local_pages):
-    """Batch counters and far-copy owners equal the concurrent event
-    loops' on random tenant groups."""
+    """Batch counters and end state equal the concurrent event loops' on
+    random tenant groups."""
     traces = [
         _build_trace(seed, n, distinct, DISTS[i % len(DISTS)])
         for i, seed in enumerate(seeds)
     ]
-    batch, bex = _run_mt(traces, "batch", local_pages=local_pages)
-    event, eex = _run_mt(traces, "event", local_pages=local_pages)
-    for i in range(len(traces)):
-        for counter in COUNTERS:
-            assert getattr(batch[i], counter) == getattr(event[i], counter), \
-                (i, counter)
-        assert bex[i].frontend._owner == eex[i].frontend._owner
+    _assert_mt_equivalent(traces, local_pages=local_pages)

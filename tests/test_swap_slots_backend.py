@@ -9,7 +9,6 @@ from repro.errors import (
     SwapError,
     SwitchInProgressError,
 )
-from repro.mem.page import PageKind
 from repro.simcore import Simulator
 from repro.swap import SwapFrontend, build_backend_module
 from repro.units import PAGE_SIZE
@@ -132,19 +131,23 @@ def test_frontend_switch_and_store():
     assert fe.active_backend is None
     sim.run(until=fe.switch_to("ssd"))
     assert fe.active_backend == "ssd"
-    assert _run(sim, fe.store_page(1)) is True
+    _run(sim, fe.store_page(1))
     assert fe.swapped_out(1)
 
 
-def test_frontend_skips_file_backed_pages():
-    """Section IV-A1: the frontend skips file-backed page operations."""
+def test_frontend_bulk_invalidate_is_all_or_nothing():
+    """A batch with a page that has no far copy raises before any copy is
+    dropped; a repeated page counts once."""
     sim = Simulator()
     fe = _frontend_with_two_backends(sim)
     sim.run(until=fe.switch_to("ssd"))
-    taken = _run(sim, fe.store_page(9, kind=PageKind.FILE))
-    assert taken is False
-    assert fe.skipped_file_backed == 1
-    assert not fe.swapped_out(9)
+    fe.adopt_far_pages([1, 2])
+    with pytest.raises(BackendUnavailableError):
+        fe.invalidate_pages([1, 99])
+    assert fe.owner_of(1) == "ssd" and fe.module("ssd").holds(1)
+    assert fe.resident_far_pages == fe.module("ssd").resident_pages == 2
+    fe.invalidate_pages([1, 2, 1])
+    assert fe.resident_far_pages == fe.module("ssd").resident_pages == 0
 
 
 def test_frontend_lazy_migration_across_switch():
