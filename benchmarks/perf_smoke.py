@@ -324,13 +324,19 @@ def _injected_windows(trace, local_pages: int):
     costs advance the clock before the first access, so the windows are
     placed at fractions of the measured clean span ``[t0, t0 + T]``.
     Total in-window time is ~1.8 % of the span — the sparse-fault regime
-    the hybrid planner exists for.
+    the hybrid planner exists for.  A clean run that never faults spans
+    no simulated time, so the suite stops there with a one-line error.
     """
     from repro.faults import BandwidthFault, LatencyFault, TransientFault
 
     executor, = _ssd_tenants(1, local_pages)
     t0 = executor.sim.now
     span = executor.run(trace).sim_time
+    if not span > 0:
+        raise SystemExit(
+            f"perf_smoke: the clean run of {len(trace)} accesses over "
+            f"{local_pages} local pages never faults (sim_time {span}), so "
+            "no fault window can be placed; use a larger --accesses")
     windows = [
         LatencyFault(start=t0 + 0.25 * span, duration=0.006 * span,
                      factor=8.0),

@@ -26,7 +26,7 @@ class LocalMemoryAllocator:
     """Byte-granular accounting of one pool of local DRAM."""
 
     def __init__(self, capacity: int, name: str = "") -> None:
-        if capacity <= 0:
+        if not capacity > 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.name = name
@@ -40,7 +40,7 @@ class LocalMemoryAllocator:
 
     def charge(self, nbytes: int) -> None:
         """Account an allocation; raises :class:`CapacityError` when full."""
-        if nbytes < 0:
+        if not nbytes >= 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         if self.used + nbytes > self.capacity:
             raise CapacityError(
@@ -52,7 +52,7 @@ class LocalMemoryAllocator:
 
     def uncharge(self, nbytes: int) -> None:
         """Release a previous charge."""
-        if nbytes < 0 or nbytes > self.used:
+        if not 0 <= nbytes <= self.used:
             raise ValueError(f"uncharge({nbytes}) invalid with used={self.used}")
         self.used -= nbytes
 
@@ -72,9 +72,9 @@ class CgroupMemoryLimiter:
         page_size: int = PAGE_SIZE,
         name: str = "",
     ) -> None:
-        if limit_bytes <= 0:
+        if not limit_bytes > 0:
             raise ConfigurationError(f"limit_bytes must be positive, got {limit_bytes}")
-        if page_size <= 0:
+        if not page_size > 0:
             raise ConfigurationError(f"page_size must be positive, got {page_size}")
         self.limit_bytes = limit_bytes
         self.reclaim = reclaim
@@ -112,13 +112,13 @@ class CgroupMemoryLimiter:
 
     def uncharge_page(self, n: int = 1) -> None:
         """Release ``n`` resident pages (process exit, madvise(DONTNEED))."""
-        if n < 0 or n > self.resident_pages:
+        if not 0 <= n <= self.resident_pages:
             raise ValueError(f"uncharge_page({n}) invalid with resident={self.resident_pages}")
         self.resident_pages -= n
 
     def set_limit(self, limit_bytes: int) -> None:
         """Rewrite memory.high; reclaims immediately if now over."""
-        if limit_bytes <= 0:
+        if not limit_bytes > 0:
             raise ConfigurationError(f"limit_bytes must be positive, got {limit_bytes}")
         self.limit_bytes = limit_bytes
         over = self.resident_pages - self.limit_pages
@@ -140,7 +140,7 @@ class CgroupMemoryLimiter:
             raise ConfigurationError(
                 f"fm_ratio must be in [0, {MAX_FM_RATIO}], got {fm_ratio}"
             )
-        if working_set_bytes <= 0:
+        if not working_set_bytes > 0:
             raise ConfigurationError("working_set_bytes must be positive")
         local = max(self.page_size, int(working_set_bytes * (1.0 - fm_ratio)))
         self.set_limit(local)

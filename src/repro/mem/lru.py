@@ -31,6 +31,15 @@ own :meth:`~ActiveInactiveLRU.access`, and for :func:`lru_replay` the
 per-access exact LRU ``tests.oracles.LRUCache`` (the equivalence tests
 lock both in); they are what the batched fault-replay engine
 (:mod:`repro.swap.replay`) is built on.
+
+An ``ActiveInactiveLRU`` holds its lists in one of two forms.  After a
+kernel replay or a :meth:`~ActiveInactiveLRU.restore_state` it keeps them
+as the kernel's read-only ``(active, inactive)`` int64 arrays, which
+:meth:`~ActiveInactiveLRU.state_arrays` hands out and the next kernel
+call takes in without a copy; the first per-access call (``access``,
+``discard``, ``in``, ``resize``, the per-access replay loop) builds the
+``OrderedDict`` form from them once.  Between batched replays the lists
+are therefore never converted at all.
 """
 
 from __future__ import annotations
@@ -64,6 +73,14 @@ _DIRECT_ID_SPAN = 4
 
 #: First-touch position of an epoch-start entry not touched in the epoch.
 _UNTOUCHED = np.iinfo(np.int64).max
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only int64 array, copied unless it already is one."""
+    if a.dtype != np.int64 or a.flags.writeable:
+        a = np.array(a, dtype=np.int64)
+        a.flags.writeable = False
+    return a
 
 
 class LRUReplayLog:
@@ -139,6 +156,11 @@ class ActiveInactiveLRU:
 
     ``active_ratio`` bounds the protected share, as the kernel's
     inactive_ratio heuristic does.
+
+    The lists live either as two ``OrderedDict`` (dict form, what the
+    per-access methods work on) or as two read-only int64 arrays, LRU-
+    first (array form, what batched replays and :meth:`restore_state`
+    leave); see the module docstring.
     """
 
     def __init__(
@@ -154,32 +176,62 @@ class ActiveInactiveLRU:
         self.capacity = capacity
         self.active_ratio = active_ratio
         self.on_evict = on_evict
-        self._active: OrderedDict[Hashable, None] = OrderedDict()
-        self._inactive: OrderedDict[Hashable, None] = OrderedDict()
+        #: the lists in dict form; both None in array form
+        self._active: OrderedDict[Hashable, None] | None = OrderedDict()
+        self._inactive: OrderedDict[Hashable, None] | None = OrderedDict()
+        #: the lists in array form; None in dict form
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self.hits = 0
         self.misses = 0
         self.promotions = 0
         self.demotions = 0
         self.evictions = 0
 
+    def _to_dicts(self) -> None:
+        """Switch to dict form: build the lists' ``OrderedDict`` once."""
+        act, inact = self._arrays
+        self._active = OrderedDict.fromkeys(act.tolist())
+        self._inactive = OrderedDict.fromkeys(inact.tolist())
+        self._arrays = None
+
+    def _to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Switch to array form (the kernel replaces the lists anyway)."""
+        if self._arrays is None:
+            self._set_arrays(*self.state_arrays())
+        return self._arrays
+
+    def _set_arrays(self, active: np.ndarray, inactive: np.ndarray) -> None:
+        self._arrays = (active, inactive)
+        self._active = self._inactive = None
+
     def __len__(self) -> int:
+        if self._arrays is not None:
+            return int(self._arrays[0].shape[0] + self._arrays[1].shape[0])
         return len(self._active) + len(self._inactive)
 
     def __contains__(self, key: Hashable) -> bool:
+        if self._arrays is not None:
+            self._to_dicts()
         return key in self._active or key in self._inactive
 
     @property
     def active_size(self) -> int:
         """Entries on the protected list."""
+        if self._arrays is not None:
+            return int(self._arrays[0].shape[0])
         return len(self._active)
 
     @property
     def inactive_size(self) -> int:
         """Entries on the probation list."""
+        if self._arrays is not None:
+            return int(self._arrays[1].shape[0])
         return len(self._inactive)
 
     def access(self, key: Hashable) -> bool:
         """Touch ``key``; True on hit (either list), False on miss."""
+        if self._arrays is not None:
+            self._to_dicts()
         if key in self._active:
             self._active.move_to_end(key)
             self.hits += 1
@@ -217,7 +269,7 @@ class ActiveInactiveLRU:
                 self.on_evict(victim)
 
     # -- batched replay ----------------------------------------------------
-    def replay(self, pages: np.ndarray) -> LRUReplayLog:
+    def replay(self, pages: np.ndarray, epoch_states: list | None = None) -> LRUReplayLog:
         """Touch every page in ``pages`` in order, batched.
 
         Bit-identical to calling :meth:`access` per element — same final
@@ -247,16 +299,26 @@ class ActiveInactiveLRU:
         shrinking :meth:`resize` (or a :meth:`restore_state` of such a
         state) breaks it.  Calls that meet it with epochs of at least
         ``_KERNEL_EPOCH`` accesses go to the two-scan kernel
-        (:meth:`_replay_kernel`); every other call takes the per-access
-        loop (:meth:`_replay_loop`), which is exact for any state.
+        (:meth:`_replay_kernel`), which takes the lists in and leaves them
+        in array form; every other call takes the per-access loop
+        (:meth:`_replay_loop`), which is exact for any state and leaves
+        dict form.
+
+        ``epoch_states`` is the hybrid planner's internal hook: a list that
+        receives, for every kernel epoch boundary inside the call, the
+        tuple ``(position, active, inactive, hits, misses, promotions,
+        demotions, evictions)`` — the lists (read-only arrays) and the
+        five counters as they stood before the access at ``position``.
+        A partial fit restores the last one at or before its cut and
+        replays at most one epoch.  The per-access loop records none.
         """
         if self.on_evict is not None:
             raise ValueError("replay() with an on_evict callback; victims are returned in the log")
         pages = np.ascontiguousarray(np.asarray(pages, dtype=np.int64))
         max_active = max(1, int(self.capacity * self.active_ratio))
         epoch = min(self.capacity - max_active, max_active) - 1
-        if pages.size and len(self._active) <= max_active and epoch >= _KERNEL_EPOCH:
-            return self._replay_kernel(pages, epoch, max_active)
+        if pages.size and self.active_size <= max_active and epoch >= _KERNEL_EPOCH:
+            return self._replay_kernel(pages, epoch, max_active, epoch_states)
         return self._replay_loop(pages)
 
     def _replay_loop(self, pages: np.ndarray) -> LRUReplayLog:
@@ -267,6 +329,8 @@ class ActiveInactiveLRU:
         after the insert (possibly holding only the new page itself, which
         is then the victim — exactly what :meth:`_reclaim` does).
         """
+        if self._arrays is not None:
+            self._to_dicts()
         active = self._active
         inactive = self._inactive
         cap = self.capacity
@@ -318,7 +382,8 @@ class ActiveInactiveLRU:
         return LRUReplayLog(hits_mask, np.asarray(ev_pos, dtype=np.int64),
                             np.asarray(ev_pg, dtype=np.int64))
 
-    def _replay_kernel(self, pages: np.ndarray, epoch: int, max_active: int) -> LRUReplayLog:
+    def _replay_kernel(self, pages: np.ndarray, epoch: int, max_active: int,
+                       epoch_states: list | None = None) -> LRUReplayLog:
         """Epoch replay resolved by two pointer scans per epoch.
 
         By the epoch invariant (see :meth:`replay`) second touches always
@@ -335,25 +400,30 @@ class ActiveInactiveLRU:
         come the pages that end active, by last touch, and the misses and
         demotions that stay inactive, by position.
 
-        Per-page list membership lives in one int array indexed by dense
-        page id, packing ``(index in its epoch-start list << 2) | code``
-        (code 1 = inactive, 2 = active, 0 = on neither list).  First,
-        second and last touches per epoch come from one previous-
-        occurrence pass, which the returned log carries for the caller.
+        The lists come in and go out in array form, so a run of kernel
+        calls never converts them.  Per-page list membership lives in one
+        int array indexed by dense page id, packing ``(index in its
+        epoch-start list << 2) | code`` (code 1 = inactive, 2 = active, 0
+        = on neither list).  First, second and last touches per epoch
+        come from one previous/next-occurrence pass, whose previous-
+        occurrence half the returned log carries for the caller.
         """
         from repro.mem.reuse import _prev_occurrence
 
         n = int(pages.shape[0])
-        act_pages, inact_pages = self.state_arrays()
+        act_pages, inact_pages = self._to_arrays()
         n_act = int(act_pages.shape[0])
         n_inact = int(inact_pages.shape[0])
-        every = np.concatenate([act_pages, inact_pages, pages])
-        if int(every.min()) >= 0 and int(every.max()) < _DIRECT_ID_SPAN * every.shape[0]:
+        parts = [a for a in (act_pages, inact_pages, pages) if a.size]
+        lo = min(int(a.min()) for a in parts)
+        hi = max(int(a.max()) for a in parts)
+        if lo >= 0 and hi < _DIRECT_ID_SPAN * (n_act + n_inact + n):
             uniq = None
-            n_ids = int(every.max()) + 1
+            n_ids = hi + 1
             act, inact, ids = act_pages, inact_pages, pages
         else:
-            uniq, dense = np.unique(every, return_inverse=True)
+            uniq, dense = np.unique(np.concatenate([act_pages, inact_pages, pages]),
+                                    return_inverse=True)
             n_ids = int(uniq.shape[0])
             act = dense[:n_act]
             inact = dense[n_act:n_act + n_inact]
@@ -361,17 +431,23 @@ class ActiveInactiveLRU:
         state = np.zeros(n_ids, dtype=np.int64)
         state[act] = np.arange(n_act, dtype=np.int64) * 4 + 2
         state[inact] = np.arange(n_inact, dtype=np.int64) * 4 + 1
-        prev = _prev_occurrence(ids, n)
-        warm = np.flatnonzero(prev >= 0)
         nxt = np.full(n, n, dtype=np.int64)  # n: no later touch
-        nxt[prev[warm]] = warm
+        prev = _prev_occurrence(ids, n, nxt)
         hits = np.ones(n, dtype=bool)
         ev_pos_parts: list[np.ndarray] = []
         ev_id_parts: list[np.ndarray] = []
         nact = n_act
         ntotal = n_act + n_inact
-        d_misses = d_promotions = d_demotions = 0
+        d_misses = d_promotions = d_demotions = d_evictions = 0
         for s in range(0, n, epoch):
+            if s and epoch_states is not None:
+                lists = (act, inact) if uniq is None else (uniq[act], uniq[inact])
+                for a in lists:
+                    a.flags.writeable = False
+                epoch_states.append((
+                    s, *lists, self.hits + s - d_misses, self.misses + d_misses,
+                    self.promotions + d_promotions, self.demotions + d_demotions,
+                    self.evictions + d_evictions))
             e = min(s + epoch, n)
             first = np.flatnonzero(prev[s:e] < s) + s
             code_k = state[ids[first]]
@@ -397,6 +473,7 @@ class ActiveInactiveLRU:
             if evicted.size:
                 ev_pos_parts.append(miss[room - room_left:])
                 ev_id_parts.append(evicted)
+                d_evictions += int(evicted.shape[0])
             # -- demotion scan: promotions and active first touches -------
             # promotions: inactive first touches that hit, and the second
             # touch of every page whose first touch missed
@@ -446,11 +523,13 @@ class ActiveInactiveLRU:
             state[evicted] = 0
             state[act] = np.arange(n_act, dtype=np.int64) * 4 + 2
             state[inact] = np.arange(int(inact.shape[0]), dtype=np.int64) * 4 + 1
+        del state, nxt
         if uniq is not None:
             act = uniq[act]
             inact = uniq[inact]
-        self._active = OrderedDict.fromkeys(act.tolist())
-        self._inactive = OrderedDict.fromkeys(inact.tolist())
+        act.flags.writeable = False
+        inact.flags.writeable = False
+        self._set_arrays(act, inact)
         if ev_pos_parts:
             evict_pos = np.concatenate(ev_pos_parts)
             evict_page = np.concatenate(ev_id_parts)
@@ -463,7 +542,7 @@ class ActiveInactiveLRU:
         self.misses += d_misses
         self.promotions += d_promotions
         self.demotions += d_demotions
-        self.evictions += int(evict_pos.shape[0])
+        self.evictions += d_evictions
         return LRUReplayLog(hits, evict_pos, evict_page, prev)
 
     @staticmethod
@@ -516,22 +595,35 @@ class ActiveInactiveLRU:
         return np.sort(popped), backs, 0
 
     def state_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current (active, inactive) list contents, LRU-first, as arrays."""
-        return (
+        """Current (active, inactive) list contents, LRU-first, as read-only
+        int64 arrays: in array form the LRU's own (no copy), in dict form
+        fresh ones (the LRU stays in dict form)."""
+        if self._arrays is not None:
+            return self._arrays
+        lists = (
             np.fromiter(self._active, count=len(self._active), dtype=np.int64),
             np.fromiter(self._inactive, count=len(self._inactive), dtype=np.int64),
         )
+        for a in lists:
+            a.flags.writeable = False
+        return lists
 
     def restore_state(self, active: np.ndarray, inactive: np.ndarray) -> None:
-        """Overwrite list contents/order from :meth:`state_arrays` output."""
+        """Overwrite list contents/order from :meth:`state_arrays` output.
+
+        Leaves the LRU in array form.  Read-only int64 arrays are kept as
+        given; anything else is copied into read-only arrays first, so no
+        caller holds a writable alias of the lists.
+        """
         total = int(active.shape[0]) + int(inactive.shape[0])
         if total > self.capacity:
             raise ValueError(f"state holds {total} pages, capacity is {self.capacity}")
-        self._active = OrderedDict.fromkeys(active.tolist())
-        self._inactive = OrderedDict.fromkeys(inactive.tolist())
+        self._set_arrays(_read_only(active), _read_only(inactive))
 
     def discard(self, key: Hashable) -> bool:
         """Drop ``key`` from whichever list holds it."""
+        if self._arrays is not None:
+            self._to_dicts()
         if key in self._active:
             del self._active[key]
             return True
@@ -544,6 +636,8 @@ class ActiveInactiveLRU:
         """Change capacity (the cgroup memory.high knob); reclaims if shrunk."""
         if capacity < 2:
             raise ValueError(f"capacity must be >= 2, got {capacity}")
+        if self._arrays is not None:
+            self._to_dicts()
         self.capacity = capacity
         self._reclaim()
 

@@ -107,23 +107,37 @@ def _checked_length(pages: np.ndarray) -> int:
     return n
 
 
-def _prev_occurrence(pages: np.ndarray, n: int) -> np.ndarray:
-    """prev[t] = index of the previous access to pages[t], or -1."""
-    t = np.arange(n, dtype=np.int64)
+def _prev_occurrence(pages: np.ndarray, n: int,
+                     nxt: np.ndarray | None = None) -> np.ndarray:
+    """prev[t] = index of the previous access to pages[t], or -1.
+
+    With ``nxt`` (``n`` int64 slots, pre-filled by the caller) the same
+    pass also writes nxt[t] = index of the next access to pages[t],
+    leaving the slots of last accesses untouched.
+    """
     lo = int(pages.min())
     hi = int(pages.max())
     prev = np.full(n, -1, dtype=np.int64)
     if lo >= 0 and hi + 1 <= (2**63 - 1) // n:
-        # composite sort groups each page's accesses in time order
-        comp = np.sort(pages.astype(np.int64) * n + t)
-        order = comp % n
-        grp = comp // n
+        # composite sort groups each page's accesses in time order; the
+        # keys are built and decoded in place
+        grp = pages.astype(np.int64)
+        grp *= n
+        grp += np.arange(n, dtype=np.int64)
+        grp.sort()
+        order = grp % n
+        grp //= n
     else:
         # huge or negative ids: fall back to a stable argsort
         order = np.argsort(pages, kind="stable")
         grp = pages[order]
     same = grp[1:] == grp[:-1]
-    prev[order[1:][same]] = order[:-1][same]
+    del grp
+    src = order[:-1][same]
+    dst = order[1:][same]
+    prev[dst] = src
+    if nxt is not None:
+        nxt[src] = dst
     return prev
 
 

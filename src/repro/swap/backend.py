@@ -71,8 +71,6 @@ class SwapBackendModule:
         self.active = False
         #: pages this backend holds or is storing
         self._pages: set[int] = set()
-        self.pages_stored = 0
-        self.pages_loaded = 0
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -113,9 +111,9 @@ class SwapBackendModule:
     def store(self, page: int, granularity: int = PAGE_SIZE):
         """Swap ``page`` out to this backend.
 
-        Validation and the page's slot claim run eagerly, at the call;
-        the returned generator runs the device write when the caller's
-        process ``yield from``s it.  A caller whose write failed releases
+        Validation and the page's slot claim run eagerly, at the call,
+        which returns the device's write generator for the caller's
+        process to ``yield from``.  A caller whose write failed releases
         the claim with :meth:`invalidate`.
         """
         self._require_active()
@@ -124,15 +122,11 @@ class SwapBackendModule:
         if len(self._pages) >= self.n_slots:
             raise SlotExhaustedError(f"all {self.n_slots} swap slots of {self.name} in use")
         self._pages.add(page)
-
-        def gen():
-            yield from self.device.write(granularity, granularity=granularity)
-            self.pages_stored += 1
-
-        return gen()
+        return self.device.write(granularity, granularity=granularity)
 
     def load(self, page: int, granularity: int = PAGE_SIZE):
-        """Swap ``page`` back in; validated eagerly like :meth:`store`.
+        """Swap ``page`` back in; validated eagerly like :meth:`store`,
+        returning the device's read generator.
 
         The far copy stays (swap-cache semantics: a clean page can later
         be reclaimed again without a rewrite); :meth:`invalidate` drops
@@ -141,13 +135,7 @@ class SwapBackendModule:
         self._require_active()
         if page not in self._pages:
             raise SwapError(f"page {page} not present on {self.name}")
-
-        def gen():
-            yield from self.device.read(granularity, granularity=granularity)
-            self.pages_loaded += 1
-            return page
-
-        return gen()
+        return self.device.read(granularity, granularity=granularity)
 
     def adopt_pages(self, pages) -> None:
         """Record ``pages`` as held, all or none.

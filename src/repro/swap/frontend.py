@@ -18,9 +18,10 @@ The frontend sits between page reclaim and the backend modules:
 each page (the page -> backend view the paper's listening queue keeps in
 sync).  It changes with each store and invalidation; a load keeps the
 copy (swap-cache semantics), and a dirtied page drops it through
-:meth:`SwapFrontend.invalidate_page`.  Each data-path method is a
-generator that the caller's process drives with ``yield from``: a page
-crosses frontend, backend module and device as one generator chain.
+:meth:`SwapFrontend.invalidate_page`.  Each data-path method returns a
+generator that the caller's process drives with ``yield from``: a load
+checks its page and hands back the device's read generator itself, and
+a store wraps the device write so it can record the owner afterwards.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ class SwapFrontend:
         self._switching = False
         #: page -> backend-name that holds it
         self._owner: dict[int, str] = {}
-        self.stores = 0
-        self.loads = 0
         self.switches = 0
 
     # -- module management --------------------------------------------------
@@ -109,21 +108,21 @@ class SwapFrontend:
         module = self._modules[active]
         yield from module.store(page, granularity=granularity)
         self._owner[page] = active
-        self.stores += 1
 
     def load_page(self, page: int, granularity: int = PAGE_SIZE):
         """Fault one page back in from whichever backend holds it.
 
-        The far copy stays in place (swap-cache semantics), so a clean
-        reclaim later needs no rewrite and the page still answers True
-        to :meth:`swapped_out` until :meth:`invalidate_page` drops it.
+        Checked at the call, like :meth:`SwapBackendModule.load`, which
+        returns the owning device's read generator for the caller to
+        drive.  The far copy stays in place (swap-cache semantics), so a
+        clean reclaim later needs no rewrite and the page still answers
+        True to :meth:`swapped_out` until :meth:`invalidate_page` drops
+        it.
         """
         owner = self._owner.get(page)
         if owner is None:
             raise BackendUnavailableError(f"{self.name}: page {page} not swapped out")
-        yield from self._modules[owner].load(page, granularity=granularity)
-        self.loads += 1
-        return page
+        return self._modules[owner].load(page, granularity=granularity)
 
     def adopt_far_pages(self, pages) -> None:
         """Record ``pages`` as far-resident on the active backend — the

@@ -61,6 +61,7 @@ reports included.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,13 +190,14 @@ def _active_hazards(executor) -> list[tuple[float, float]]:
     return plan.live_spans(executor.sim.now)
 
 
-def _replay_span(executor, pages, ops, touched_arr, far_arr):
-    """Classify one span against the live LRU (on_evict parked)."""
-    lru = executor.lru
+@contextmanager
+def _parked(lru):
+    """The live LRU with ``on_evict`` parked: batched replays return their
+    victims in the log instead."""
     saved = lru.on_evict
     lru.on_evict = None
     try:
-        return classify_span(pages, ops, lru, touched_arr, far_arr)
+        yield lru
     finally:
         lru.on_evict = saved
 
@@ -214,6 +216,29 @@ def _lru_restore(lru, snap) -> None:
     lru.promotions = promotions
     lru.demotions = demotions
     lru.evictions = evictions
+
+
+def _kept_prefix(lru, snap, epoch_states, span, pages, ops, far0, cut):
+    """Cut a speculative ``span`` back to its first ``cut`` accesses.
+
+    ``span`` was classified from ``snap`` (a :func:`_lru_snapshot`) over
+    ``pages``/``ops``, the kernel filling ``epoch_states`` with the LRU
+    state at each of its epoch boundaries.  The LRU is set to the last
+    boundary at or before the cut and replays the rest — at most one
+    epoch — so it ends exactly where a replay of the prefix from ``snap``
+    would, counters included; the classification comes from
+    :meth:`SpanClassification.prefix`.
+    """
+    start = 0
+    for state in epoch_states:
+        if state[0] > cut:
+            break
+        start, snap = state[0], state[1:]
+    _lru_restore(lru, snap)
+    if cut > start:
+        with _parked(lru):
+            lru.replay(pages[start:cut])
+    return span.prefix(cut, pages, ops, far0)
 
 
 def _seam_arrays(executor):
@@ -245,12 +270,14 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
     ``limit`` is the next hazard start (or None): chunks are classified
     speculatively and priced per access from the exact healthy serial
     cost, and only the accesses that finish at least one op-cost before
-    ``limit`` are admitted — a partial fit restores the LRU snapshot and
-    re-classifies the kept prefix (the classification is prefix-stable,
-    so kept outcomes are unchanged; only the span-end far set needed
-    recomputing).  Chunk sizes double along healthy stretches and are
-    clamped to the remaining hazard budget via the observed cost rate,
-    so speculative work is rarely thrown away.
+    ``limit`` are admitted.  A partial fit derives its kept prefix from
+    the speculative pass (:func:`_kept_prefix`; the classification is
+    prefix-stable): the columns and counts are cut by position, the
+    span-end far set comes from an eviction scan over the prefix, and
+    the LRU is set to the kernel's last epoch boundary at or before the
+    cut and replays at most one epoch.  Chunk sizes double along healthy
+    stretches and are clamped to the remaining hazard budget via the
+    observed cost rate, so speculative work is rarely thrown away.
     """
     sim = executor.sim
     res = executor.result
@@ -279,7 +306,7 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
     if limit is not None and rate[1] and rate[0] > 0.0:
         # returning segment: open with a budget-sized chunk straight away,
         # biased low — an undersized chunk costs one more loop pass, an
-        # oversized one costs re-classifying the whole kept prefix
+        # oversized one its discarded tail plus up to one LRU epoch
         predicted = int(0.85 * (limit - sim.now) * rate[1] / rate[0])
         chunk = min(_CHUNK_MAX, max(_WINDOW, predicted))
     # far copies owned by a non-active backend are *stale*: their fault
@@ -317,10 +344,14 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
             # no hazard ahead: one span covers the rest of the trace
             size = n_anon - a_pos
         a1 = min(n_anon, a_pos + size)
-        snap = (_lru_snapshot(lru)
-                if limit is not None or stale_arr.size else None)
-        span = _replay_span(executor, anon_pages[a_pos:a1],
-                            anon_ops[a_pos:a1], touched_arr, far_arr)
+        speculative = limit is not None or stale_arr.size > 0
+        snap = _lru_snapshot(lru) if speculative else None
+        epoch_states = [] if speculative else None
+        chunk_pages = anon_pages[a_pos:a1]
+        chunk_ops = anon_ops[a_pos:a1]
+        with _parked(lru):
+            span = classify_span(chunk_pages, chunk_ops, lru, touched_arr,
+                                 far_arr, epoch_states)
         span_len = a1 - a_pos
         if limit is None:
             cut = span_len
@@ -382,13 +413,9 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
             break
         partial = cut < span_len
         if partial:
-            # rewind the LRU and re-classify the kept prefix (the
-            # classification is prefix-stable, so kept outcomes are
-            # unchanged; only the span-end far set needs recomputing)
-            _lru_restore(lru, snap)
+            span = _kept_prefix(lru, snap, epoch_states, span, chunk_pages,
+                                chunk_ops, far_arr, cut)
             a1 = a_pos + cut
-            span = _replay_span(executor, anon_pages[a_pos:a1],
-                                anon_ops[a_pos:a1], touched_arr, far_arr)
         admission = _TenantPlan(executor, span, a1 - a_pos)
         if admission.steps:
             _admit(sim, [admission])

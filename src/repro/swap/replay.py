@@ -13,7 +13,7 @@ anonymous sub-trace is pushed through the batched two-generation replay
 (:meth:`~repro.mem.lru.ActiveInactiveLRU.replay`), misses split into cold
 allocations vs capacity faults via one previous-occurrence pass, and the
 in-order victim stream split into writebacks vs clean drops by replaying
-the swap-cache ownership rules as a segmented scan (see
+the swap-cache ownership rules over one sorted key per event (see
 :func:`_classify_evictions`).  The same machinery derives the exact miss
 count for **every** capacity from one Mattson reuse pass
 (:func:`trace_mrc`), so capacity sweeps cost one classification, not one
@@ -148,14 +148,53 @@ class SpanClassification(_DerivedCounts):
     """
 
     n_anon: int              #: anonymous accesses in the span
-    hits: int                #: LRU hits (either generation)
-    cold_allocations: int    #: never-touched first touches — zero-fill
     fault_pos: np.ndarray    #: positions of capacity faults (swap-ins)
     evict_pos: np.ndarray    #: positions that triggered each eviction
     evict_page: np.ndarray   #: the victim page of each eviction
     clean: np.ndarray        #: per eviction: dropped without writeback?
     far_end: np.ndarray      #: complete far-copy set at span end (sorted)
     new_touched: np.ndarray  #: pages first touched in this span, span order
+    cold_pos: np.ndarray     #: positions of those first touches
+
+    @property
+    def cold_allocations(self) -> int:
+        """Never-touched first touches — zero-fill, no far traffic."""
+        return int(self.cold_pos.shape[0])
+
+    @property
+    def hits(self) -> int:
+        """LRU hits (either generation): every access that did not miss."""
+        return self.n_anon - self.faults - self.cold_allocations
+
+    def prefix(self, cut: int, pages: np.ndarray, ops: np.ndarray,
+               far0: np.ndarray) -> "SpanClassification":
+        """The classification of the span's first ``cut`` accesses.
+
+        Classification is prefix-stable: an access's outcome, and whether
+        an eviction is clean, depend only on what came before it.  So
+        every column is this one's cut by position and the counts follow
+        from them; only the span-end far set comes from a fresh eviction
+        scan over the prefix (``pages``/``ops`` are the whole span's,
+        ``far0`` its seam far set).  Equal, field for field, to
+        :func:`classify_span` of the prefix from the same seam state.
+        """
+        k_f = int(np.searchsorted(self.fault_pos, cut))
+        k_e = int(np.searchsorted(self.evict_pos, cut))
+        k_c = int(np.searchsorted(self.cold_pos, cut))
+        evict_pos = self.evict_pos[:k_e]
+        evict_page = self.evict_page[:k_e]
+        clean, far_end = _classify_evictions(pages[:cut], ops[:cut], evict_pos,
+                                             evict_page, cut, far0)
+        return SpanClassification(
+            n_anon=cut,
+            fault_pos=self.fault_pos[:k_f],
+            evict_pos=evict_pos,
+            evict_page=evict_page,
+            clean=clean,
+            far_end=far_end,
+            new_touched=self.new_touched[:k_c],
+            cold_pos=self.cold_pos[:k_c],
+        )
 
 
 def _in_sorted(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -173,6 +212,7 @@ def classify_span(
     lru: ActiveInactiveLRU,
     touched: np.ndarray,
     far0: np.ndarray,
+    epoch_states: list | None = None,
 ) -> SpanClassification:
     """Classify one span of a run, resuming from seam state.
 
@@ -189,14 +229,19 @@ def classify_span(
     classification — :func:`_classify_uncached` delegates here — and the
     seam-handoff property test pins the splice invariant: classify the
     whole trace, or split at any boundary and resume, same answer.
+
+    ``epoch_states`` is passed through to the LRU's replay (the hybrid
+    planner's partial-fit hook, see :meth:`ActiveInactiveLRU.replay`).
     """
     n_anon = int(pages.shape[0])
-    log = lru.replay(pages)
+    log = lru.replay(pages, epoch_states)
     if n_anon:
         # the LRU's scan kernel already ran the previous-occurrence pass
         prev = log.prev if log.prev is not None else _prev_occurrence(pages, n_anon)
+        log.prev = None
         miss_pos = np.flatnonzero(~log.hits)
         first = prev[miss_pos] < 0
+        del prev
         first_idx = miss_pos[first]
         first_pages = pages[first_idx]
         known = _in_sorted(first_pages, touched)
@@ -205,25 +250,22 @@ def classify_span(
             # span-first misses of already-touched pages fault too
             fault_pos = np.sort(np.concatenate([fault_pos, first_idx[known]]))
         fault_pos = np.ascontiguousarray(fault_pos)
-        cold = int((~known).sum())
+        cold_pos = np.ascontiguousarray(first_idx[~known])
         new_touched = np.ascontiguousarray(first_pages[~known])
     else:
-        fault_pos = np.empty(0, dtype=np.int64)
-        cold = 0
-        new_touched = np.empty(0, dtype=np.int64)
+        fault_pos = cold_pos = new_touched = np.empty(0, dtype=np.int64)
     clean, far_end = _classify_evictions(
         pages, ops, log.evict_pos, log.evict_page, n_anon, far0
     )
     return SpanClassification(
         n_anon=n_anon,
-        hits=int(log.hits.sum()),
-        cold_allocations=cold,
         fault_pos=fault_pos,
         evict_pos=log.evict_pos,
         evict_page=log.evict_page,
         clean=clean,
         far_end=far_end,
         new_touched=new_touched,
+        cold_pos=cold_pos,
     )
 
 
@@ -259,74 +301,68 @@ def _classify_evictions(
     any STORE is a clean drop.  The returned ``far_end`` is then the
     *complete* far set at span end, carried copies included.
 
-    Resolved as one segmented scan: merge per-page STORE-access events and
-    eviction events, sort by ``(page, position, store-before-evict)``, and
-    take running maxima of store/eviction positions with a per-group
-    offset so groups cannot bleed into each other.
+    Resolved by one sort: each STORE access, seam copy and eviction is
+    one int64 key ``page * stride + 2 * position + kind`` (kind 0 for a
+    store, 1 for an eviction, so a store sorts before an eviction at the
+    same position).  Sorted, each page's events form one run in time
+    order, and the rules above become neighbour tests: an eviction is
+    clean iff the row before it is an eviction of the same page (no store
+    in between), and a page ends with a far copy iff its last row is an
+    eviction.  Positions of real evictions are increasing (an access
+    evicts at most one page), which maps clean rows back to the victim
+    stream.  Page ids too wide to pack are ranked first.
     """
     n_e = int(evict_pos.shape[0])
     n_f = int(far0.shape[0])
     if n_e == 0 and n_f == 0:
         return np.zeros(0, dtype=bool), np.empty(0, dtype=np.int64)
+    pages = np.asarray(pages, dtype=np.int64)
     s_pos = np.flatnonzero(ops == int(PageOp.STORE))
-    s_page = pages[s_pos]
     n_s = int(s_pos.shape[0])
-    ev_page = np.concatenate([s_page, far0, evict_page])
-    ev_pos = np.concatenate(
-        [s_pos + 1, np.zeros(n_f, dtype=np.int64), evict_pos + 1]
-    )
-    ev_kind = np.concatenate(
-        [np.zeros(n_s, dtype=np.int8), np.ones(n_f + n_e, dtype=np.int8)]
-    )
-    # stores sort before evictions at the same (page, position): the
-    # running store-max at an eviction row then already includes the
-    # self-eviction STORE.  Keys are unique per event, so when they pack
-    # into an int64 a single-key argsort replaces the 3-key lexsort.
-    # (Virtual seam rows are the one exception — they tie at pseudo-
-    # position 0 with nothing, every real position being >= 1.)
-    stride = np.int64(2 * (n + 2))
-    maxpage = int(ev_page.max())
-    if maxpage + 1 <= (2**63 - 1) // int(stride):
-        order = np.argsort(ev_page * stride + 2 * ev_pos + ev_kind)
-    else:
-        order = np.lexsort((ev_kind, ev_pos, ev_page))
-    page_s = ev_page[order]
-    pos_s = ev_pos[order]
-    kind_s = ev_kind[order]
-    total = n_s + n_f + n_e
-    newg = np.empty(total, dtype=bool)
-    newg[0] = True
-    np.not_equal(page_s[1:], page_s[:-1], out=newg[1:])
-    gid = np.cumsum(newg) - 1
-    # Segmented running max via a per-group offset: with BIG > n + 1 every
-    # value of group g (even the -1 "no event yet" sentinel) exceeds any
-    # offset value of group g-1, so one global cummax respects boundaries.
-    big = np.int64(n + 2)
-    offset = gid * big
-    store_val = np.where(kind_s == 0, pos_s, -1) + offset
-    run_store = np.maximum.accumulate(store_val) - offset
-    evict_val = np.where(kind_s == 1, pos_s, -1) + offset
-    run_evict = np.maximum.accumulate(evict_val) - offset
-    # previous eviction strictly before this row: shift the inclusive scan
-    prev_evict = np.empty(total, dtype=np.int64)
-    prev_evict[0] = -1
-    prev_evict[1:] = run_evict[:-1]
-    prev_evict[newg] = -1
-    evict_rows = np.flatnonzero(kind_s == 1)
-    clean_sorted = (prev_evict[evict_rows] >= 0) & (
-        run_store[evict_rows] <= prev_evict[evict_rows]
-    )
-    # scatter back to the original in-order victim stream (eviction i sat
-    # at merged index n_s + n_f + i before sorting; lower indices are
-    # virtual seam rows, which export no victim)
-    clean = np.empty(n_e, dtype=bool)
-    orig = order[evict_rows]
-    real = orig >= n_s + n_f
-    clean[orig[real] - (n_s + n_f)] = clean_sorted[real]
-    # end-of-run far set, read off each group's last row
-    gend = np.flatnonzero(np.concatenate([newg[1:], [True]]))
-    far_mask = (run_evict[gend] >= 0) & (run_store[gend] <= run_evict[gend])
-    far_end = np.ascontiguousarray(page_s[gend][far_mask])
+    stride = 2 * (n + 2)
+    ids = [a for a in (pages, far0, evict_page) if a.size]
+    lo = min(int(a.min()) for a in ids)
+    hi = max(int(a.max()) for a in ids)
+    uniq = None
+    if max(hi, -lo) + 1 > (2**63 - 1) // stride:
+        uniq = np.unique(np.concatenate(ids))
+        pages = np.searchsorted(uniq, pages)
+        far0 = np.searchsorted(uniq, far0)
+        evict_page = np.searchsorted(uniq, evict_page)
+    key = np.empty(n_s + n_f + n_e, dtype=np.int64)
+    seg = key[:n_s]
+    np.take(pages, s_pos, out=seg)
+    seg *= stride
+    s_pos += 1
+    s_pos *= 2
+    seg += s_pos
+    del s_pos
+    seg = key[n_s:n_s + n_f]
+    np.multiply(far0, stride, out=seg)
+    seg += 1
+    seg = key[n_s + n_f:]
+    np.multiply(evict_page, stride, out=seg)
+    seg += evict_pos
+    seg += evict_pos
+    seg += 3
+    key.sort()
+    ev = np.empty(key.shape[0], dtype=bool)
+    np.bitwise_and(key, 1, out=ev, casting="unsafe")
+    page = key // stride
+    same = page[1:] == page[:-1]
+    # a clean row: an eviction right after an eviction of the same page
+    # (virtual seam rows open their run, so every clean row is real)
+    clean_row = ev[1:] & ev[:-1] & same
+    clean_pos = (key[1:][clean_row] % stride) // 2 - 1
+    del key
+    clean = np.zeros(n_e, dtype=bool)
+    clean[np.searchsorted(evict_pos, clean_pos)] = True
+    # far set at span end: pages whose run ends with an eviction
+    last_row = np.append(~same, True)
+    last_row &= ev
+    far_end = page[last_row]
+    if uniq is not None:
+        far_end = uniq[far_end]
     return clean, far_end
 
 
@@ -500,15 +536,12 @@ class _TenantPlan:
     the executor's active backend.
     """
 
-    __slots__ = ("executor", "frontend", "module", "device", "steps",
-                 "latencies")
+    __slots__ = ("executor", "device", "steps", "latencies")
 
     def __init__(self, executor, cls, n_anon: int) -> None:
         self.executor = executor
-        self.frontend = executor.frontend
-        name = self.frontend.active_backend
-        self.module = self.frontend.module(name)
-        self.device = self.module.device
+        frontend = executor.frontend
+        self.device = frontend.module(frontend.active_backend).device
         g = executor.config.granularity
         self.steps: list[_AdmissionStep] = []
         if cls.faults or cls.swap_outs:
@@ -560,7 +593,7 @@ def _admit(sim, plans: list[_TenantPlan]) -> list[float]:
     :meth:`FarMemoryDevice._serve` — O(windows) DES events per tenant
     instead of O(accesses), and a tenant running alone resolves each step
     inline (:meth:`Simulator.skip`).  Each step books the device's ops
-    and wire bytes and the module and frontend counts; each fault step
+    and wire bytes; each fault step
     also books its mean latency, count and completion time on
     ``plan.latencies`` (the hybrid planner replays its monitor feed from
     them) and in the fault-latency stats.  Returns per-tenant durations.
@@ -569,7 +602,7 @@ def _admit(sim, plans: list[_TenantPlan]) -> list[float]:
     ends = [t_start] * len(plans)
 
     def admit(i, plan):
-        device, mod, fe = plan.device, plan.module, plan.frontend
+        device = plan.device
         pool = device.channel_pool
         add_repeat = plan.executor.result.fault_latency.add_repeat
         for st in plan.steps:
@@ -584,12 +617,8 @@ def _admit(sim, plans: list[_TenantPlan]) -> list[float]:
             device.ops += st.count
             if st.write:
                 device.bytes_written += st.moved
-                mod.pages_stored += st.count
-                fe.stores += st.count
             else:
                 device.bytes_read += st.moved
-                mod.pages_loaded += st.count
-                fe.loads += st.count
                 mean = (sim.now - t0) / st.count
                 plan.latencies.append((mean, st.count, sim.now))
                 add_repeat(mean, st.count)

@@ -29,13 +29,13 @@ class VMResourceControls:
     _limiter: CgroupMemoryLimiter | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.cpu_cores < 1:
+        if not self.cpu_cores >= 1:
             raise ConfigurationError(f"cpu_cores must be >= 1, got {self.cpu_cores}")
-        if self.memory_bytes < PAGE_SIZE:
+        if not self.memory_bytes >= PAGE_SIZE:
             raise ConfigurationError(f"memory_bytes must be >= one page, got {self.memory_bytes}")
-        if self.network_channels < 0:
+        if not self.network_channels >= 0:
             raise ConfigurationError(f"network_channels must be >= 0, got {self.network_channels}")
-        if self.swap_bytes < 0:
+        if not self.swap_bytes >= 0:
             raise ConfigurationError(f"swap_bytes must be >= 0, got {self.swap_bytes}")
 
     def memory_limiter(self, reclaim=None) -> CgroupMemoryLimiter:

@@ -53,13 +53,13 @@ class Hypervisor:
     """QEMU/KVM-style manager of a host's VM pool."""
 
     def __init__(self, sim: Simulator, spec: ServerSpec, reserve_host_memory: int = gib(4)) -> None:
-        if reserve_host_memory < 0:
+        if not reserve_host_memory >= 0:
             raise ConfigurationError("reserve_host_memory must be >= 0")
         self.sim = sim
         self.spec = spec
         self.host_cpus = spec.total_cores
         self.host_memory = spec.dram_bytes - reserve_host_memory
-        if self.host_memory <= 0:
+        if not self.host_memory > 0:
             raise ConfigurationError("host reservation exceeds server memory")
         self.vms: dict[str, VM] = {}
         self._vm_seq = 0

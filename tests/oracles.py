@@ -9,6 +9,10 @@ path computes fast, kept here so that production holds one path:
 * :class:`LRUCache` — a plain exact LRU over hashable keys, one
   ``OrderedDict`` move per access; :func:`repro.mem.lru.lru_replay` and
   the miss-ratio curves must match its hits, misses and victims.
+* :func:`classify_evictions_reference` — the swap-cache ownership scan
+  as a segmented running maximum over ``(page, position, kind)`` rows;
+  :func:`repro.swap.replay._classify_evictions` must match its clean
+  flags and end-of-span far set.
 * :func:`grid_configure` / :func:`grid_max_offload_under_slo` — the
   exhaustive scalar sweeps the tuner replaced: one
   ``SwapPathModel.cost`` call per lattice point, and a 12-step scalar
@@ -39,12 +43,13 @@ import numpy as np
 from repro.core.config import xdm_config
 from repro.core.console import ConfigDecision
 from repro.errors import ConfigurationError
+from repro.mem.page import PageOp
 from repro.mem.reuse import COLD
 from repro.swap.executor import COUNTERS, run_event, run_tenants
 from repro.swap.pathmodel import SwapPathModel
 
-__all__ = ["reuse_distances_fenwick", "LRUCache", "grid_configure",
-           "grid_max_offload_under_slo", "assert_engines_agree"]
+__all__ = ["reuse_distances_fenwick", "LRUCache", "classify_evictions_reference",
+           "grid_configure", "grid_max_offload_under_slo", "assert_engines_agree"]
 
 
 def reuse_distances_fenwick(pages: np.ndarray) -> np.ndarray:
@@ -167,6 +172,110 @@ class LRUCache:
         return list(self._od.keys())
 
 
+def classify_evictions_reference(
+    pages: np.ndarray,
+    ops: np.ndarray,
+    evict_pos: np.ndarray,
+    evict_page: np.ndarray,
+    n: int,
+    far0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split the victim stream into writebacks vs clean drops; find the
+    pages still holding a valid far copy at end of run — the reference
+    :func:`repro.swap.replay._classify_evictions` must match.
+
+    Replays the executor's swap-cache ownership rules without the DES: a
+    page gains a far copy at every eviction (writeback, or retained clean
+    copy) and loses it at the first STORE access afterwards (the executor
+    invalidates the diverged copy).  So eviction *k* of page *v* is a
+    clean drop iff an earlier eviction of *v* exists and no STORE access
+    to *v* happened after it — where a STORE at the evicting position
+    itself counts against eviction *k* (the self-eviction path dirties
+    before reclaim drains), while a STORE at the *previous* eviction's
+    position was already consumed by that eviction.  Likewise *v* holds a
+    valid far copy at end of run iff it was ever evicted and its last
+    STORE does not postdate its last eviction.
+
+    ``far0`` (sorted, unique, possibly empty) carries seam state for the
+    segmented hybrid engine: pages holding a valid far copy *before* the
+    span.  Each is a *virtual eviction* preceding every real event — real
+    positions shift by +1 and the virtual rows sit at pseudo-position 0,
+    so a seam copy behaves exactly like a copy acquired by an eviction at
+    position -1: the first span STORE invalidates it, an eviction before
+    any STORE is a clean drop.  The returned ``far_end`` is then the
+    *complete* far set at span end, carried copies included.
+
+    Resolved as one segmented scan: merge per-page STORE-access events and
+    eviction events, sort by ``(page, position, store-before-evict)``, and
+    take running maxima of store/eviction positions with a per-group
+    offset so groups cannot bleed into each other.
+    """
+    n_e = int(evict_pos.shape[0])
+    n_f = int(far0.shape[0])
+    if n_e == 0 and n_f == 0:
+        return np.zeros(0, dtype=bool), np.empty(0, dtype=np.int64)
+    s_pos = np.flatnonzero(ops == int(PageOp.STORE))
+    s_page = pages[s_pos]
+    n_s = int(s_pos.shape[0])
+    ev_page = np.concatenate([s_page, far0, evict_page])
+    ev_pos = np.concatenate(
+        [s_pos + 1, np.zeros(n_f, dtype=np.int64), evict_pos + 1]
+    )
+    ev_kind = np.concatenate(
+        [np.zeros(n_s, dtype=np.int8), np.ones(n_f + n_e, dtype=np.int8)]
+    )
+    # stores sort before evictions at the same (page, position): the
+    # running store-max at an eviction row then already includes the
+    # self-eviction STORE.  Keys are unique per event, so when they pack
+    # into an int64 a single-key argsort replaces the 3-key lexsort.
+    # (Virtual seam rows are the one exception — they tie at pseudo-
+    # position 0 with nothing, every real position being >= 1.)
+    stride = np.int64(2 * (n + 2))
+    widest = max(int(ev_page.max()), -int(ev_page.min()))
+    if widest + 1 <= (2**63 - 1) // int(stride):
+        order = np.argsort(ev_page * stride + 2 * ev_pos + ev_kind)
+    else:
+        order = np.lexsort((ev_kind, ev_pos, ev_page))
+    page_s = ev_page[order]
+    pos_s = ev_pos[order]
+    kind_s = ev_kind[order]
+    total = n_s + n_f + n_e
+    newg = np.empty(total, dtype=bool)
+    newg[0] = True
+    np.not_equal(page_s[1:], page_s[:-1], out=newg[1:])
+    gid = np.cumsum(newg) - 1
+    # Segmented running max via a per-group offset: with BIG > n + 1 every
+    # value of group g (even the -1 "no event yet" sentinel) exceeds any
+    # offset value of group g-1, so one global cummax respects boundaries.
+    big = np.int64(n + 2)
+    offset = gid * big
+    store_val = np.where(kind_s == 0, pos_s, -1) + offset
+    run_store = np.maximum.accumulate(store_val) - offset
+    evict_val = np.where(kind_s == 1, pos_s, -1) + offset
+    run_evict = np.maximum.accumulate(evict_val) - offset
+    # previous eviction strictly before this row: shift the inclusive scan
+    prev_evict = np.empty(total, dtype=np.int64)
+    prev_evict[0] = -1
+    prev_evict[1:] = run_evict[:-1]
+    prev_evict[newg] = -1
+    evict_rows = np.flatnonzero(kind_s == 1)
+    clean_sorted = (prev_evict[evict_rows] >= 0) & (
+        run_store[evict_rows] <= prev_evict[evict_rows]
+    )
+    # scatter back to the original in-order victim stream (eviction i sat
+    # at merged index n_s + n_f + i before sorting; lower indices are
+    # virtual seam rows, which export no victim)
+    clean = np.empty(n_e, dtype=bool)
+    orig = order[evict_rows]
+    real = orig >= n_s + n_f
+    clean[orig[real] - (n_s + n_f)] = clean_sorted[real]
+    # end-of-run far set, read off each group's last row
+    gend = np.flatnonzero(np.concatenate([newg[1:], [True]]))
+    far_mask = (run_evict[gend] >= 0) & (run_store[gend] <= run_evict[gend])
+    far_end = np.ascontiguousarray(page_s[gend][far_mask])
+    return clean, far_end
+
+
 def grid_configure(
     console,
     features,
@@ -261,7 +370,8 @@ def assert_engines_agree(build, traces, warmup=None):
     * exact ``COUNTERS`` and ``fault_latency.n``; ``stall_time`` to
       round-off (graceful-degradation waits are ``recovery - sim.now``);
     * the same end state: LRU lists and their order, touched set,
-      far-copy owners, frontend store/load counts and active backend;
+      far-copy owners and active backend, and each backend device's ops
+      and bytes read and written;
     * with one tenant, ``sim_time`` and the mean fault latency to 1e-9
       (under contention the admission window is the quantum);
     * with a failover controller, its failovers, detection and switch
@@ -291,8 +401,12 @@ def assert_engines_agree(build, traces, warmup=None):
         assert g._touched == w._touched, (i, "touched")
         gf, wf = g.frontend, w.frontend
         assert gf._owner == wf._owner, (i, "owners")
-        assert (gf.stores, gf.loads, gf.active_backend) == \
-            (wf.stores, wf.loads, wf.active_backend), i
+        assert gf.active_backend == wf.active_backend, i
+        assert gf.backends == wf.backends, i
+        for name in wf.backends:
+            gd, wd = gf.module(name).device, wf.module(name).device
+            assert (gd.ops, gd.bytes_read, gd.bytes_written) == \
+                (wd.ops, wd.bytes_read, wd.bytes_written), (i, name)
         if len(traces) == 1:
             _assert_close(gr.sim_time, wr.sim_time, "sim_time")
             if wr.fault_latency.n:

@@ -341,3 +341,83 @@ def test_replay_kernel_at_real_threshold(cap, kernel):
     ref, got = ActiveInactiveLRU(cap), ActiveInactiveLRU(cap)
     assert (_epoch(ref) >= lru_mod._KERNEL_EPOCH) == kernel
     _assert_replay_matches(ref, got, pages, cuts=(20_000,), path="default")
+
+
+# ------------------------------------------------ array form == dict form
+# After a kernel replay or a restore_state the LRU holds its lists as
+# read-only arrays and builds the OrderedDicts on the first per-access
+# call.  Whatever comes next, it must behave exactly like a twin that
+# never left dict form (every replay of the twin is per-access).
+ops_st = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["access", "discard", "in"]), st.integers(0, 60)),
+    st.tuples(st.just("resize"), st.integers(2, 40)),
+    st.tuples(st.just("len"), st.just(0)),
+    st.tuples(st.just("replay"), st.lists(st.integers(0, 60), max_size=80)),
+), max_size=12)
+
+
+def _assert_twins(got, ref):
+    assert [a.tolist() for a in got.state_arrays()] == \
+        [a.tolist() for a in ref.state_arrays()]
+    for c in COUNTERS:
+        assert getattr(got, c) == getattr(ref, c), c
+
+
+@pytest.mark.parametrize("start", ["replay", "restore"])
+@given(warm=pages_st, cap=st.integers(4, 40), ratio=ratio_st, ops=ops_st)
+@settings(max_examples=80, deadline=None)
+def test_array_form_continues_like_dict_form(start, warm, cap, ratio, ops):
+    got, ref = ActiveInactiveLRU(cap, ratio), ActiveInactiveLRU(cap, ratio)
+    warm = np.asarray(warm, dtype=np.int64)
+    with _replay_path("kernel"):
+        _access_each(ref, warm)
+        if start == "replay":
+            got.replay(warm)
+            assume(_epoch(got) >= 1 and warm.size)  # the kernel ran
+        else:
+            got.restore_state(*ref.state_arrays())
+            for c in COUNTERS:  # restore_state hands over the lists only
+                setattr(got, c, getattr(ref, c))
+        assert got._arrays is not None  # array form
+        _assert_twins(got, ref)
+        for op, arg in ops:
+            if op == "access":
+                assert got.access(arg) == ref.access(arg)
+            elif op == "discard":
+                assert got.discard(arg) == ref.discard(arg)
+            elif op == "in":
+                assert (arg in got) == (arg in ref)
+            elif op == "resize":
+                got.resize(arg)
+                ref.resize(arg)
+            elif op == "len":
+                assert len(got) == len(ref)
+                assert (got.active_size, got.inactive_size) == \
+                    (ref.active_size, ref.inactive_size)
+            else:
+                pages = np.asarray(arg, dtype=np.int64)
+                log = got.replay(pages)
+                hits, victims = _access_each(ref, pages)
+                assert log.hits.tolist() == hits
+                assert log.evict_page.tolist() == [v for _, v in victims]
+            _assert_twins(got, ref)
+
+
+@pytest.mark.parametrize("form", ["dict", "array"])
+def test_state_arrays_cannot_write_into_the_lru(form):
+    lru = ActiveInactiveLRU(8)
+    for page in (1, 2, 2, 3):
+        lru.access(page)
+    if form == "array":
+        lru.restore_state(*lru.state_arrays())
+    before = [a.tolist() for a in lru.state_arrays()]
+    for a in lru.state_arrays():
+        with pytest.raises(ValueError):
+            a[0] = 99
+    assert [a.tolist() for a in lru.state_arrays()] == before
+    # a writable array handed in is copied: writing to it later leaves
+    # the LRU alone
+    active, inactive = np.array([2]), np.array([1, 3])
+    lru.restore_state(active, inactive)
+    active[0] = inactive[0] = 99
+    assert [a.tolist() for a in lru.state_arrays()] == [[2], [1, 3]]

@@ -89,6 +89,34 @@ def test_cgroup_uncharge_validates():
         cg.uncharge_page()
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: LocalMemoryAllocator(NAN), ConfigurationError, "capacity",
+                 id="allocator-capacity"),
+    pytest.param(lambda: LocalMemoryAllocator(mib(1)).charge(NAN), ValueError, "nbytes",
+                 id="allocator-charge"),
+    pytest.param(lambda: LocalMemoryAllocator(mib(1)).uncharge(NAN), ValueError, "uncharge",
+                 id="allocator-uncharge"),
+    pytest.param(lambda: CgroupMemoryLimiter(limit_bytes=NAN), ConfigurationError,
+                 "limit_bytes", id="cgroup-limit"),
+    pytest.param(lambda: CgroupMemoryLimiter(limit_bytes=PAGE_SIZE, page_size=NAN),
+                 ConfigurationError, "page_size", id="cgroup-page-size"),
+    pytest.param(lambda: CgroupMemoryLimiter(limit_bytes=PAGE_SIZE).uncharge_page(NAN),
+                 ValueError, "uncharge_page", id="cgroup-uncharge"),
+    pytest.param(lambda: CgroupMemoryLimiter(limit_bytes=PAGE_SIZE).set_limit(NAN),
+                 ConfigurationError, "limit_bytes", id="cgroup-set-limit"),
+    pytest.param(lambda: CgroupMemoryLimiter(limit_bytes=PAGE_SIZE).set_fm_ratio(NAN, 0.5),
+                 ConfigurationError, "working_set_bytes", id="cgroup-fm-working-set"),
+])
+def test_range_checks_reject_nan(call, error, match):
+    """A NaN fails every range check the same way an out-of-range number
+    does, rather than slipping past a ``< 0`` comparison."""
+    with pytest.raises(error, match=match):
+        call()
+
+
 # ----------------------------------------------------------------- THP
 def test_effective_page_size_interpolates():
     assert effective_page_size(0.0) == PAGE_SIZE

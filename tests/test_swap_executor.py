@@ -61,7 +61,7 @@ def test_executor_skips_file_backed():
     ex, res = _run(trace, local=50)
     assert res.file_skips == 300
     assert res.faults + res.cold_allocations + res.hits == 300
-    assert ex.frontend.stores > 0
+    assert ex.frontend.module("ssd").device.bytes_written > 0
     assert not [p for p in ex.frontend._owner if p % 2]  # no file-backed far copy
 
 

@@ -40,9 +40,10 @@ from repro.faults.plan import merge_spans
 from repro.mem import lru as lru_mod
 from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page import PageKind, PageOp
+from repro.rng import derive
 from repro.simcore import Simulator
 from repro.swap import SwapConfig, SwapExecutor, run_event
-from repro.swap.plan import ExecutionPlan
+from repro.swap.plan import ExecutionPlan, _kept_prefix, _lru_restore, _lru_snapshot
 from repro.swap.replay import _batch_supported, _engine, classify_span
 from repro.trace import fuse
 from repro.trace.schema import make_trace
@@ -354,6 +355,58 @@ def _check_seam_handoff(seed, n, distinct, capacity, split_frac, store_ratio):
     assert s_inact.tolist() == w_inact.tolist()
     for attr in ("hits", "misses", "promotions", "demotions", "evictions"):
         assert getattr(split_lru, attr) == getattr(whole_lru, attr), attr
+
+
+# ------------------------------------------------ partial fit: kept prefix
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 500),
+    distinct=st.integers(2, 80),
+    capacity=st.integers(4, 60),
+    seam_frac=st.floats(0.0, 0.9),
+    cut_frac=st.floats(0.0, 1.0),
+    store_ratio=st.floats(0.0, 1.0),
+    kernel_epoch=st.sampled_from([lru_mod._KERNEL_EPOCH, 1]),
+)
+def test_kept_prefix_equals_classified_prefix(seed, n, distinct, capacity, seam_frac,
+                                              cut_frac, store_ratio, kernel_epoch):
+    """A partial fit derives its kept prefix from the speculative span and
+    the kernel's epoch-boundary states; it must equal classify_span of
+    that prefix from the snapshot on every field, and leave the LRU in
+    the same lists, order and counters.  ``kernel_epoch`` 1 sends
+    capacities from 4 up through the kernel, so spans cross many epoch
+    boundaries."""
+    rng = derive(seed, "tests/swap_plan/kept_prefix")
+    pages = rng.integers(0, distinct, size=n)
+    ops = np.where(rng.random(n) < store_ratio, int(PageOp.STORE),
+                   int(PageOp.LOAD)).astype(np.int64)
+    k = int(seam_frac * n)
+    empty = np.empty(0, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lru_mod, "_KERNEL_EPOCH", kernel_epoch)
+        lru = ActiveInactiveLRU(capacity=capacity)
+        seam = classify_span(pages[:k], ops[:k], lru, touched=empty, far0=empty)
+        touched, far0 = np.unique(seam.new_touched), seam.far_end
+        span_pages, span_ops = pages[k:], ops[k:]
+        snap = _lru_snapshot(lru)
+        states = []
+        span = classify_span(span_pages, span_ops, lru, touched, far0, states)
+        cut = int(cut_frac * (n - k))
+        got = _kept_prefix(lru, snap, states, span, span_pages, span_ops, far0, cut)
+        ref_lru = ActiveInactiveLRU(capacity=capacity)
+        _lru_restore(ref_lru, snap)
+        want = classify_span(span_pages[:cut], span_ops[:cut], ref_lru, touched, far0)
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist(), field.name
+        else:
+            assert g == w, field.name
+    assert [a.tolist() for a in lru.state_arrays()] == \
+        [a.tolist() for a in ref_lru.state_arrays()]
+    for attr in ("hits", "misses", "promotions", "demotions", "evictions"):
+        assert getattr(lru, attr) == getattr(ref_lru, attr), attr
 
 
 # ------------------------------------------------------- plan-object plumbing

@@ -27,6 +27,7 @@ from repro.swap.executor import SwapExecutor
 from repro.swap.replay import (
     _CACHE_MIN_ANON,
     ReplayClassification,
+    _classify_evictions,
     _engine,
     _in_sorted,
     classify_trace,
@@ -34,7 +35,7 @@ from repro.swap.replay import (
 )
 from repro.trace.schema import make_trace
 from repro.units import PAGE_SIZE
-from tests.oracles import LRUCache, assert_engines_agree
+from tests.oracles import LRUCache, assert_engines_agree, classify_evictions_reference
 
 
 def _build_trace(seed, n, distinct, dist, store_ratio=0.3, file_ratio=0.0):
@@ -222,6 +223,56 @@ def test_in_sorted_matches_isin(table):
     for probes in (_PROBE_IDS, []):
         probes = np.asarray(probes, dtype=np.int64)
         assert _in_sorted(probes, table).tolist() == np.isin(probes, table).tolist()
+
+
+# -- eviction scan vs the reference ------------------------------------------
+
+#: page-id remaps (stride, base): small ids; negative ids; ids of 2**40 and
+#: up, which still pack into one key; ids past 2**55, which are ranked first
+_EVICTION_IDS = [(1, 0), (1, -40), (1, 2**40),  # simlint: ignore[UNIT001] -- page ids, not bytes
+                 (2**55, 0), (-(2**55), 7)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 200),
+    distinct=st.integers(1, 30),
+    store_ratio=st.floats(0.0, 1.0),
+    evict_frac=st.floats(0.0, 1.0),
+    far_frac=st.floats(0.0, 1.0),
+    ids=st.sampled_from(_EVICTION_IDS),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_classify_evictions_matches_reference(n, distinct, store_ratio, evict_frac,
+                                              far_frac, ids, seed):
+    """Random victim streams — at most one victim per position, as every
+    LRU replay produces — with seam far copies and stores at victim
+    positions, against the segmented running-maximum reference: the same
+    clean flags and the same end-of-span far set."""
+    rng = derive(seed, "tests/swap_replay/evictions")
+    stride, base = ids
+    pages = rng.integers(0, distinct, size=n) * stride + base
+    ops = np.where(rng.random(n) < store_ratio, int(PageOp.STORE), int(PageOp.LOAD))
+    evict_pos = np.flatnonzero(rng.random(n) < evict_frac)
+    # victims come from the span's pages and a few pages it never touches
+    evict_page = rng.integers(0, distinct + 3, size=evict_pos.size) * stride + base
+    far0 = np.unique(rng.integers(0, distinct + 3, size=int(far_frac * distinct))
+                     * stride + base)
+    want = classify_evictions_reference(pages, ops, evict_pos, evict_page, n, far0)
+    got = _classify_evictions(pages, ops, evict_pos, evict_page, n, far0)
+    assert got[0].dtype == bool and got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+
+
+def test_classify_evictions_empty_streams():
+    empty = np.empty(0, dtype=np.int64)
+    pages = np.array([3, 4, 3])
+    ops = np.full(3, int(PageOp.STORE))
+    for far0 in (empty, np.array([3, 9])):
+        want = classify_evictions_reference(pages, ops, empty, empty, 3, far0)
+        got = _classify_evictions(pages, ops, empty, empty, 3, far0)
+        assert got[0].tolist() == want[0].tolist() == []
+        assert got[1].tolist() == want[1].tolist()
 
 
 # -- Mattson MRC cross-check -------------------------------------------------

@@ -42,7 +42,7 @@ def test_backend_store_load_roundtrip():
     assert mod.resident_pages == 1
     _run(sim, mod.load(42))
     assert mod.holds(42)  # a load keeps the far copy (swap cache)
-    assert mod.pages_stored == 1 and mod.pages_loaded == 1
+    assert (ssd.ops, ssd.bytes_written, ssd.bytes_read) == (2, PAGE_SIZE, PAGE_SIZE)
     mod.invalidate(42)  # the resident page was dirtied
     assert not mod.holds(42)
     assert mod.resident_pages == 0
@@ -162,7 +162,8 @@ def test_frontend_lazy_migration_across_switch():
     assert fe.module("rdma").holds(2)
     _run(sim, fe.load_page(1))  # served by the old backend
     assert fe.owner_of(1) == "ssd"  # which keeps its copy
-    assert fe.loads == 1
+    assert fe.module("ssd").device.bytes_read == PAGE_SIZE
+    assert fe.module("rdma").device.bytes_read == 0
 
 
 def test_frontend_switch_without_store_raises():

@@ -1,5 +1,7 @@
 """Unit tests for VMs, hypervisor, SR-IOV, and cgroup controls."""
 
+import dataclasses
+
 import pytest
 
 from repro.devices import RDMANic
@@ -17,6 +19,9 @@ from repro.virt import (
     VM_BOOT_COST,
     VM_REBOOT_COST,
 )
+
+
+NAN = float("nan")
 
 
 def _controls(mem=gib(8), cpus=4):
@@ -117,6 +122,17 @@ def test_hypervisor_validates_reservation(sim):
         Hypervisor(sim, paper_testbed(), reserve_host_memory=gib(65))
 
 
+@pytest.mark.parametrize("reserve, dram, match", [
+    pytest.param(NAN, gib(64), ">= 0", id="reserve_host_memory"),
+    # ServerSpec rejects a NaN dram_bytes; inf - inf makes host_memory NaN
+    pytest.param(float("inf"), float("inf"), "exceeds", id="host_memory"),
+])
+def test_hypervisor_rejects_nan(sim, reserve, dram, match):
+    spec = dataclasses.replace(paper_testbed(), dram_bytes=dram)
+    with pytest.raises(ConfigurationError, match=match):
+        Hypervisor(sim, spec, reserve_host_memory=reserve)
+
+
 # ------------------------------------------------------------------ SR-IOV
 def test_sriov_allocates_balanced(sim):
     nics = [RDMANic(sim, name=f"mlx{i}") for i in range(2)]
@@ -160,6 +176,15 @@ def test_cgroup_controls_validate():
         VMResourceControls(cpu_cores=0, memory_bytes=gib(1), network_channels=1, swap_bytes=0)
     with pytest.raises(ConfigurationError):
         VMResourceControls(cpu_cores=1, memory_bytes=100, network_channels=1, swap_bytes=0)
+
+
+@pytest.mark.parametrize("field", ["cpu_cores", "memory_bytes", "network_channels",
+                                   "swap_bytes"])
+def test_cgroup_controls_reject_nan(field):
+    kw = dict(cpu_cores=1, memory_bytes=gib(1), network_channels=1, swap_bytes=0)
+    kw[field] = NAN
+    with pytest.raises(ConfigurationError, match=field):
+        VMResourceControls(**kw)
 
 
 def test_cgroup_fm_ratio_rewrites_memory_high():
